@@ -28,6 +28,8 @@ import sys
 import tempfile
 import time
 
+from calibrate import REFERENCE_MS, scale_now
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKDIR = os.path.join(ROOT, ".perfbench")
@@ -35,7 +37,7 @@ WORKER = os.path.join(HERE, "worker.py")
 WORKLOADS = ("pullback_square", "leavitt_products", "tower_survey", "cli_commands")
 DEFAULT_SEED = 1
 # set-ups measured per run: SETUP_PROBES probe processes plus the run itself
-SETUP_PROBES = 4
+SETUP_PROBES = 6
 PROBE_TIMEOUT_S = 60
 END_TO_END = ("latency_p50_ms", "latency_p90_ms", "items_per_s", "setup_s", "peak_rss_mb")
 
@@ -125,19 +127,25 @@ def stamp(env, seed, workload, trace, sizes) -> dict:
 def run_workload(env, workload, seed, seconds, trace) -> dict:
     run_args = ("--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
                 "--trace", str(trace))
+    # each set-up, raw and scaled to reference speed (see calibrate.py) by
+    # the mean of the scales just before the worker starts and just after
+    # its set-up
     setups, setup_errors = [], []
     if not trace:
         for _ in range(SETUP_PROBES):
+            before = scale_now()
             started, probe = worker(env, PROBE_TIMEOUT_S, "--mode", "probe", *run_args)
-            setups.append(probe["ready"] - started)
+            setups.append((probe["ready"] - started, (before + probe["setup_scale"]) / 2))
             setup_errors += probe["setup_errors"]
+    before = scale_now()
     started, res = worker(env, seconds + 120, "--mode", "run", *run_args)
-    setups.append(res["ready"] - started)
+    if not trace:
+        setups.append((res["ready"] - started, (before + res["setup_scale"]) / 2))
     setup_errors += res["setup_errors"]
 
     metrics = dict(res["metrics"])
     if not trace:
-        metrics["setup_s"] = (statistics.median(setups), "s")
+        metrics["setup_s"] = (statistics.median(raw * scale for raw, scale in setups), "s")
     failed = len(res["failures"])
     result = {
         "correct": failed == 0 and not setup_errors and res["attempted"] > 0,
@@ -148,8 +156,9 @@ def run_workload(env, workload, seed, seconds, trace) -> dict:
     record = {**stamp(env, seed, workload, trace, res["sizes"]), **result,
               "failed_ratio": failed / max(res["attempted"], 1),
               "failures": res["failures"][:20], "setup_errors": sorted(set(setup_errors)),
-              "setups_s": setups,
-              **{k: res[k] for k in ("quick", "all_samples", "passes", "ops_per_pass")
+              "setups_s": [raw for raw, _ in setups],
+              "setup_scales": [scale for _, scale in setups],
+              **{k: res[k] for k in ("scaled", "raw", "reference_ms", "passes", "ops_per_pass")
                  if k in res}}
     path = os.path.join(WORKDIR, "results", f"{workload}-seed{seed}-trace{trace}.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -179,21 +188,23 @@ def print_record(rec: dict) -> None:
             print(f"   {name:38s} {m['value']:14.4f} {m['unit']:6s} {share}")
         print(f"   layer self times + unattributed = {layer_ms:.1f} ms of "
               f"{op_ms:.1f} ms traced operation time")
-    elif "quick" in rec:
-        quick, whole = rec["quick"], rec["all_samples"]
-        n = quick["samples"]
+    elif "scaled" in rec:
+        scaled, raw = rec["scaled"], rec["raw"]
+        n = scaled["samples"]
         for name in END_TO_END:
             m = metrics.get(name)
             if m is None:
                 continue
-            note = {"latency_p50_ms": f"{n} samples, the quickest of {whole['samples']}",
+            note = {"latency_p50_ms": f"{n} samples",
                     "latency_p90_ms": f"{n} samples, {n - int(0.9 * n)} beyond p90",
-                    "items_per_s": f"{quick['items']} items in {quick['busy_s']:.2f} s timed",
+                    "items_per_s": f"{scaled['items']} items in {scaled['busy_s']:.2f} s",
                     "setup_s": f"median of {len(rec['setups_s'])} set-ups"}.get(name, "")
             print(f"   {name:16s} {m['value']:14.4f} {m['unit']:4s} {note}")
-        print(f"   all samples: p50 {whole['latency_p50_ms']:.4f} ms, p90 "
-              f"{whole['latency_p90_ms']:.4f} ms, {whole['items_per_s']:.4f} items/s, "
-              f"{whole['samples']} samples")
+        print(f"   timing metrics at reference speed; the reference kernel took "
+              f"{rec['reference_ms']:.4f} ms (median) against {REFERENCE_MS} ms quiet")
+        print(f"   as timed: p50 {raw['latency_p50_ms']:.4f} ms, p90 "
+              f"{raw['latency_p90_ms']:.4f} ms, {raw['items_per_s']:.4f} items/s, "
+              f"set-up {statistics.median(rec['setups_s']):.4f} s")
     if not rec["trace"]:
         print(f"   {'failed_ratio':16s} {rec['failed_ratio']:14.4f}      "
               f"{rec['failed']} of {rec['attempted']} operations")

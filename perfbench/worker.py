@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import resource
 import statistics
@@ -22,6 +21,7 @@ import subprocess
 import sys
 import time
 
+from calibrate import scale_at, scale_now, time_reference
 from tracing import OP_SPAN, SpanTracer, Tracer, layer_table
 from workloads import (
     CLI_COMMANDS,
@@ -39,9 +39,6 @@ DIGEST_OPS = 20
 # operations are done, because tower_survey's caches grow with every
 # operation and a later read would give a slower run less memory
 MIN_OPS = 100
-# share of each operation's runs, the quickest ones, that the timing
-# metrics come from
-QUIET_SHARE = 0.1
 # extra seconds a run may take to reach MIN_OPS before it stops anyway
 GRACE_S = 60
 DIGEST_FILE = os.path.join(GOLDEN_DIR, "digests.json")
@@ -125,18 +122,10 @@ def peak_rss_mb(children: bool) -> float:
     return resource.getrusage(who).ru_maxrss / 1024.0
 
 
-def quickest_samples(samples: list, round_ops: int) -> list:
-    """For each position in the round, the quickest QUIET_SHARE of its
-    samples, and a larger share where that holds fewer than MIN_OPS in all.
-    A position runs the same input every round, so a change to the program
-    moves all of its samples, while load from other tenants of the machine
-    slows only the samples it overlaps."""
-    share = max(QUIET_SHARE, MIN_OPS / len(samples))
-    chosen = []
-    for j in range(round_ops):
-        runs = sorted((s for s in samples if s[0] % round_ops == j), key=lambda s: s[1])
-        chosen += runs[:math.ceil(share * len(runs))]
-    return chosen
+def scaled_samples(samples: list, refs: list) -> list:
+    """Each sample with its time at reference speed (see ``calibrate.py``);
+    operation ``i`` ran just before ``refs[i]``."""
+    return [(i, dt * scale_at(refs, i), items) for i, dt, items in samples]
 
 
 def loop_metrics(samples: list) -> dict:
@@ -151,30 +140,35 @@ def loop_metrics(samples: list) -> dict:
 
 def timed_run(wl, seconds: float, loop: Loop) -> dict:
     """Rounds of ``wl.round_ops`` operations until the time is up and at
-    least MIN_OPS operations are done."""
+    least MIN_OPS operations are done, each followed by one timing of the
+    reference kernel."""
     wl.bind(Tracer())
     setup_errors = wl.setup()
     ready = time.perf_counter()
+    setup_scale = scale_now()
     deadline, hard_deadline = ready + seconds, ready + seconds + GRACE_S
     children = wl.name == "cli_commands"
-    i, rss = 0, None
+    i, rss, refs = 0, None, []
     while True:
         now = time.perf_counter()
         if now >= hard_deadline or (now >= deadline and i >= MIN_OPS):
             break
         for _ in range(wl.round_ops):
             loop.step(i)
+            refs.append(time_reference())
             i += 1
         if rss is None and i >= MIN_OPS:
             rss = peak_rss_mb(children)
     metrics = {"peak_rss_mb": (rss if rss is not None else peak_rss_mb(children), "MB")}
-    result = {"ready": ready, "setup_errors": setup_errors, "metrics": metrics}
+    result = {"ready": ready, "setup_errors": setup_errors, "metrics": metrics,
+              "setup_scale": setup_scale}
     if len(loop.samples) >= 2:
-        quick = loop_metrics(quickest_samples(loop.samples, wl.round_ops))
-        metrics.update({name: (quick[name], unit) for name, unit in
+        scaled = loop_metrics(scaled_samples(loop.samples, refs))
+        metrics.update({name: (scaled[name], unit) for name, unit in
                         (("latency_p50_ms", "ms"), ("latency_p90_ms", "ms"),
                          ("items_per_s", "1/s"))})
-        result.update(quick=quick, all_samples=loop_metrics(loop.samples))
+        result.update(scaled=scaled, raw=loop_metrics(loop.samples),
+                      reference_ms=statistics.median(refs) * 1000.0)
     return result
 
 
@@ -272,7 +266,8 @@ def main(argv=None) -> int:
     if args.mode == "probe":
         wl.bind(Tracer())
         errors = wl.setup()
-        result = {"ready": time.perf_counter(), "setup_errors": errors}
+        result = {"ready": time.perf_counter(), "setup_errors": errors,
+                  "setup_scale": scale_now()}
     elif args.mode == "record":
         result = record(wl)
     else:

@@ -231,8 +231,10 @@ class PullbackSquare(Workload):
 
 LEAVITT_SQUARE = ("prefix-code", 2, 3, 2, 3)
 LEAVITT_TERMS = 32
-# distinct expression pairs, one round of operations
-LEAVITT_POOL = 32
+# distinct expression pairs, one round of operations.  Their products range
+# from about 10 to 100 monomials; a pool this large keeps the median cost of
+# a pool, and so p50, nearly the same from seed to seed.
+LEAVITT_POOL = 128
 LEAVITT_PATH_LEN = 3
 COEFFICIENTS = ("", "2 ", "3 ", "7 ", "1/2 ", "5/3 ", "3/4 ")
 
@@ -270,7 +272,7 @@ def random_expression(rng: random.Random, g: Graph, terms: int, max_len: int) ->
 class LeavittProducts(Workload):
     name = "leavitt_products"
     round_ops = LEAVITT_POOL
-    trace_ops = 3 * round_ops
+    trace_ops = round_ops
 
     def bind(self, tracer) -> None:
         w = tracer.wrap
