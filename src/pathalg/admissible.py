@@ -29,9 +29,23 @@ from .graphs import CheckResult, Graph, Path
 
 
 class GraphInclusion:
-    """An injective graph homomorphism sub -> amb."""
+    """An injective graph homomorphism sub -> amb.
 
-    __slots__ = ("sub", "amb", "vmap", "emap", "_image_vertices", "_image_edges")
+    A GraphInclusion is treated as immutable: ``_admissibility`` keeps the
+    report of ``is_admissible`` and ``_quotient`` the data of
+    ``quotient_map``, both filled on first use.
+    """
+
+    __slots__ = (
+        "sub",
+        "amb",
+        "vmap",
+        "emap",
+        "_image_vertices",
+        "_image_edges",
+        "_admissibility",
+        "_quotient",
+    )
 
     def __init__(self, sub: Graph, amb: Graph, vmap, emap):
         vm = {}
@@ -70,6 +84,8 @@ class GraphInclusion:
         self.emap = em
         self._image_vertices = frozenset(vm.values())
         self._image_edges = frozenset(em.values())
+        self._admissibility = None
+        self._quotient = None
 
     @classmethod
     def identity(cls, g: Graph) -> "GraphInclusion":
@@ -184,7 +200,16 @@ def _check_data(res: CheckResult) -> dict:
 
 def is_admissible(inc: GraphInclusion) -> AdmissibilityReport:
     """Check (A1) saturation of the complement and (A2) fullness of the edge
-    preimage over image vertices; failures are verdicts, not errors."""
+    preimage over image vertices; failures are verdicts, not errors.
+
+    The report is computed once per inclusion and kept on it."""
+    report = inc._admissibility
+    if report is None:
+        report = inc._admissibility = _admissibility(inc)
+    return report
+
+
+def _admissibility(inc: GraphInclusion) -> AdmissibilityReport:
     H = inc.complement()
     a1 = is_saturated(inc.amb, H)
 
@@ -290,16 +315,35 @@ def kernel_generators(inc: GraphInclusion) -> KernelGenerators:
     return KernelGenerators(H, tuple(corrections))
 
 
+def _quotient(inc: GraphInclusion, a: AlgebraElement) -> tuple:
+    """(source context, target context, vertex inverse, edge inverse) of the
+    quotient map of ``inc``, checked against the element ``a``.
+
+    Built on the first successful call and kept on the inclusion; an
+    element of the kept source context skips the checks.  Otherwise they run
+    in order: admissibility, the source context, the element's context, the
+    target context.
+    """
+    data = inc._quotient
+    if data is not None and a.context == data[0]:
+        return data
+    _require_admissible(inc)
+    source = AlgebraContext.leavitt(inc.amb)
+    if a.context != source:
+        raise ContextMismatch("element does not live in the Leavitt algebra of the ambient graph")
+    data = inc._quotient = (
+        source,
+        AlgebraContext.leavitt(inc.sub),
+        {v: u for u, v in inc.vmap.items()},
+        {e: x for x, e in inc.emap.items()},
+    )
+    return data
+
+
 def quotient_map(inc: GraphInclusion, a: AlgebraElement) -> AlgebraElement:
     """The surjection L(amb) -> L(sub): generators over the image survive
     (renamed into the subgraph), everything else dies."""
-    _require_admissible(inc)
-    src_ctx = AlgebraContext.leavitt(inc.amb)
-    if a.context != src_ctx:
-        raise ContextMismatch("element does not live in the Leavitt algebra of the ambient graph")
-    target = AlgebraContext.leavitt(inc.sub)
-    vinv = {v: u for u, v in inc.vmap.items()}
-    einv = {e: x for x, e in inc.emap.items()}
+    _, target, vinv, einv = _quotient(inc, a)
 
     def pull(p: Path) -> Optional[Path]:
         if p.is_vertex:

@@ -404,78 +404,76 @@ def normal_form(ctx: AlgebraContext, word: GeneratorWord) -> AlgebraElement:
 
 # -- induced homomorphisms ----------------------------------------------------
 
+# The class flags an induced map needs, in the order they are checked.
+_FLAGS = (
+    ("vertex_injective", NotVertexInjective, "vertex-injective"),
+    ("monotone", NotMonotone, "monotone"),
+    ("regular", NotRegular, "regular"),
+)
 
-def _map_path(f: PathHom, p: Path) -> Path:
-    return f.apply(p)
+# mode -> (the algebra it acts on, its context constructor, the map's name in
+# precondition messages, how many leading _FLAGS it needs)
+_INDUCED = {
+    "path": ("path algebra", AlgebraContext.path, "path-algebra", 1),
+    "cohn": ("Cohn algebra", AlgebraContext.cohn, "Cohn", 2),
+    "leavitt": ("Leavitt algebra", AlgebraContext.leavitt, "Leavitt", 3),
+}
+
+
+def _induced_codomain(f: PathHom, a: AlgebraElement, mode: str) -> AlgebraContext:
+    """Check that f induces a ``mode`` map defined on a, and return the
+    codomain context of that map.
+
+    Both contexts are built on the first successful call and kept on f;
+    an element of the kept domain context skips the checks.  Otherwise they
+    run in order: the element's graph, its context, the classification of
+    f, then the class flags the mode needs.
+    """
+    contexts = (f._induced or {}).get(mode)
+    if contexts is not None and a.context == contexts[0]:
+        return contexts[1]
+    algebra, make_context, name, needs = _INDUCED[mode]
+    if a.context.graph != f.dom or a.context != make_context(f.dom):
+        raise ContextMismatch(f"element does not live in the {algebra} of the domain")
+    verdict = classify(f)
+    for flag, error, adjective in _FLAGS[:needs]:
+        if not getattr(verdict, flag):
+            raise error(
+                f"induced {name} map needs a {adjective} morphism",
+                witness=verdict.witnesses.get(flag),
+            )
+    target = make_context(f.cod)
+    f._induced = {**(f._induced or {}), mode: (a.context, target)}
+    return target
 
 
 def induce_path(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a path-algebra element along f (needs vertex-injectivity, which
     is what keeps non-composable products at zero in the image)."""
-    if not a.context.is_path_mode or a.context.graph != f.dom:
-        raise ContextMismatch("element does not live in the path algebra of the domain")
-    verdict = classify(f)
-    if not verdict.vertex_injective:
-        raise NotVertexInjective(
-            "induced path-algebra map needs a vertex-injective morphism",
-            witness=verdict.witnesses.get("vertex_injective"),
-        )
-    target = AlgebraContext.path(f.cod)
+    target = _induced_codomain(f, a, "path")
     terms: dict[Monomial, Fraction] = {}
     for mono, coeff in a.terms.items():
-        key = Monomial(_map_path(f, mono.left), None)
+        key = Monomial(f.apply(mono.left), None)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return AlgebraElement(target, terms)
 
 
-def _induced_quotient_map(
-    f: PathHom, a: AlgebraElement, target: AlgebraContext
-) -> AlgebraElement:
+def _induced_quotient_map(f: PathHom, a: AlgebraElement, mode: str) -> AlgebraElement:
+    target = _induced_codomain(f, a, mode)
     acc: dict[Monomial, Fraction] = {}
     for mono, coeff in a.terms.items():
-        _accumulate_pair(target, _map_path(f, mono.left), _map_path(f, mono.right), coeff, acc)
+        _accumulate_pair(target, f.apply(mono.left), f.apply(mono.right), coeff, acc)
     return AlgebraElement(target, acc)
 
 
 def induce_cohn(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a Cohn-algebra element along f; defined for MIPG morphisms."""
-    if a.context.graph != f.dom or not a.context.is_cohn or a.context.is_path_mode:
-        raise ContextMismatch("element does not live in the Cohn algebra of the domain")
-    verdict = classify(f)
-    if not verdict.vertex_injective:
-        raise NotVertexInjective(
-            "induced Cohn map needs a vertex-injective morphism",
-            witness=verdict.witnesses.get("vertex_injective"),
-        )
-    if not verdict.monotone:
-        raise NotMonotone(
-            "induced Cohn map needs a monotone morphism",
-            witness=verdict.witnesses.get("monotone"),
-        )
-    return _induced_quotient_map(f, a, AlgebraContext.cohn(f.cod))
+    return _induced_quotient_map(f, a, "cohn")
 
 
 def induce_leavitt(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a Leavitt-algebra element along f; defined for RMIPG morphisms."""
-    if a.context.graph != f.dom or a.context.is_path_mode or not a.context.is_leavitt:
-        raise ContextMismatch("element does not live in the Leavitt algebra of the domain")
-    verdict = classify(f)
-    if not verdict.vertex_injective:
-        raise NotVertexInjective(
-            "induced Leavitt map needs a vertex-injective morphism",
-            witness=verdict.witnesses.get("vertex_injective"),
-        )
-    if not verdict.monotone:
-        raise NotMonotone(
-            "induced Leavitt map needs a monotone morphism",
-            witness=verdict.witnesses.get("monotone"),
-        )
-    if not verdict.regular:
-        raise NotRegular(
-            "induced Leavitt map needs a regular morphism",
-            witness=verdict.witnesses.get("regular"),
-        )
-    return _induced_quotient_map(f, a, AlgebraContext.leavitt(f.cod))
+    return _induced_quotient_map(f, a, "leavitt")
 
 
 def induce(f: PathHom, a: AlgebraElement) -> AlgebraElement:

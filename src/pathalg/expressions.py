@@ -10,7 +10,8 @@ Grammar (whitespace separates tokens, juxtaposition is multiplication):
 
 An identifier resolves to a vertex projection or an edge generator of the
 context graph; a postfix '*' stars it (a starred vertex projection is
-itself).  There is no unary minus and no scalar-only term.
+itself).  There is no unary minus and no scalar-only term.  Parentheses
+nest at most 100 deep.
 """
 from __future__ import annotations
 
@@ -28,6 +29,10 @@ class _Token(NamedTuple):
 
 
 _PUNCT = set("+-*/()")
+
+# Each level of parentheses costs three stack frames (factor, expr, term), so
+# this keeps the parser well inside the interpreter's recursion limit.
+_MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -66,6 +71,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.end = len(text) + 1
+        self.depth = 0
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -135,8 +141,14 @@ class _Parser:
     def factor(self) -> AlgebraElement:
         tok = self.take()
         if tok.kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nest deeper than {_MAX_NESTING}", position=tok.pos
+                )
+            self.depth += 1
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.kind != "ident":
             raise ParseError(f"expected identifier or '(', found {tok.text!r}", position=tok.pos)

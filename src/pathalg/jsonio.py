@@ -81,8 +81,11 @@ def graph_from_data(data) -> Graph:
         if not all(isinstance(entry[k], str) for k in ("id", "src", "tgt")):
             raise FileFormatError(f"edge #{i} fields must be strings")
         edges.append((entry["id"], entry["src"], entry["tgt"]))
+    flagged = data.get("infinite_emitters", [])
+    if not isinstance(flagged, list):
+        raise FileFormatError("'infinite_emitters' must be a list")
     emitters = []
-    for i, entry in enumerate(data.get("infinite_emitters", ())):
+    for i, entry in enumerate(flagged):
         if isinstance(entry, str):
             emitters.append(entry)
         else:

@@ -46,9 +46,13 @@ class PathHom:
     empty sequence meaning the length-0 path at the image of the edge's
     source).  Endpoint compatibility is validated eagerly, which is what
     makes the multiplicative extension in ``apply`` well defined.
+
+    A PathHom is treated as immutable: ``_verdict`` keeps the result of
+    ``classify`` and ``_induced`` the contexts of the induced algebra maps
+    (mode -> domain and codomain context), both filled on first use.
     """
 
-    __slots__ = ("dom", "cod", "vmap", "emap", "_key")
+    __slots__ = ("dom", "cod", "vmap", "emap", "_key", "_verdict", "_induced")
 
     def __init__(self, dom: Graph, cod: Graph, vmap: Mapping[str, str], emap: Mapping[str, object]):
         vm = {}
@@ -98,6 +102,8 @@ class PathHom:
             tuple(vm[v] for v in dom.vertices),
             tuple(em[e] for e in dom.edges),
         )
+        self._verdict = None
+        self._induced = None
 
     @classmethod
     def identity(cls, g: Graph) -> "PathHom":
@@ -299,7 +305,17 @@ def is_regular(f: PathHom) -> CheckResult:
 
 
 def classify(f: PathHom) -> CategoryVerdict:
-    """Evaluate every predicate of the category tower on f."""
+    """Evaluate every predicate of the category tower on f.
+
+    The verdict is computed once per morphism and kept on it; a refusal is
+    raised again on every call."""
+    verdict = f._verdict
+    if verdict is None:
+        verdict = f._verdict = _classify(f)
+    return verdict
+
+
+def _classify(f: PathHom) -> CategoryVerdict:
     for g in (f.dom, f.cod):
         if g.infinite_emitters:
             raise UnsupportedInfiniteEmitter(

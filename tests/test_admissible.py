@@ -246,10 +246,17 @@ class TestQuotientMap:
             assert quotient_map(loop_in_toeplitz, ctx.vertex(v)).is_zero
 
     def test_wrong_context(self):
+        inc = GraphInclusion(loop, toeplitz, {"v": "v"}, {"e": "e"})
+        wrong = AlgebraContext.cohn(toeplitz).vertex("v")
         with pytest.raises(ContextMismatch):
-            quotient_map(loop_in_toeplitz, AlgebraContext.cohn(toeplitz).vertex("v"))
+            quotient_map(inc, wrong)
+        # still refused once the quotient data is kept on the inclusion
+        assert str(quotient_map(inc, AlgebraContext.leavitt(toeplitz).vertex("v"))) == "v"
+        with pytest.raises(ContextMismatch):
+            quotient_map(inc, wrong)
 
     def test_requires_admissible(self):
         inc = GraphInclusion(loop, GRAPHS["rose2"], {"v": "v"}, {"e": "e1"})
-        with pytest.raises(NotAdmissible):
-            quotient_map(inc, AlgebraContext.leavitt(GRAPHS["rose2"]).vertex("v"))
+        for _ in range(2):  # raised on every call, never kept
+            with pytest.raises(NotAdmissible):
+                quotient_map(inc, AlgebraContext.leavitt(GRAPHS["rose2"]).vertex("v"))

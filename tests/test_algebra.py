@@ -256,9 +256,10 @@ class TestInducedMaps:
     def test_path_functor_needs_vertex_injectivity(self):
         par = GRAPHS["parallel2"]
         f = PathHom(par, loop, {"v": "v", "w": "v"}, {"e1": ("e",), "e2": ("e",)})
-        with pytest.raises(NotVertexInjective) as info:
-            induce_path(f, AlgebraContext.path(par).vertex("v"))
-        assert info.value.witness == ["v", "w"]
+        for _ in range(2):  # raised again from the kept verdict
+            with pytest.raises(NotVertexInjective) as info:
+                induce_path(f, AlgebraContext.path(par).vertex("v"))
+            assert info.value.witness == ["v", "w"]
 
     def test_cohn_functor_needs_monotone(self):
         with pytest.raises(NotMonotone) as info:
@@ -322,6 +323,25 @@ class TestInducedMaps:
     def test_wrong_source_context(self):
         with pytest.raises(ContextMismatch):
             induce_leavitt(MORPHISMS["phi_rp2"], L_toe.vertex("v"))
+
+    def test_wrong_context_after_first_use(self):
+        f = PathHom.identity(rp2)
+        assert str(induce_leavitt(f, AlgebraContext.leavitt(rp2).edge("s"))) == "s"
+        for wrong in (AlgebraContext.cohn(rp2).vertex("v"), L_toe.vertex("v")):
+            with pytest.raises(ContextMismatch):
+                induce_leavitt(f, wrong)
+
+    def test_context_checked_before_flagged_graphs(self):
+        flagged = Graph(["v"], [("e", "v", "v")], infinite_emitters=["v"])
+        into = PathHom(loop, flagged, {"v": "v"}, {"e": ("e",)})
+        # a foreign element is a mismatch before any context of f is built
+        with pytest.raises(ContextMismatch):
+            induce_leavitt(PathHom.identity(flagged), AlgebraContext.leavitt(loop).vertex("v"))
+        with pytest.raises(ContextMismatch):
+            induce_leavitt(into, AlgebraContext.cohn(loop).vertex("v"))
+        for _ in range(2):
+            with pytest.raises(UnsupportedInfiniteEmitter):
+                induce_leavitt(into, AlgebraContext.leavitt(loop).vertex("v"))
 
 
 class TestRelationReports:

@@ -237,6 +237,18 @@ class TestInputErrors:
         assert code == 2
         assert "not valid JSON" in err
 
+    def test_non_list_infinite_emitters(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"vertices": ["v"], "edges": [], "infinite_emitters": 5}')
+        code, _, err = run(capsys, "eval", f"L({path})", "v")
+        assert code == 2
+        assert err == "error: 'infinite_emitters' must be a list\n"
+
+    def test_deep_parenthesis_nesting(self, capsys):
+        code, _, err = run(capsys, "eval", "L(toeplitz)", "(" * 3000 + "v" + ")" * 3000)
+        assert code == 2
+        assert err.startswith("error: parentheses nest deeper than 100 (at position 101)")
+
 
 FIXTURES = resources.files("pathalg") / "fixtures"
 

@@ -108,3 +108,9 @@ class TestErrors:
         with pytest.raises(ParseError) as info:
             parse_expression(L_toe, "e + ")
         assert "position 5" in str(info.value)
+
+    def test_nesting_limit(self):
+        assert s(L_toe, "(" * 100 + "e" + ")" * 100) == "e"
+        with pytest.raises(ParseError) as info:
+            parse_expression(L_toe, "(" * 101 + "e" + ")" * 101)
+        assert "position 101" in str(info.value)

@@ -84,6 +84,11 @@ class TestGraphs:
         with pytest.raises(FileFormatError):
             graph_from_data({"vertices": "vw", "edges": []})
 
+    @pytest.mark.parametrize("bad", [5, "v", None, {"v": None}])
+    def test_non_list_infinite_emitters_rejected(self, bad):
+        with pytest.raises(FileFormatError, match="'infinite_emitters' must be a list"):
+            graph_from_data({"vertices": ["v"], "edges": [], "infinite_emitters": bad})
+
 
 class TestMorphisms:
     def test_named_graph_references(self):

@@ -187,8 +187,14 @@ class TestClassification:
 
     def test_flagged_graphs_refused(self):
         g = Graph(["v"], [("e", "v", "v")], infinite_emitters=["v"])
-        with pytest.raises(UnsupportedInfiniteEmitter):
-            classify(PathHom(g, g, {"v": "v"}, {"e": ("e",)}))
+        f = PathHom(g, g, {"v": "v"}, {"e": ("e",)})
+        for _ in range(2):  # a refusal is never kept as a verdict
+            with pytest.raises(UnsupportedInfiniteEmitter):
+                classify(f)
+
+    def test_verdict_is_computed_once(self):
+        f = PathHom.identity(rp2)
+        assert classify(f) is classify(f)
 
     def test_json_shape(self):
         data = classify(MORPHISMS["rose2_to_loop"]).to_json_data()

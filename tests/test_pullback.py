@@ -1,7 +1,11 @@
 """Verifier: hypothesis reports, frozen verdicts for the bundled instance,
 single-fault mutations, and the generator-level conclusion checks."""
+from collections import Counter
+
 import pytest
 
+import pathalg.admissible
+import pathalg.morphisms
 from pathalg import (
     DeferredHom,
     DomainMismatch,
@@ -316,3 +320,32 @@ class TestKernelFailures:
             check_kernel_inclusion(inst, hypotheses=forged)
         assert info.value.path.is_vertex
         assert info.value.path.vertex == "u"
+
+
+class TestChecksRunOncePerMap:
+    def test_kernel_check_classifies_each_map_once(self, monkeypatch):
+        inst = INSTANCES["rp2q"](4)
+        # start cold: other tests may have used the registry's maps already
+        for f in (inst.f, inst.f_res):
+            monkeypatch.setattr(f, "_verdict", None)
+            monkeypatch.setattr(f, "_induced", None)
+        for inc in (inst.pi1, inst.pi2):
+            monkeypatch.setattr(inc, "_admissibility", None)
+            monkeypatch.setattr(inc, "_quotient", None)
+        runs = Counter()
+
+        def counted(worker):
+            def run(obj):
+                runs[id(obj)] += 1
+                return worker(obj)
+
+            return run
+
+        monkeypatch.setattr(pathalg.morphisms, "_classify", counted(pathalg.morphisms._classify))
+        monkeypatch.setattr(
+            pathalg.admissible, "_admissibility", counted(pathalg.admissible._admissibility)
+        )
+        assert check_commutativity(inst).all_ok
+        report = check_kernel_inclusion(inst)
+        assert report.all_ok and len(report.entries) == 25
+        assert runs == {id(inst.f): 1, id(inst.f_res): 1, id(inst.pi1): 1, id(inst.pi2): 1}
