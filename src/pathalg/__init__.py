@@ -63,8 +63,6 @@ from .graphs import (
     prefix_leq,
     reg0_vertices,
     regular_vertices,
-    validate_graph,
-    vertex_simple_cycles,
     vertex_simple_loops_have_exits,
 )
 from .jsonio import (

@@ -380,18 +380,6 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(ctx, acc)
 
 
-def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a + b
-
-
-def scalar_mul(scalar, a: AlgebraElement) -> AlgebraElement:
-    return a.scale(scalar)
-
-
-def star(a: AlgebraElement) -> AlgebraElement:
-    return a.star()
-
-
 def normal_form(ctx: AlgebraContext, word: GeneratorWord) -> AlgebraElement:
     """Evaluate a generator word to its basis representation."""
     result = ctx.unit()

@@ -1,4 +1,4 @@
-"""Finite directed graphs, finite paths, the prefix order, and path sets.
+"""Finite directed graphs, finite paths and the prefix order.
 
 Identifiers are opaque strings.  Every iteration order in this module derives
 from declaration order, so everything built on top (normal forms, witnesses,
@@ -12,7 +12,7 @@ the unlisted edges refuse such graphs with UnsupportedInfiniteEmitter.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DanglingEndpoint,
@@ -176,16 +176,6 @@ class Graph:
     def __repr__(self):
         flag = f", flagged={len(self.infinite_emitters)}" if self.infinite_emitters else ""
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges{flag})"
-
-
-def validate_graph(g: Graph) -> None:
-    """Re-run the structural checks on an existing graph.
-
-    Construction already enforces them, so this only fires on graphs whose
-    internals were tampered with; it exists so deserialized data has a single
-    audit point.
-    """
-    Graph(g.vertices, g._triples, g.infinite_emitters)
 
 
 class Path:
@@ -376,12 +366,12 @@ def _paths_of_length(g: Graph, n: int) -> tuple[Path, ...]:
     if n == 1:
         return tuple(Path.of(g, (e,)) for e in g.edges)
     out = []
+    # level 1 is in global edge order, and extending each path of a
+    # lex-sorted level by its declaration-ordered out-edges keeps lex order
     for p in _paths_of_length(g, n - 1):
         for e in g.out_edges(p.target):
             out.append(p.extend(e))
-    # extending keeps each level sorted by declaration-order lex, except that
-    # level 1 must seed from global edge order rather than per-vertex order
-    return tuple(sorted(out, key=Path.sort_key))
+    return tuple(out)
 
 
 def paths_up_to(g: Graph, n: int) -> tuple[Path, ...]:
@@ -406,102 +396,50 @@ def iter_paths(g: Graph, n: int) -> Iterator[Path]:
         yield from _paths_of_length(g, k)
 
 
-def vertex_simple_cycles(g: Graph) -> tuple[tuple[str, ...], ...]:
-    """All cycles visiting each of their vertices once, as edge tuples.
+def _exitless_cycle(g: Graph) -> Optional[list]:
+    """The edge list of a vertex-simple loop without an exit, or None.
 
-    Each cycle is reported once, rotated to start at its smallest vertex in
-    declaration order; discovery order is deterministic.
+    Each vertex of a vertex-simple loop uses exactly one loop edge, so a loop
+    has no exit exactly when each of its vertices has out-degree 1 and is not
+    flagged (a flagged vertex emits unlisted edges).  Those vertices form a
+    partial successor map whose cycles are the exitless loops.  They are
+    disjoint; the one through the earliest-declared vertex is returned,
+    starting at that vertex.  Runs in O(V + E).
     """
-    cycles = []
-
-    def walk(start_i: int, u: str, visited: set, acc: list) -> None:
-        for e in g.out_edges(u):
-            w = g.tgt(e)
-            wi = g.vertex_index(w)
-            if wi == start_i:
-                cycles.append(tuple(acc + [e]))
-            elif wi > start_i and w not in visited:
-                visited.add(w)
-                acc.append(e)
-                walk(start_i, w, visited, acc)
-                acc.pop()
-                visited.remove(w)
-
-    for i, v in enumerate(g.vertices):
-        walk(i, v, {v}, [])
-    return tuple(cycles)
+    flagged = {v for v, _ in g.infinite_emitters}
+    succ = {}
+    for v in g.vertices:
+        es = g.out_edges(v)
+        if len(es) == 1 and v not in flagged:
+            succ[v] = es[0]
+    walk_of: dict[str, str] = {}
+    on_cycle = set()
+    for v in g.vertices:
+        walk = []
+        u = v
+        while u in succ and u not in walk_of:
+            walk_of[u] = v
+            walk.append(u)
+            u = g.tgt(succ[u])
+        if walk_of.get(u) == v:
+            on_cycle.update(walk[walk.index(u):])
+    start = next((v for v in g.vertices if v in on_cycle), None)
+    if start is None:
+        return None
+    cycle = [succ[start]]
+    u = g.tgt(cycle[0])
+    while u != start:
+        cycle.append(succ[u])
+        u = g.tgt(succ[u])
+    return cycle
 
 
 def vertex_simple_loops_have_exits(g: Graph) -> CheckResult:
     """Whether every vertex-simple loop has an edge off itself.
 
-    The witness is the edge list of the first exitless loop found.
+    The witness is the edge list of the exitless loop through the
+    earliest-declared vertex, starting there.
     """
     _require_unflagged(g, "vertex_simple_loops_have_exits")
-    for cycle in vertex_simple_cycles(g):
-        cycle_edges = set(cycle)
-        on_cycle = [g.src(e) for e in cycle]
-        if not any(
-            x not in cycle_edges for u in on_cycle for x in g.out_edges(u)
-        ):
-            return CheckResult(False, list(cycle))
-    return CheckResult(True)
-
-
-class PathSet:
-    """A finite set of paths in one graph; the path-set semiring carrier."""
-
-    __slots__ = ("graph", "paths")
-
-    def __init__(self, graph: Graph, paths: Iterable[Path] = ()):
-        paths = frozenset(paths)
-        for p in paths:
-            if p.graph != graph:
-                raise ValueError("all paths of a PathSet must live in its graph")
-        self.graph = graph
-        self.paths = paths
-
-    def __eq__(self, other):
-        if not isinstance(other, PathSet):
-            return NotImplemented
-        return self.graph == other.graph and self.paths == other.paths
-
-    def __hash__(self):
-        return hash(self.paths)
-
-    def __len__(self):
-        return len(self.paths)
-
-    def __iter__(self):
-        return iter(sorted(self.paths, key=Path.sort_key))
-
-    def __repr__(self):
-        inner = ", ".join(str(p) for p in self)
-        return f"PathSet{{{inner}}}"
-
-
-def pathset_zero(g: Graph) -> PathSet:
-    return PathSet(g)
-
-
-def pathset_unit(g: Graph) -> PathSet:
-    """The multiplicative unit: all vertices as length-0 paths."""
-    return PathSet(g, (Path.at(g, v) for v in g.vertices))
-
-
-def pathset_add(a: PathSet, b: PathSet) -> PathSet:
-    if a.graph != b.graph:
-        raise ValueError("path sets live in different graphs")
-    return PathSet(a.graph, a.paths | b.paths)
-
-
-def pathset_mul(a: PathSet, b: PathSet) -> PathSet:
-    """Elementwise concatenation, dropping non-composable pairs."""
-    if a.graph != b.graph:
-        raise ValueError("path sets live in different graphs")
-    out = set()
-    for p in a.paths:
-        for q in b.paths:
-            if p.target == q.source:
-                out.add(p.concat(q))
-    return PathSet(a.graph, out)
+    cycle = _exitless_cycle(g)
+    return CheckResult(cycle is None, cycle)

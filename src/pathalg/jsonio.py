@@ -11,7 +11,7 @@ from typing import Mapping, Optional
 
 from .admissible import GraphInclusion
 from .errors import FileFormatError
-from .graphs import Graph, Path
+from .graphs import Graph
 from .morphisms import PathHom
 from .pullback import DeferredHom, PullbackInstance
 
@@ -119,18 +119,24 @@ def _graph_from_ref(ref, names: Optional[Mapping[str, Graph]], what: str) -> Gra
     return graph_from_data(ref)
 
 
-def _emap_entry_to_data(image: Path):
-    if image.is_vertex:
-        return {"vertex": image.vertex}
-    return list(image.edges)
+def _hom_maps_to_data(h) -> dict:
+    """The vertex and edge maps of a PathHom or DeferredHom in file form."""
+    if isinstance(h, DeferredHom):
+        # already in file form
+        emap = {e: dict(r) if isinstance(r, dict) else list(r) for e, r in h.emap_raw.items()}
+    else:
+        emap = {
+            e: {"vertex": img.vertex} if img.is_vertex else list(img.edges)
+            for e, img in h.emap.items()
+        }
+    return {"vmap": dict(h.vmap), "emap": emap}
 
 
 def morphism_to_data(f: PathHom, names: Optional[Mapping[str, Graph]] = None) -> dict:
     return {
         "dom": _graph_ref_to_data(f.dom, names),
         "cod": _graph_ref_to_data(f.cod, names),
-        "vmap": dict(f.vmap),
-        "emap": {e: _emap_entry_to_data(f.emap[e]) for e in f.dom.edges},
+        **_hom_maps_to_data(f),
     }
 
 
@@ -189,29 +195,15 @@ def inclusion_from_data(data, names: Optional[Mapping[str, Graph]] = None) -> Gr
 _INSTANCE_GRAPHS = ("amb1", "amb2", "sub1", "sub2")
 
 
-def _inner_map_to_data(vmap: dict, emap_data: dict) -> dict:
-    return {"vmap": dict(vmap), "emap": emap_data}
-
-
 def instance_to_data(inst: PullbackInstance) -> dict:
-    graphs = {
-        "amb1": graph_to_data(inst.amb1),
-        "amb2": graph_to_data(inst.amb2),
-        "sub1": graph_to_data(inst.sub1),
-        "sub2": graph_to_data(inst.sub2),
-    }
-
-    def hom_maps(h) -> dict:
-        if isinstance(h, DeferredHom):
-            return {"vmap": dict(h.vmap), "emap": {e: (dict(r) if isinstance(r, dict) else list(r)) for e, r in h.emap_raw.items()}}
-        return {"vmap": dict(h.vmap), "emap": {e: _emap_entry_to_data(h.emap[e]) for e in h.dom.edges}}
+    graphs = {name: graph_to_data(getattr(inst, name)) for name in _INSTANCE_GRAPHS}
 
     return {
         "graphs": graphs,
         "pi1": {"vmap": dict(inst.pi1.vmap), "emap": dict(inst.pi1.emap)},
         "pi2": {"vmap": dict(inst.pi2.vmap), "emap": dict(inst.pi2.emap)},
-        "f": hom_maps(inst.f),
-        "f_res": hom_maps(inst.f_res),
+        "f": _hom_maps_to_data(inst.f),
+        "f_res": _hom_maps_to_data(inst.f_res),
         "length_bound": inst.length_bound,
     }
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .errors import DomainMismatch, InvalidPathHom, UnsupportedInfiniteEmitter
+from .errors import DomainMismatch, InvalidPathHom, NonComposablePath, UnsupportedInfiniteEmitter
 from .graphs import (
     CheckResult,
     Graph,
@@ -38,14 +38,40 @@ from .graphs import (
 CATEGORY_NAMES = ("PG", "IPG", "BPG", "MIPG", "MBPG", "RMIPG", "RMBPG")
 
 
+def _image_path(dom: Graph, cod: Graph, vmap: Mapping[str, str], e: str, raw) -> Path:
+    """The image of dom edge ``e`` given in file form, as a Path in cod."""
+    if isinstance(raw, dict):
+        v = raw["vertex"]
+        if not cod.has_vertex(v):
+            raise InvalidPathHom(f"edge {e!r} maps to an unknown vertex {v!r}", generator=e)
+        return Path.at(cod, v)
+    edges = tuple(raw)
+    if not edges:
+        v = vmap.get(dom.src(e))
+        if v is None or not cod.has_vertex(v):
+            raise InvalidPathHom(
+                f"edge {e!r} has an empty image but no usable source image", generator=e
+            )
+        return Path.at(cod, v)
+    for x in edges:
+        if not cod.has_edge(x):
+            raise InvalidPathHom(f"edge {e!r} maps through an unknown edge {x!r}", generator=e)
+    try:
+        return Path.of(cod, edges)
+    except NonComposablePath as exc:
+        raise InvalidPathHom(f"the image of edge {e!r} is not a path: {exc}", generator=e)
+
+
 class PathHom:
     """A path homomorphism dom -> cod.
 
     ``vmap`` maps every dom vertex to a cod vertex; ``emap`` maps every dom
-    edge to a Path in cod (edge-id sequences are accepted and converted, the
-    empty sequence meaning the length-0 path at the image of the edge's
-    source).  Endpoint compatibility is validated eagerly, which is what
-    makes the multiplicative extension in ``apply`` well defined.
+    edge to its image in cod, given as a Path or in the file's forms: an
+    edge-id sequence (the empty one meaning the length-0 path at the image of
+    the edge's source) or ``{"vertex": v}`` for the length-0 path at ``v``.
+    Every violation raises InvalidPathHom.  Endpoint compatibility is
+    validated eagerly, which is what makes the multiplicative extension in
+    ``apply`` well defined.
 
     A PathHom is treated as immutable: ``_verdict`` keeps the result of
     ``classify`` and ``_induced`` the contexts of the induced algebra maps
@@ -55,6 +81,14 @@ class PathHom:
     __slots__ = ("dom", "cod", "vmap", "emap", "_key", "_verdict", "_induced")
 
     def __init__(self, dom: Graph, cod: Graph, vmap: Mapping[str, str], emap: Mapping[str, object]):
+        images = {}
+        for e, img in emap.items():
+            if not dom.has_edge(e):
+                raise InvalidPathHom(f"the edge map mentions an unknown edge {e!r}", generator=e)
+            if not isinstance(img, Path):
+                img = _image_path(dom, cod, vmap, e, img)
+            images[e] = img
+
         vm = {}
         for v in dom.vertices:
             if v not in vmap:
@@ -69,16 +103,9 @@ class PathHom:
 
         em = {}
         for e in dom.edges:
-            if e not in emap:
+            if e not in images:
                 raise InvalidPathHom(f"edge {e!r} has no image", generator=e)
-            img = emap[e]
-            if not isinstance(img, Path):
-                img = tuple(img)
-                img = (
-                    Path.at(cod, vm[dom.src(e)])
-                    if not img
-                    else Path.of(cod, img)
-                )
+            img = images[e]
             if img.graph != cod:
                 raise InvalidPathHom(f"image of edge {e!r} lives in the wrong graph", generator=e)
             if img.source != vm[dom.src(e)] or img.target != vm[dom.tgt(e)]:
@@ -88,9 +115,6 @@ class PathHom:
                     generator=e,
                 )
             em[e] = img
-        for e in emap:
-            if e not in em:
-                raise InvalidPathHom(f"emap names {e!r}, not a domain edge", generator=e)
 
         self.dom = dom
         self.cod = cod
@@ -177,7 +201,6 @@ class CategoryVerdict:
     declaration order.
     """
 
-    is_path_hom: bool
     vertex_injective: bool
     vertex_bijective_finite: bool
     monotone: bool
@@ -185,16 +208,21 @@ class CategoryVerdict:
     witnesses: dict = field(default_factory=dict)
 
     @property
+    def is_path_hom(self) -> bool:
+        # a PathHom is validated at construction, so every classified map is one
+        return True
+
+    @property
     def in_pg(self) -> bool:
         return self.is_path_hom
 
     @property
     def in_ipg(self) -> bool:
-        return self.is_path_hom and self.vertex_injective
+        return self.vertex_injective
 
     @property
     def in_bpg(self) -> bool:
-        return self.is_path_hom and self.vertex_bijective_finite
+        return self.vertex_bijective_finite
 
     @property
     def in_mipg(self) -> bool:
@@ -348,7 +376,6 @@ def _classify(f: PathHom) -> CategoryVerdict:
         witnesses["regular"] = regular_result.witness
 
     return CategoryVerdict(
-        is_path_hom=True,
         vertex_injective=vertex_injective,
         vertex_bijective_finite=vertex_bijective,
         monotone=monotone,

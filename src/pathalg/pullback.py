@@ -30,15 +30,12 @@ from .algebra import AlgebraContext, AlgebraElement, induce_leavitt
 from .errors import (
     AmbiguousInfiniteEmitter,
     DomainMismatch,
-    GraphError,
     HypothesisNotMet,
     InvalidPathHom,
-    MorphismError,
-    NonComposablePath,
     PreimageNotFound,
     UnsupportedInfiniteEmitter,
 )
-from .graphs import Graph, Path, iter_paths, paths_up_to, vertex_simple_cycles
+from .graphs import Graph, Path, _exitless_cycle, iter_paths, paths_up_to
 from .morphisms import PathHom, classify
 
 PASS = "PASS"
@@ -67,35 +64,7 @@ class DeferredHom:
         self.emap_raw = dict(emap_raw)
 
     def realize(self) -> PathHom:
-        emap = {}
-        for e, raw in self.emap_raw.items():
-            if not self.dom.has_edge(e):
-                raise InvalidPathHom(f"the edge map mentions an unknown edge {e!r}", generator=e)
-            if isinstance(raw, dict):
-                v = raw["vertex"]
-                if not self.cod.has_vertex(v):
-                    raise InvalidPathHom(f"edge {e!r} maps to an unknown vertex {v!r}", generator=e)
-                emap[e] = Path.at(self.cod, v)
-            elif raw:
-                edges = tuple(raw)
-                for x in edges:
-                    if not self.cod.has_edge(x):
-                        raise InvalidPathHom(
-                            f"edge {e!r} maps through an unknown edge {x!r}", generator=e
-                        )
-                try:
-                    emap[e] = Path.of(self.cod, edges)
-                except NonComposablePath as exc:
-                    raise InvalidPathHom(f"the image of edge {e!r} is not a path: {exc}",
-                                         generator=e)
-            else:
-                v = self.vmap.get(self.dom.src(e))
-                if v is None or not self.cod.has_vertex(v):
-                    raise InvalidPathHom(
-                        f"edge {e!r} has an empty image but no usable source image", generator=e
-                    )
-                emap[e] = Path.at(self.cod, v)
-        return PathHom(self.dom, self.cod, self.vmap, emap)
+        return PathHom(self.dom, self.cod, self.vmap, self.emap_raw)
 
 
 HomLike = Union[PathHom, DeferredHom]
@@ -233,22 +202,6 @@ def _path_data(p: Path) -> dict:
     return {"vertex": p.vertex} if p.is_vertex else {"edges": list(p.edges)}
 
 
-def _loops_have_exits_symbolic(g: Graph):
-    """Vertex-simple-loop exit check that tolerates flagged vertices: a
-    flagged vertex has infinite out-degree, so any loop through one has an
-    exit, and loops through unlisted edges always pass through their flagged
-    source."""
-    for cycle in vertex_simple_cycles(g):
-        if any(g.is_flagged(g.src(e)) for e in cycle):
-            continue
-        cycle_edges = set(cycle)
-        if not any(
-            x not in cycle_edges for e in cycle for x in g.out_edges(g.src(e))
-        ):
-            return False, list(cycle)
-    return True, None
-
-
 def _failed_class_witnesses(verdict) -> dict:
     out = {}
     for flag in ("vertex_injective", "monotone", "regular"):
@@ -334,14 +287,14 @@ def check_hypotheses(inst: PullbackInstance, hard_cap: Optional[int] = None) -> 
             witness["pi2"] = rep2.to_json_data()
         hyps.append(Hypothesis("H1", "both inclusions are admissible", "fail", witness))
 
-    # H2: vertex-simple loops of amb1 have exits
-    ok, loop = _loops_have_exits_symbolic(inst.amb1)
+    # H2: vertex-simple loops of amb1 have exits (a flagged vertex always has one)
+    loop = _exitless_cycle(inst.amb1)
     hyps.append(
         Hypothesis(
             "H2",
             "every vertex-simple loop of amb1 has an exit",
-            "pass" if ok else "fail",
-            None if ok else loop,
+            "pass" if loop is None else "fail",
+            loop,
         )
     )
 
@@ -349,7 +302,7 @@ def check_hypotheses(inst: PullbackInstance, hard_cap: Optional[int] = None) -> 
     f = verdict_f = None
     try:
         f = inst.realize_f()
-    except (MorphismError, GraphError) as exc:
+    except InvalidPathHom as exc:
         hyps.append(
             Hypothesis("H3", "f lies in RMIPG", "fail", {"error": str(exc)},
                        "the morphism data does not define a path homomorphism")
@@ -416,7 +369,7 @@ def check_hypotheses(inst: PullbackInstance, hard_cap: Optional[int] = None) -> 
     f_res = verdict_res = None
     try:
         f_res = inst.realize_f_res()
-    except (MorphismError, GraphError) as exc:
+    except InvalidPathHom as exc:
         hyps.append(
             Hypothesis("H6", title6, "fail", {"error": str(exc)},
                        "the restriction data does not define a path homomorphism")
@@ -621,7 +574,7 @@ def check_commutativity(inst: PullbackInstance) -> CommutativityReport:
     try:
         f = inst.realize_f()
         f_res = inst.realize_f_res()
-    except (MorphismError, GraphError) as exc:
+    except InvalidPathHom as exc:
         raise HypothesisNotMet(f"the square's morphisms do not realize: {exc}")
     for name, inc in (("pi1", inst.pi1), ("pi2", inst.pi2)):
         if not is_admissible(inc).ok:

@@ -157,3 +157,60 @@ def random_fold(ctx: AlgebraContext, word: GeneratorWord, rng: random.Random):
         i = rng.randrange(len(factors) - 1)
         factors[i : i + 2] = [factors[i] * factors[i + 1]]
     return factors[0].scale(word.scalar)
+
+
+# -- vertex-simple cycles ---------------------------------------------------------
+
+
+def vertex_simple_cycles(g: Graph) -> tuple[tuple[str, ...], ...]:
+    """All cycles visiting each of their vertices once, as edge tuples.
+
+    Each cycle is reported once, rotated to start at its smallest vertex in
+    declaration order; discovery order is deterministic.
+    """
+    cycles = []
+
+    def walk(start_i: int, u: str, visited: set, acc: list) -> None:
+        for e in g.out_edges(u):
+            w = g.tgt(e)
+            wi = g.vertex_index(w)
+            if wi == start_i:
+                cycles.append(tuple(acc + [e]))
+            elif wi > start_i and w not in visited:
+                visited.add(w)
+                acc.append(e)
+                walk(start_i, w, visited, acc)
+                acc.pop()
+                visited.remove(w)
+
+    for i, v in enumerate(g.vertices):
+        walk(i, v, {v}, [])
+    return tuple(cycles)
+
+
+def first_exitless_cycle(g: Graph):
+    """Reference for the loops-have-exits checks: the edge list of the first
+    enumerated vertex-simple cycle without an exit, or None.  A cycle through
+    a flagged vertex has an exit (the vertex emits unlisted edges)."""
+    for cycle in vertex_simple_cycles(g):
+        if any(g.is_flagged(g.src(e)) for e in cycle):
+            continue
+        cycle_edges = set(cycle)
+        if all(x in cycle_edges for e in cycle for x in g.out_edges(g.src(e))):
+            return list(cycle)
+    return None
+
+
+def random_graph(rng: random.Random, max_vertices: int, max_edges: int,
+                 flag_rate: float = 0.0) -> Graph:
+    """A random multigraph with loops, edges declared in random order and
+    each vertex flagged as an infinite emitter with probability
+    ``flag_rate``."""
+    vertices = [f"v{i}" for i in range(rng.randint(1, max_vertices))]
+    edges = [
+        (f"e{i}", rng.choice(vertices), rng.choice(vertices))
+        for i in range(rng.randint(0, max_edges))
+    ]
+    rng.shuffle(edges)
+    flagged = [v for v in vertices if rng.random() < flag_rate]
+    return Graph(vertices, edges, infinite_emitters=flagged)

@@ -51,6 +51,18 @@ class TestValidation:
             # image of the loop must close up at f(v)
             PathHom(loop, toeplitz, {"v": "v"}, {"e": ("f",)})
 
+    def test_vertex_image_in_file_form(self):
+        f = PathHom(loop, toeplitz, {"v": "v"}, {"e": {"vertex": "v"}})
+        assert f.edge_image("e") == Path.at(toeplitz, "v")
+
+    def test_unknown_image_edge(self):
+        with pytest.raises(InvalidPathHom, match="maps through an unknown edge 'zz'"):
+            PathHom(loop, loop, {"v": "v"}, {"e": ("zz",)})
+
+    def test_non_composable_image(self):
+        with pytest.raises(InvalidPathHom, match="is not a path"):
+            PathHom(toeplitz, toeplitz, {"v": "v", "w": "w"}, {"e": ("e",), "f": ("f", "e")})
+
     def test_empty_image_means_collapse(self):
         f = PathHom(loop, pt, {"v": "v"}, {"e": ()})
         assert f.edge_image("e").is_vertex

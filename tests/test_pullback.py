@@ -1,5 +1,7 @@
 """Verifier: hypothesis reports, frozen verdicts for the bundled instance,
 single-fault mutations, and the generator-level conclusion checks."""
+import random
+import re
 from collections import Counter
 
 import pytest
@@ -22,6 +24,8 @@ from pathalg import (
 )
 from pathalg.registry import GRAPHS, INCLUSIONS, INSTANCES, MORPHISMS
 
+from helpers import first_exitless_cycle, random_graph
+
 loop = GRAPHS["loop"]
 rp2 = GRAPHS["rp2"]
 toeplitz = GRAPHS["toeplitz"]
@@ -34,6 +38,38 @@ loop_square = MORPHISMS["loop_square"]
 
 def rp2q(bound=6):
     return INSTANCES["rp2q"](bound)
+
+
+def _h2(amb1: Graph):
+    """H2 on a square whose first ambient graph is ``amb1`` and whose other
+    maps are as small as possible."""
+    empty = Graph()
+    f = PathHom(amb1, pt, {v: "v" for v in amb1.vertices}, {e: () for e in amb1.edges})
+    inst = PullbackInstance(
+        GraphInclusion(empty, amb1, {}, {}),
+        GraphInclusion(empty, pt, {}, {}),
+        f,
+        PathHom(empty, empty, {}, {}),
+        0,
+    )
+    return check_hypotheses(inst).hypothesis("H2")
+
+
+_MALFORMED = [
+    ({"v": "v"}, {"z": ["e"]},                  # unknown domain edge
+     "the edge map mentions an unknown edge 'z'"),
+    ({"v": "v"}, {"e": ["zz"]},                 # unknown codomain edge
+     "edge 'e' maps through an unknown edge 'zz'"),
+    ({"v": "v"}, {"e": ["f", "f"]},             # image not composable
+     "the image of edge 'e' is not a path: "
+     "edge 'f' ends at 'w' but edge 'f' starts at 'v'"),
+    ({"v": "v"}, {"e": {"vertex": "zz"}},       # unknown codomain vertex
+     "edge 'e' maps to an unknown vertex 'zz'"),
+    ({}, {"e": []},                             # no usable source image
+     "edge 'e' has an empty image but no usable source image"),
+    ({"v": "w"}, {"e": ["e"]},                  # endpoint mismatch
+     "image of edge 'e' runs 'v'->'v', expected 'w'->'w'"),
+]
 
 
 class TestDeferredHom:
@@ -50,18 +86,13 @@ class TestDeferredHom:
         assert d.realize().emap["e"].vertex == "v"
 
     @pytest.mark.parametrize(
-        "vmap,emap",
-        [
-            ({"v": "v"}, {"z": ["e"]}),                 # unknown domain edge
-            ({"v": "v"}, {"e": ["zz"]}),                # unknown codomain edge
-            ({"v": "v"}, {"e": ["f", "f"]}),            # image not composable
-            ({"v": "v"}, {"e": {"vertex": "zz"}}),      # unknown codomain vertex
-            ({}, {"e": []}),                            # no usable source image
-            ({"v": "w"}, {"e": ["e"]}),                 # endpoint mismatch
-        ],
+        "vmap,emap,message",
+        _MALFORMED,
+        # the messages are too long to name the cases
+        ids=[f"vmap{i}-emap{i}" for i in range(len(_MALFORMED))],
     )
-    def test_malformed_data_raises_invalid_path_hom(self, vmap, emap):
-        with pytest.raises(InvalidPathHom):
+    def test_malformed_data_raises_invalid_path_hom(self, vmap, emap, message):
+        with pytest.raises(InvalidPathHom, match=f"^{re.escape(message)}$"):
             DeferredHom(loop, toeplitz, vmap, emap).realize()
 
 
@@ -173,6 +204,27 @@ class TestMutations:
         assert report.hypothesis("H2").witness == ["s"]
         assert report.hypothesis("H3").verdict == "fail"
         assert "regular" in report.hypothesis("H3").witness
+
+    def test_h2_loops_through_flagged_vertices_have_exits(self):
+        # the loop at the flagged a has unlisted edges as exits
+        assert _h2(Graph(["a"], [("x", "a", "a")], infinite_emitters=["a"])).verdict == "pass"
+        # the loop b -> c -> b has none; its witness starts at c, declared first
+        amb1 = Graph(
+            ["a", "c", "b"],
+            [("x", "a", "a"), ("z", "b", "c"), ("y", "c", "b")],
+            infinite_emitters=["a"],
+        )
+        h2 = _h2(amb1)
+        assert h2.verdict == "fail"
+        assert h2.witness == ["y", "z"]
+
+    def test_h2_matches_enumeration_on_random_graphs(self):
+        rng = random.Random(20232)
+        for _ in range(1000):
+            amb1 = random_graph(rng, 6, 10, flag_rate=0.15)
+            expected = first_exitless_cycle(amb1)
+            h2 = _h2(amb1)
+            assert (h2.verdict, h2.witness) == ("pass" if expected is None else "fail", expected)
 
     def test_non_realizing_f_fails_h3(self):
         broken = DeferredHom(
