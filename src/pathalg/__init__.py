@@ -58,7 +58,6 @@ from .graphs import (
     Graph,
     Path,
     extended_graph,
-    iter_paths,
     paths_up_to,
     prefix_leq,
     reg0_vertices,

@@ -524,14 +524,10 @@ def verify_relations_preserved(f: PathHom, mode: str) -> RelationReport:
     mode = mode.lower()
     if mode == PATH:
         return RelationReport(PATH, ())
-    if mode == "cohn":
-        dom_ctx = AlgebraContext.cohn(f.dom)
-        cod_ctx = AlgebraContext.cohn(f.cod)
-    elif mode == "leavitt":
-        dom_ctx = AlgebraContext.leavitt(f.dom)
-        cod_ctx = AlgebraContext.leavitt(f.cod)
-    else:
+    if mode not in _INDUCED:
         raise ValueError(f"unknown relation mode {mode!r}")
+    make_context = _INDUCED[mode][1]
+    dom_ctx, cod_ctx = make_context(f.dom), make_context(f.cod)
 
     checks = []
     g = f.dom
@@ -539,8 +535,8 @@ def verify_relations_preserved(f: PathHom, mode: str) -> RelationReport:
         for e2 in g.edges:
             # CK1 image: S_f(e)* S_f(e2) - delta P_f(t(e))
             img = multiply(
-                cod_ctx.pair_element(Path.at(f.cod, f.apply(Path.of(g, (e,))).target), f.apply(Path.of(g, (e,)))),
-                cod_ctx.path_element(f.apply(Path.of(g, (e2,)))),
+                cod_ctx.pair_element(Path.at(f.cod, f.emap[e].target), f.emap[e]),
+                cod_ctx.path_element(f.emap[e2]),
             )
             if e == e2:
                 img = img - cod_ctx.vertex(f.vertex_image(g.tgt(e)))
@@ -557,8 +553,7 @@ def verify_relations_preserved(f: PathHom, mode: str) -> RelationReport:
     for v in dom_ctx.relation_vertices:
         total = cod_ctx.zero()
         for e in g.out_edges(v):
-            img_path = f.apply(Path.of(g, (e,)))
-            total = total + cod_ctx.pair_element(img_path, img_path)
+            total = total + cod_ctx.pair_element(f.emap[e], f.emap[e])
         img = total - cod_ctx.vertex(f.vertex_image(v))
         label = " + ".join(f"{e} {e}*" for e in g.out_edges(v)) + f" - {v}"
         checks.append(

@@ -46,7 +46,6 @@ from .jsonio import (
 from .morphisms import CATEGORY_NAMES, PathHom, classify, compose
 from .pullback import (
     FAIL,
-    PullbackInstance,
     check_commutativity,
     check_hypotheses,
     check_kernel_inclusion,
@@ -85,36 +84,20 @@ def _named_graphs(graph_files) -> dict[str, Graph]:
     return names
 
 
-def _resolve_graph(spec: str, names: Mapping[str, Graph]) -> Graph:
-    if spec in names:
-        return names[spec]
+def _resolve(spec: str, builtins: Mapping, load, kind: str):
+    """The built-in ``kind`` named ``spec``, or else ``load(spec)`` when
+    ``spec`` is a file."""
+    if spec in builtins:
+        return builtins[spec]
     if os.path.exists(spec):
-        return load_graph(spec)
-    raise FileFormatError(f"{spec!r} is neither a built-in graph nor a readable file")
+        return load(spec)
+    raise FileFormatError(f"{spec!r} is neither a built-in {kind} nor a readable file")
 
 
 def _resolve_morphism(spec: str, names: Mapping[str, Graph]) -> PathHom:
-    if spec in registry.MORPHISMS:
-        return registry.MORPHISMS[spec]
-    if os.path.exists(spec):
-        return load_morphism(spec, names).realize()
-    raise FileFormatError(f"{spec!r} is neither a built-in morphism nor a readable file")
-
-
-def _resolve_inclusion(spec: str, names: Mapping[str, Graph]):
-    if spec in registry.INCLUSIONS:
-        return registry.INCLUSIONS[spec]
-    if os.path.exists(spec):
-        return load_inclusion(spec, names)
-    raise FileFormatError(f"{spec!r} is neither a built-in inclusion nor a readable file")
-
-
-def _resolve_instance(spec: str) -> PullbackInstance:
-    if spec in registry.INSTANCES:
-        return registry.INSTANCES[spec]()
-    if os.path.exists(spec):
-        return load_instance(spec)
-    raise FileFormatError(f"{spec!r} is neither a built-in instance nor a readable file")
+    return _resolve(
+        spec, registry.MORPHISMS, lambda path: load_morphism(path, names).realize(), "morphism"
+    )
 
 
 _CONTEXT_RE = re.compile(r"(P|C|L)(?:\[([^\[\]]*)\])?\((.*)\)")
@@ -127,7 +110,7 @@ def _resolve_context(spec: str, names: Mapping[str, Graph]) -> AlgebraContext:
             f"cannot parse context {spec!r}; expected P(g), C(g), C[v1,v2](g) or L(g)"
         )
     kind, vlist, gspec = m.groups()
-    graph = _resolve_graph(gspec.strip(), names)
+    graph = _resolve(gspec.strip(), names, load_graph, "graph")
     if kind != "C" and vlist is not None:
         raise FileFormatError("relation-vertex lists are only meaningful for C[...](g)")
     if kind == "P":
@@ -214,7 +197,9 @@ def _cmd_compose(args) -> int:
 
 def _cmd_admissible(args) -> int:
     names = _named_graphs(args.graphs)
-    inc = _resolve_inclusion(args.inclusion, names)
+    inc = _resolve(
+        args.inclusion, registry.INCLUSIONS, lambda path: load_inclusion(path, names), "inclusion"
+    )
     report = is_admissible(inc)
     payload = report.to_json_data()
 
@@ -266,7 +251,11 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_pullback(args) -> int:
-    inst = _resolve_instance(args.instance)
+    # the built-in instances are factories, so a file resolves to one too
+    make = _resolve(
+        args.instance, registry.INSTANCES, lambda path: lambda: load_instance(path), "instance"
+    )
+    inst = make()
     if args.bound is not None:
         if args.bound < 0:
             raise FileFormatError("--bound must be non-negative")

@@ -11,8 +11,7 @@ the unlisted edges refuse such graphs with UnsupportedInfiniteEmitter.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DanglingEndpoint,
@@ -352,26 +351,10 @@ def star_letter(base: Graph, letter: str) -> str:
     raise DanglingEndpoint(f"{letter!r} is not a letter of the doubled graph")
 
 
-@lru_cache(maxsize=None)
 def extended_graph(g: Graph) -> Graph:
     """The doubled graph: every edge ``e`` gains a reversed ghost ``e*``."""
     ghosts = [(e + "*", g.tgt(e), g.src(e)) for e in g.edges]
     return Graph(g.vertices, g.edge_triples() + tuple(ghosts), g.infinite_emitters)
-
-
-@lru_cache(maxsize=None)
-def _paths_of_length(g: Graph, n: int) -> tuple[Path, ...]:
-    if n == 0:
-        return tuple(Path.at(g, v) for v in g.vertices)
-    if n == 1:
-        return tuple(Path.of(g, (e,)) for e in g.edges)
-    out = []
-    # level 1 is in global edge order, and extending each path of a
-    # lex-sorted level by its declaration-ordered out-edges keeps lex order
-    for p in _paths_of_length(g, n - 1):
-        for e in g.out_edges(p.target):
-            out.append(p.extend(e))
-    return tuple(out)
 
 
 def paths_up_to(g: Graph, n: int) -> tuple[Path, ...]:
@@ -381,19 +364,15 @@ def paths_up_to(g: Graph, n: int) -> tuple[Path, ...]:
     if n < 0:
         raise ValueError("path length bound must be >= 0")
     _require_unflagged(g, "paths_up_to")
-    out = []
-    for k in range(n + 1):
-        out.extend(_paths_of_length(g, k))
+    out = [Path.at(g, v) for v in g.vertices]
+    # level 1 is in global edge order, and extending each path of a
+    # lex-sorted level by its declaration-ordered out-edges keeps lex order
+    level = [(e,) for e in g.edges]
+    for k in range(1, n + 1):
+        out.extend(Path(g, edges=es) for es in level)
+        if k < n:
+            level = [es + (e,) for es in level for e in g.out_edges(g.tgt(es[-1]))]
     return tuple(out)
-
-
-def iter_paths(g: Graph, n: int) -> Iterator[Path]:
-    """Lazy variant of paths_up_to, in the same order."""
-    if n < 0:
-        raise ValueError("path length bound must be >= 0")
-    _require_unflagged(g, "iter_paths")
-    for k in range(n + 1):
-        yield from _paths_of_length(g, k)
 
 
 def _exitless_cycle(g: Graph) -> Optional[list]:

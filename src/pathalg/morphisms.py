@@ -38,26 +38,40 @@ from .graphs import (
 CATEGORY_NAMES = ("PG", "IPG", "BPG", "MIPG", "MBPG", "RMIPG", "RMBPG")
 
 
+def _image_ids(raw) -> Optional[tuple]:
+    """The ids an image in file form names, or None when it is malformed."""
+    if isinstance(raw, str) or (isinstance(raw, dict) and raw.keys() != {"vertex"}):
+        return None  # a string would read as one-character edge ids
+    try:
+        ids = (raw["vertex"],) if isinstance(raw, dict) else tuple(raw)
+        hash(ids)
+    except TypeError:  # not iterable, or an unhashable id
+        return None
+    return ids
+
+
 def _image_path(dom: Graph, cod: Graph, vmap: Mapping[str, str], e: str, raw) -> Path:
     """The image of dom edge ``e`` given in file form, as a Path in cod."""
+    ids = _image_ids(raw)
+    if ids is None:
+        raise InvalidPathHom(f"edge {e!r} has a malformed image {raw!r}", generator=e)
     if isinstance(raw, dict):
-        v = raw["vertex"]
+        v = ids[0]
         if not cod.has_vertex(v):
             raise InvalidPathHom(f"edge {e!r} maps to an unknown vertex {v!r}", generator=e)
         return Path.at(cod, v)
-    edges = tuple(raw)
-    if not edges:
+    if not ids:
         v = vmap.get(dom.src(e))
         if v is None or not cod.has_vertex(v):
             raise InvalidPathHom(
                 f"edge {e!r} has an empty image but no usable source image", generator=e
             )
         return Path.at(cod, v)
-    for x in edges:
+    for x in ids:
         if not cod.has_edge(x):
             raise InvalidPathHom(f"edge {e!r} maps through an unknown edge {x!r}", generator=e)
     try:
-        return Path.of(cod, edges)
+        return Path.of(cod, ids)
     except NonComposablePath as exc:
         raise InvalidPathHom(f"the image of edge {e!r} is not a path: {exc}", generator=e)
 
@@ -401,9 +415,11 @@ def enumerate_path_homs(
         pools.setdefault((p.source, p.target), []).append(p)
 
     nv = len(dom.vertices)
-    for choice in itertools.product(cod.vertices, repeat=nv):
-        if vertex_injective_only and len(set(choice)) != nv:
-            continue
+    if vertex_injective_only:
+        choices = itertools.permutations(cod.vertices, nv)
+    else:
+        choices = itertools.product(cod.vertices, repeat=nv)
+    for choice in choices:
         vmap = dict(zip(dom.vertices, choice))
         candidate_lists = []
         for e in dom.edges:

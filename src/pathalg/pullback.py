@@ -35,7 +35,7 @@ from .errors import (
     PreimageNotFound,
     UnsupportedInfiniteEmitter,
 )
-from .graphs import Graph, Path, _exitless_cycle, iter_paths, paths_up_to
+from .graphs import Graph, Path, _exitless_cycle, paths_up_to
 from .morphisms import PathHom, classify
 
 PASS = "PASS"
@@ -257,12 +257,12 @@ def _preimage_table(f: PathHom, limit: int) -> dict[Path, Path]:
     """First (length-then-lex smallest) preimage for every path value f takes
     on domain paths of length <= limit."""
     table: dict[Path, Path] = {}
-    for q in iter_paths(f.dom, limit):
+    for q in paths_up_to(f.dom, limit):
         table.setdefault(f.apply(q), q)
     return table
 
 
-def check_hypotheses(inst: PullbackInstance, hard_cap: Optional[int] = None) -> HypothesisReport:
+def check_hypotheses(inst: PullbackInstance) -> HypothesisReport:
     """Evaluate H1..H8 in order.
 
     Hypotheses whose inputs are unavailable (an earlier map failed to
@@ -431,7 +431,7 @@ def check_hypotheses(inst: PullbackInstance, hard_cap: Optional[int] = None) -> 
             hyps.append(Hypothesis("H7", title7, "fail", offender))
 
     # H8: bounded surjectivity of f onto paths ending outside the second image
-    hyps.append(_check_h8(inst, f, verdict_f, B2, breaking_note, bound, hard_cap))
+    hyps.append(_check_h8(inst, f, verdict_f, B2, breaking_note, bound))
 
     return HypothesisReport(tuple(hyps), bound)
 
@@ -443,7 +443,6 @@ def _check_h8(
     B2: Optional[set],
     breaking_note: str,
     bound: int,
-    hard_cap: Optional[int],
 ) -> Hypothesis:
     title = "paths ending outside the second image are hit by f (bounded search)"
     if f is None:
@@ -470,8 +469,7 @@ def _check_h8(
         c = max([len(f.emap[e]) for e in inst.amb1.edges], default=1)
         c = max(1, c)
         wanted = bound * c + c
-        cap = hard_cap if hard_cap is not None else 4 * bound
-        limit = min(wanted, max(cap, 0))
+        limit = min(wanted, 4 * bound)
         exhaustive = wanted <= limit
         cap_note = "" if exhaustive else (
             f"search truncated at domain length {limit} (wanted {wanted}); "
@@ -675,7 +673,6 @@ def check_kernel_inclusion(
     outside = set(inst.pi2.complement())
     pool = [p for p in paths_up_to(inst.amb2, bound) if p.target in outside]
     table = _preimage_table(f, bound)
-    domain_paths = None
 
     def preimage(p: Path) -> Path:
         q = table.get(p)
@@ -692,27 +689,10 @@ def check_kernel_inclusion(
         for beta in pool:
             if alpha.target != beta.target:
                 continue
+            # the first pair is a vertex with itself, where induce_leavitt
+            # refuses any f that is not vertex-injective; so f is, and the
+            # two preimages end where alpha and beta do
             at, bt = preimage(alpha), preimage(beta)
-            if at.target != bt.target:
-                # only reachable without vertex-injectivity; find a matching
-                # pair by a paired scan before giving up
-                if domain_paths is None:
-                    domain_paths = list(iter_paths(inst.amb1, bound))
-                found = None
-                for qa in domain_paths:
-                    if f.apply(qa) != alpha:
-                        continue
-                    for qb in domain_paths:
-                        if qa.target == qb.target and f.apply(qb) == beta:
-                            found = (qa, qb)
-                            break
-                    if found:
-                        break
-                if found is None:
-                    raise PreimageNotFound(
-                        "no target-compatible preimage pair within the bound", path=beta
-                    )
-                at, bt = found
             elem = ctx1.pair_element(at, bt)
             killed = quotient_map(inst.pi1, elem).is_zero
             back = induce_leavitt(f, elem) == ctx2.pair_element(alpha, beta)

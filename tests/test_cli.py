@@ -225,10 +225,16 @@ class TestExamplesAndList:
 
 
 class TestInputErrors:
-    def test_nonexistent_file(self, capsys):
-        code, _, err = run(capsys, "classify", "no/such/file.json")
+    @pytest.mark.parametrize(
+        "command,kind",
+        [("classify", "morphism"), ("admissible", "inclusion"), ("pullback", "instance")],
+    )
+    def test_nonexistent_file(self, capsys, command, kind):
+        code, _, err = run(capsys, command, "no/such/file.json")
         assert code == 2
-        assert "neither a built-in" in err
+        assert err == (
+            f"error: 'no/such/file.json' is neither a built-in {kind} nor a readable file\n"
+        )
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -239,6 +239,8 @@ class TestEnumeration:
         inj = list(enumerate_path_homs(GRAPHS["parallel2"], toeplitz, 1, vertex_injective_only=True))
         assert len(inj) < len(all_homs)
         assert all(len(set(h.vmap.values())) == 2 for h in inj)
+        # same maps, same order
+        assert inj == [h for h in all_homs if len(set(h.vmap.values())) == len(h.vmap)]
 
     def test_deterministic_order(self):
         first = [repr(h) for h in enumerate_path_homs(rose2, toeplitz, 2)]

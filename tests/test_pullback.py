@@ -15,6 +15,7 @@ from pathalg import (
     GraphInclusion,
     HypothesisNotMet,
     InvalidPathHom,
+    NotVertexInjective,
     PathHom,
     PreimageNotFound,
     PullbackInstance,
@@ -69,6 +70,20 @@ _MALFORMED = [
      "edge 'e' has an empty image but no usable source image"),
     ({"v": "w"}, {"e": ["e"]},                  # endpoint mismatch
      "image of edge 'e' runs 'v'->'v', expected 'w'->'w'"),
+    ({"v": "v"}, {"e": {}},                     # a dict without "vertex"
+     "edge 'e' has a malformed image {}"),
+    ({"v": "v"}, {"e": {"vertex": ["v"]}},      # an unhashable vertex id
+     "edge 'e' has a malformed image {'vertex': ['v']}"),
+    ({"v": "v"}, {"e": {"vertex": "v", "x": 1}},  # an extra key
+     "edge 'e' has a malformed image {'vertex': 'v', 'x': 1}"),
+    ({"v": "v"}, {"e": 5},                      # not iterable
+     "edge 'e' has a malformed image 5"),
+    ({"v": "v"}, {"e": None},
+     "edge 'e' has a malformed image None"),
+    ({"v": "v"}, {"e": "e"},                    # a bare string, not an id list
+     "edge 'e' has a malformed image 'e'"),
+    ({"v": "v"}, {"e": [["e"]]},                # an unhashable edge id
+     "edge 'e' has a malformed image [['e']]"),
 ]
 
 
@@ -94,6 +109,13 @@ class TestDeferredHom:
     def test_malformed_data_raises_invalid_path_hom(self, vmap, emap, message):
         with pytest.raises(InvalidPathHom, match=f"^{re.escape(message)}$"):
             DeferredHom(loop, toeplitz, vmap, emap).realize()
+
+    def test_malformed_f_fails_h3(self):
+        f = DeferredHom(rp2, toeplitz, dict(phi.vmap), {"s": {}, "r": ["f"], "t": ["e", "f"]})
+        inst = PullbackInstance(loop_in_rp2, loop_in_toeplitz, f, loop_square, 4)
+        h3 = check_hypotheses(inst).hypothesis("H3")
+        assert h3.verdict == "fail"
+        assert h3.witness == {"error": "edge 's' has a malformed image {}"}
 
 
 class TestInstanceValidation:
@@ -280,12 +302,12 @@ class TestMutations:
 
 
 class TestBoundedSearch:
-    def build(self, bound):
+    def build(self, bound, e2_length=2):
         # collapsing both vertices makes f non-injective, and nothing ever
         # reaches w in the codomain
         par = GRAPHS["parallel2"]
         pi1 = GraphInclusion(pt, par, {"v": "v"}, {})
-        f = PathHom(par, toeplitz, {"v": "v", "w": "v"}, {"e1": ("e",), "e2": ("e", "e")})
+        f = PathHom(par, toeplitz, {"v": "v", "w": "v"}, {"e1": ("e",), "e2": ("e",) * e2_length})
         f_res = PathHom(pt, loop, {"v": "v"}, {})
         return PullbackInstance(pi1, loop_in_toeplitz, f, f_res, bound)
 
@@ -298,11 +320,14 @@ class TestBoundedSearch:
         assert h8.witness["searched_domain_lengths_up_to"] == 6
 
     def test_hard_cap_truncates(self):
-        h8 = check_hypotheses(self.build(2), hard_cap=3).hypothesis("H8")
-        assert h8.verdict == "fail"
-        assert h8.witness["search_exhaustive"] is False
-        assert h8.witness["searched_domain_lengths_up_to"] == 3
-        assert "not conclusive" in h8.detail
+        # the search stops at domain length 4 * bound: wanted 2 at bound 0,
+        # and 2*5 + 5 = 15 at bound 2 with an image of length 5
+        for inst, limit in ((self.build(0), 0), (self.build(2, e2_length=5), 8)):
+            h8 = check_hypotheses(inst).hypothesis("H8")
+            assert h8.verdict == "fail"
+            assert h8.witness["search_exhaustive"] is False
+            assert h8.witness["searched_domain_lengths_up_to"] == limit
+            assert "not conclusive" in h8.detail
 
 
 class TestCommutativityFailures:
@@ -372,6 +397,16 @@ class TestKernelFailures:
             check_kernel_inclusion(inst, hypotheses=forged)
         assert info.value.path.is_vertex
         assert info.value.path.vertex == "u"
+
+    def test_forged_report_cannot_pass_a_non_injective_f(self):
+        # both sinks of amb1 map to w; the first kernel pair, (w, w), already
+        # needs the induced Leavitt map, which refuses f
+        amb1 = Graph(["v", "w1", "w2"], [("s", "v", "v"), ("r", "v", "w2")])
+        pi1 = GraphInclusion(loop, amb1, {"v": "v"}, {"e": "s"})
+        f = PathHom(amb1, toeplitz, {"v": "v", "w1": "w", "w2": "w"}, {"s": ("e",), "r": ("f",)})
+        inst = PullbackInstance(pi1, loop_in_toeplitz, f, PathHom.identity(loop), 4)
+        with pytest.raises(NotVertexInjective):
+            check_kernel_inclusion(inst, hypotheses=check_hypotheses(rp2q(4)))
 
 
 class TestChecksRunOncePerMap:
