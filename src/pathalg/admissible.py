@@ -15,10 +15,9 @@ otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
-from .algebra import AlgebraContext, AlgebraElement, Monomial, _accumulate_pair
+from .algebra import AlgebraContext, AlgebraElement, _push
 from .errors import (
     AmbiguousInfiniteEmitter,
     ContextMismatch,
@@ -355,13 +354,4 @@ def quotient_map(inc: GraphInclusion, a: AlgebraElement) -> AlgebraElement:
             return None
         return Path.of(inc.sub, edges)
 
-    acc: dict[Monomial, Fraction] = {}
-    for mono, coeff in a.terms.items():
-        left = pull(mono.left)
-        if left is None:
-            continue
-        right = pull(mono.right)
-        if right is None:
-            continue
-        _accumulate_pair(target, left, right, coeff, acc)
-    return AlgebraElement(target, acc)
+    return _push(target, a, pull)

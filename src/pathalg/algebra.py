@@ -3,7 +3,7 @@ quotients, with normal forms, the star involution, and induced maps.
 
 A context fixes the graph and the relation set:
 
-    path             the plain path algebra; basis = all finite paths
+    path             the plain path algebra: no stars, no relations
     relative_cohn(X) the quotient of the doubled path algebra by
                      (CK1)  S_e* S_f = delta_{e,f} P_{t(e)}   always, and
                      (CK2)  sum_{s(e)=v} S_e S_e* = P_v       for v in X
@@ -11,10 +11,11 @@ A context fixes the graph and the relation set:
 with Cohn = X empty and Leavitt = X all regular vertices.  Scalars are
 rationals, so the star involution fixes coefficients.
 
-Normal-form basis in the quotient modes: monomials S_alpha S_beta* with
-t(alpha) = t(beta), except those where alpha and beta both end in the special
-edge of some v in X (the declaration-order-first edge out of v).  Such a pair
-rewrites by the tail reduction
+One basis serves every mode: monomials S_alpha S_beta* with t(alpha) =
+t(beta) (in path mode beta is the vertex t(alpha); that mode refuses stars),
+except those where alpha and beta both end in the special edge of some v in X
+(the declaration-order-first edge out of v).  Such a pair rewrites by the tail
+reduction
 
     (a g, b g)  ->  (a, b) - sum_{e out of v, e != g} (a e, b e)
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (
     ContextMismatch,
@@ -70,15 +71,14 @@ class GeneratorWord:
 
 
 class Monomial(NamedTuple):
-    """Basis monomial: a bare Path in path mode (right is None), or the pair
-    (left, right) denoting S_left S_right* with matching targets."""
+    """Basis monomial: the pair (left, right) denoting S_left S_right* with
+    matching targets, in every mode.  A path p of the path algebra is the
+    pair (p, t(p)) with the vertex t(p) on the right."""
 
     left: Path
-    right: Optional[Path]
+    right: Path
 
     def sort_key(self):
-        if self.right is None:
-            return (self.left.sort_key(),)
         return (self.left.sort_key(), self.right.sort_key())
 
 
@@ -94,24 +94,18 @@ class AlgebraContext:
             )
         if mode not in (PATH, RELATIVE_COHN):
             raise ValueError(f"unknown mode {mode!r}")
+        relation_vertices = tuple(relation_vertices)
+        if mode == PATH and relation_vertices:
+            raise ValueError("path mode carries no relation vertices")
         self.graph = graph
         self.mode = mode
-        if mode == PATH:
-            if tuple(relation_vertices):
-                raise ValueError("path mode carries no relation vertices")
-            self.relation_vertices = ()
-            self.special_edge = {}
-        else:
-            reg = set(regular_vertices(graph))
-            seen = []
-            for v in relation_vertices:
-                if v not in reg:
-                    raise ValueError(f"relation vertex {v!r} is not regular")
-                if v not in seen:
-                    seen.append(v)
-            # declaration order, for deterministic relation enumeration
-            self.relation_vertices = tuple(v for v in graph.vertices if v in seen)
-            self.special_edge = {v: graph.out_edges(v)[0] for v in self.relation_vertices}
+        reg = set(regular_vertices(graph))
+        for v in relation_vertices:
+            if v not in reg:
+                raise ValueError(f"relation vertex {v!r} is not regular")
+        # declaration order, for deterministic relation enumeration
+        self.relation_vertices = tuple(v for v in graph.vertices if v in relation_vertices)
+        self.special_edge = {v: graph.out_edges(v)[0] for v in self.relation_vertices}
 
     @classmethod
     def path(cls, graph: Graph) -> "AlgebraContext":
@@ -181,7 +175,7 @@ class AlgebraContext:
 
     def _vertex_monomial(self, v: str) -> Monomial:
         p = Path.at(self.graph, v)
-        return Monomial(p, None if self.is_path_mode else p)
+        return Monomial(p, p)
 
     def vertex(self, v: str) -> "AlgebraElement":
         if not self.graph.has_vertex(v):
@@ -201,8 +195,6 @@ class AlgebraContext:
     def path_element(self, p: Path) -> "AlgebraElement":
         if p.graph != self.graph:
             raise ContextMismatch("path lives in a different graph")
-        if self.is_path_mode:
-            return AlgebraElement(self, {Monomial(p, None): Fraction(1)})
         mono = Monomial(p, Path.at(self.graph, p.target))
         return AlgebraElement(self, {mono: Fraction(1)})
 
@@ -346,27 +338,14 @@ class AlgebraElement:
 
 
 def _render_monomial(mono: Monomial) -> str:
-    left, right = mono.left, mono.right
-    letters = list(left.edges)
-    if right is not None:
-        letters.extend(e + "*" for e in reversed(right.edges))
-    if not letters:
-        return left.vertex
-    return " ".join(letters)
+    letters = list(mono.left.edges) + [e + "*" for e in reversed(mono.right.edges)]
+    return " ".join(letters) if letters else mono.left.vertex
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     a._check_context(b)
     ctx = a.context
     acc: dict[Monomial, Fraction] = {}
-    if ctx.is_path_mode:
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                if m1.left.target != m2.left.source:
-                    continue
-                mono = Monomial(m1.left.concat(m2.left), None)
-                acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2
-        return AlgebraElement(ctx, acc)
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             beta, gamma = m1.right, m2.left
@@ -435,33 +414,32 @@ def _induced_codomain(f: PathHom, a: AlgebraElement, mode: str) -> AlgebraContex
     return target
 
 
+def _push(target: AlgebraContext, a: AlgebraElement, image: Callable) -> AlgebraElement:
+    """Send both paths of each monomial of a through image and renormalize
+    in target; a None image kills the monomial."""
+    acc: dict[Monomial, Fraction] = {}
+    for mono, coeff in a.terms.items():
+        left = image(mono.left)
+        right = None if left is None else image(mono.right)
+        if right is not None:
+            _accumulate_pair(target, left, right, coeff, acc)
+    return AlgebraElement(target, acc)
+
+
 def induce_path(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a path-algebra element along f (needs vertex-injectivity, which
     is what keeps non-composable products at zero in the image)."""
-    target = _induced_codomain(f, a, "path")
-    terms: dict[Monomial, Fraction] = {}
-    for mono, coeff in a.terms.items():
-        key = Monomial(f.apply(mono.left), None)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return AlgebraElement(target, terms)
-
-
-def _induced_quotient_map(f: PathHom, a: AlgebraElement, mode: str) -> AlgebraElement:
-    target = _induced_codomain(f, a, mode)
-    acc: dict[Monomial, Fraction] = {}
-    for mono, coeff in a.terms.items():
-        _accumulate_pair(target, f.apply(mono.left), f.apply(mono.right), coeff, acc)
-    return AlgebraElement(target, acc)
+    return _push(_induced_codomain(f, a, "path"), a, f.apply)
 
 
 def induce_cohn(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a Cohn-algebra element along f; defined for MIPG morphisms."""
-    return _induced_quotient_map(f, a, "cohn")
+    return _push(_induced_codomain(f, a, "cohn"), a, f.apply)
 
 
 def induce_leavitt(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a Leavitt-algebra element along f; defined for RMIPG morphisms."""
-    return _induced_quotient_map(f, a, "leavitt")
+    return _push(_induced_codomain(f, a, "leavitt"), a, f.apply)
 
 
 def induce(f: PathHom, a: AlgebraElement) -> AlgebraElement:

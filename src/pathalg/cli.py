@@ -212,11 +212,9 @@ def _cmd_admissible(args) -> int:
     payload["breaking_vertices"] = breaking
 
     kernel_data = None
-    if report.ok:
-        try:
-            kernel_data = kernel_generators(inc).to_json_data()
-        except AmbiguousInfiniteEmitter as exc:
-            breaking_note = breaking_note or str(exc)
+    # kernel_generators reads the same breaking vertices, so it cannot raise here
+    if report.ok and breaking is not None:
+        kernel_data = kernel_generators(inc).to_json_data()
     payload["kernel_generators"] = kernel_data
 
     if args.json:

@@ -431,7 +431,7 @@ def check_hypotheses(inst: PullbackInstance) -> HypothesisReport:
             hyps.append(Hypothesis("H7", title7, "fail", offender))
 
     # H8: bounded surjectivity of f onto paths ending outside the second image
-    hyps.append(_check_h8(inst, f, verdict_f, B2, breaking_note, bound))
+    hyps.append(_check_h8(inst, f, verdict_f, bound))
 
     return HypothesisReport(tuple(hyps), bound)
 
@@ -440,8 +440,6 @@ def _check_h8(
     inst: PullbackInstance,
     f: Optional[PathHom],
     verdict_f,
-    B2: Optional[set],
-    breaking_note: str,
     bound: int,
 ) -> Hypothesis:
     title = "paths ending outside the second image are hit by f (bounded search)"
@@ -452,10 +450,9 @@ def _check_h8(
             "H8", title, "not_evaluated", None,
             "flagged vertices make the path family symbolic; cannot enumerate",
         )
-    if B2 is None:
-        return Hypothesis("H8", title, "not_evaluated", None, breaking_note)
 
-    targets_set = set(inst.pi2.complement()) | B2
+    # breaking vertices are flagged, so none exist once the flags are refused
+    targets_set = set(inst.pi2.complement())
     targets = [p for p in paths_up_to(inst.amb2, bound) if p.target in targets_set]
 
     injective = verdict_f is not None and verdict_f.vertex_injective

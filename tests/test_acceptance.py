@@ -36,6 +36,7 @@ from pathalg import (
     inclusion_to_data,
     induce_cohn,
     induce_leavitt,
+    induce_path,
     instance_from_data,
     instance_to_data,
     morphism_from_data,
@@ -139,7 +140,8 @@ def test_criterion_4_confluence():
 
 
 def test_criterion_5_induced_map_laws(small_space):
-    """Induced maps exist for every RMIPG morphism and are functorial."""
+    """Induced maps exist for every RMIPG morphism, and the path, Cohn and
+    Leavitt maps are functorial."""
     members = [h for h, verdict in small_space if verdict.in_rmipg]
     assert len(members) == 92
     for h in members:
@@ -148,16 +150,24 @@ def test_criterion_5_induced_map_laws(small_space):
     by_dom = {}
     for h in members:
         by_dom.setdefault(h.dom, []).append(h)
+    # (context, induced map, whether the algebra has starred generators)
+    functors = (
+        (AlgebraContext.path, induce_path, False),
+        (AlgebraContext.cohn, induce_cohn, True),
+        (AlgebraContext.leavitt, induce_leavitt, True),
+    )
     pairs = 0
     for f in members:
-        ctx = AlgebraContext.leavitt(f.dom)
-        gens = [ctx.vertex(v) for v in f.dom.vertices]
-        gens += [ctx.edge(e) for e in f.dom.edges]
-        gens += [ctx.edge_star(e) for e in f.dom.edges]
         for g in by_dom.get(f.cod, ()):
             gf = compose(g, f)
-            for x in gens:
-                assert induce_leavitt(g, induce_leavitt(f, x)) == induce_leavitt(gf, x)
+            for make_context, induce_map, starred in functors:
+                ctx = make_context(f.dom)
+                gens = [ctx.vertex(v) for v in f.dom.vertices]
+                gens += [ctx.edge(e) for e in f.dom.edges]
+                if starred:
+                    gens += [ctx.edge_star(e) for e in f.dom.edges]
+                for x in gens:
+                    assert induce_map(g, induce_map(f, x)) == induce_map(gf, x)
             pairs += 1
     assert pairs == 527
 

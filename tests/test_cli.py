@@ -90,6 +90,27 @@ class TestEval:
         assert lines[0] == "s"
         assert lines[1].endswith(": e e")
 
+    def test_path_mode_apply(self, capsys):
+        argv = ("eval", "P(rp2)", "s r + 2 s", "--apply", "phi_rp2")
+        assert run(capsys, *argv) == (
+            0, "2 s + s r\nimage in path algebra: 2 e e + e e f\n", ""
+        )
+        assert run(capsys, *argv, "--json") == (
+            0,
+            "{\n"
+            '  "context": "path algebra",\n'
+            '  "expression": "s r + 2 s",\n'
+            '  "value": "2 s + s r",\n'
+            '  "applied": {\n'
+            '    "morphism": "phi_rp2",\n'
+            '    "context": "path algebra",\n'
+            '    "value": "2 e e + e e f"\n'
+            "  },\n"
+            '  "zero": false\n'
+            "}\n",
+            "",
+        )
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "eval", "L(toeplitz)", "w - w", "--json")
         assert code == 0
