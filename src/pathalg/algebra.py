@@ -36,11 +36,13 @@ from .errors import (
     StarInPathMode,
     UnsupportedInfiniteEmitter,
 )
-from .graphs import Graph, Path, prefix_leq, regular_vertices, strip_prefix
+from .graphs import Graph, Path, regular_vertices
 from .morphisms import PathHom, classify
 
 PATH = "path"
 RELATIVE_COHN = "relative_cohn"
+
+_ZERO = Fraction(0)
 
 
 class Letter(NamedTuple):
@@ -237,13 +239,9 @@ def _accumulate_pair(
                 continue
             # sum terms end in a non-special edge: already tail-normal
             mono = Monomial(left.extend(e), right.extend(e))
-            acc[mono] = acc.get(mono, Fraction(0)) - coeff
+            acc[mono] = acc.get(mono, _ZERO) - coeff
     mono = Monomial(left, right)
-    acc[mono] = acc.get(mono, Fraction(0)) + coeff
-
-
-def _prune(terms: dict) -> dict:
-    return {m: c for m, c in terms.items() if c}
+    acc[mono] = acc.get(mono, _ZERO) + coeff
 
 
 class AlgebraElement:
@@ -253,7 +251,7 @@ class AlgebraElement:
 
     def __init__(self, context: AlgebraContext, terms: Mapping[Monomial, Fraction]):
         self.context = context
-        self.terms = _prune(dict(terms))
+        self.terms = {m: c for m, c in terms.items() if c}
 
     @property
     def is_zero(self) -> bool:
@@ -263,7 +261,7 @@ class AlgebraElement:
         return tuple(sorted(self.terms, key=Monomial.sort_key))
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+        return self.terms.get(mono, _ZERO)
 
     def _check_context(self, other: "AlgebraElement") -> None:
         if self.context != other.context:
@@ -275,7 +273,7 @@ class AlgebraElement:
         self._check_context(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, _ZERO) + c
         return AlgebraElement(self.context, terms)
 
     def __sub__(self, other):
@@ -342,20 +340,39 @@ def _render_monomial(mono: Monomial) -> str:
     return " ".join(letters) if letters else mono.left.vertex
 
 
+def _append(p: Path, rest: tuple) -> Path:
+    """p followed by the edges rest, which start at t(p)."""
+    if not rest:
+        return p
+    return Path._trusted(p.graph, None, p.edges + rest)
+
+
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     a._check_context(b)
     ctx = a.context
+    # S_beta* S_gamma collapses along the prefix order or dies, so index b's
+    # monomials by (source, edges) of every prefix of gamma, gamma included
+    # (the gamma >= beta bucket), and of gamma alone (to find gamma < beta)
+    extending: dict[tuple, list] = {}
+    exact: dict[tuple, list] = {}
+    for m2, c2 in b.terms.items():
+        gamma = m2.left
+        source, edges = gamma.source, gamma.edges
+        for k in range(len(edges) + 1):
+            extending.setdefault((source, edges[:k]), []).append((m2, c2))
+        exact.setdefault((source, edges), []).append((m2, c2))
     acc: dict[Monomial, Fraction] = {}
     for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            beta, gamma = m1.right, m2.left
-            # S_beta* S_gamma collapses along the prefix order or dies
-            if prefix_leq(beta, gamma):
-                rest = strip_prefix(beta, gamma)
-                _accumulate_pair(ctx, m1.left.concat(rest), m2.right, c1 * c2, acc)
-            elif prefix_leq(gamma, beta):
-                rest = strip_prefix(gamma, beta)
-                _accumulate_pair(ctx, m1.left, m2.right.concat(rest), c1 * c2, acc)
+        alpha, beta = m1
+        source, edges = beta.source, beta.edges
+        n = len(edges)
+        # gamma = beta rest: the product is S_(alpha rest) S_delta*
+        for m2, c2 in extending.get((source, edges), ()):
+            _accumulate_pair(ctx, _append(alpha, m2.left.edges[n:]), m2.right, c1 * c2, acc)
+        # beta = gamma rest, gamma strictly shorter: S_alpha S_(delta rest)*
+        for k in range(n):
+            for m2, c2 in exact.get((source, edges[:k]), ()):
+                _accumulate_pair(ctx, alpha, _append(m2.right, edges[k:]), c1 * c2, acc)
     return AlgebraElement(ctx, acc)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .algebra import AlgebraContext, AlgebraElement
+from .algebra import _ZERO, AlgebraContext, AlgebraElement
 from .errors import ParseError, UnknownIdentifier
 
 
@@ -47,9 +47,10 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(ch, ch, i + 1))
             i += 1
             continue
-        if ch.isdigit():
+        # isdecimal, not isdigit: it accepts exactly the digits int() reads
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("number", text[i:j], i + 1))
             i = j
@@ -100,16 +101,21 @@ class _Parser:
         return value
 
     def expr(self) -> AlgebraElement:
-        value = self.term()
+        # one running sum for all terms: linear in their number
+        acc: dict = {}
+        sign = 1
         while True:
+            scalar, product = self.term()
+            scalar *= sign
+            for m, c in product.terms.items():
+                acc[m] = acc.get(m, _ZERO) + scalar * c
             tok = self.peek()
             if tok is None or tok.kind not in "+-":
-                return value
+                return AlgebraElement(self.ctx, acc)
             self.take()
-            rhs = self.term()
-            value = value + rhs if tok.kind == "+" else value - rhs
+            sign = 1 if tok.kind == "+" else -1
 
-    def term(self) -> AlgebraElement:
+    def term(self) -> tuple[Fraction, AlgebraElement]:
         scalar = Fraction(1)
         tok = self.peek()
         if tok is not None and tok.kind == "number":
@@ -123,7 +129,7 @@ class _Parser:
             if tok is None or tok.kind not in ("ident", "("):
                 break
             value = value * self.factor()
-        return value.scale(scalar)
+        return scalar, value
 
     def rational(self) -> Fraction:
         num_tok = self.expect("number")

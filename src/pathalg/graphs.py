@@ -180,7 +180,7 @@ class Graph:
 class Path:
     """A length-0 path (a vertex) or a nonempty composable edge sequence."""
 
-    __slots__ = ("graph", "vertex", "edges")
+    __slots__ = ("graph", "vertex", "edges", "_hash")
 
     def __init__(self, graph: Graph, vertex: Optional[str] = None, edges: Sequence[str] = ()):
         edges = tuple(edges)
@@ -205,6 +205,18 @@ class Path:
         self.graph = graph
         self.vertex = vertex
         self.edges = edges
+        self._hash = hash((vertex, edges))
+
+    @classmethod
+    def _trusted(cls, graph: Graph, vertex: Optional[str], edges: tuple) -> "Path":
+        """A path from parts already known to be valid, with no checks:
+        ``vertex`` is None exactly when the ``edges`` tuple is nonempty."""
+        p = object.__new__(cls)
+        p.graph = graph
+        p.vertex = vertex
+        p.edges = edges
+        p._hash = hash((vertex, edges))
+        return p
 
     @classmethod
     def at(cls, graph: Graph, vertex: str) -> "Path":
@@ -242,24 +254,26 @@ class Path:
             return other
         if other.is_vertex:
             return self
-        return Path(self.graph, edges=self.edges + other.edges)
+        return Path._trusted(self.graph, None, self.edges + other.edges)
 
     def extend(self, edge: str) -> "Path":
-        return self.concat(Path.of(self.graph, (edge,)))
+        if not self.graph.has_edge(edge):
+            raise DanglingEndpoint(f"unknown edge {edge!r}")
+        return self.concat(Path._trusted(self.graph, None, (edge,)))
 
     def drop_last(self) -> "Path":
         if self.is_vertex:
             raise ValueError("a length-0 path has no last edge")
         if len(self.edges) == 1:
-            return Path.at(self.graph, self.graph.src(self.edges[0]))
-        return Path(self.graph, edges=self.edges[:-1])
+            return Path._trusted(self.graph, self.graph.src(self.edges[0]), ())
+        return Path._trusted(self.graph, None, self.edges[:-1])
 
     def drop_first(self) -> "Path":
         if self.is_vertex:
             raise ValueError("a length-0 path has no first edge")
         if len(self.edges) == 1:
-            return Path.at(self.graph, self.graph.tgt(self.edges[0]))
-        return Path(self.graph, edges=self.edges[1:])
+            return Path._trusted(self.graph, self.graph.tgt(self.edges[0]), ())
+        return Path._trusted(self.graph, None, self.edges[1:])
 
     def sort_key(self) -> tuple:
         """Length-major, then lexicographic in edge declaration order."""
@@ -277,7 +291,7 @@ class Path:
         )
 
     def __hash__(self):
-        return hash((self.vertex, self.edges))
+        return self._hash
 
     def __str__(self):
         return self.vertex if self.is_vertex else " ".join(self.edges)
@@ -296,18 +310,6 @@ def prefix_leq(a: Path, b: Path) -> bool:
     if len(a) > len(b):
         return False
     return b.edges[: len(a.edges)] == a.edges
-
-
-def strip_prefix(a: Path, b: Path) -> Path:
-    """The unique ``g`` with ``b = a . g``; requires ``prefix_leq(a, b)``."""
-    if not prefix_leq(a, b):
-        raise ValueError(f"{a!r} is not a prefix of {b!r}")
-    if a.is_vertex:
-        return b
-    rest = b.edges[len(a.edges):]
-    if rest:
-        return Path(b.graph, edges=rest)
-    return Path.at(b.graph, b.target)
 
 
 def _require_unflagged(g: Graph, op: str) -> None:
@@ -369,7 +371,7 @@ def paths_up_to(g: Graph, n: int) -> tuple[Path, ...]:
     # lex-sorted level by its declaration-ordered out-edges keeps lex order
     level = [(e,) for e in g.edges]
     for k in range(1, n + 1):
-        out.extend(Path(g, edges=es) for es in level)
+        out.extend(Path._trusted(g, None, es) for es in level)
         if k < n:
             level = [es + (e,) for es in level for e in g.out_edges(g.tgt(es[-1]))]
     return tuple(out)

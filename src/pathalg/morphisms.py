@@ -156,14 +156,16 @@ class PathHom:
     def apply(self, p: Path) -> Path:
         if p.graph != self.dom:
             raise DomainMismatch("path does not live in the morphism's domain")
+        # the images are valid cod paths with matching endpoints, so their
+        # concatenation along a dom path is one too
         if p.is_vertex:
-            return Path.at(self.cod, self.vmap[p.vertex])
+            return Path._trusted(self.cod, self.vmap[p.vertex], ())
         edges = []
         for e in p.edges:
             edges.extend(self.emap[e].edges)
         if not edges:
-            return Path.at(self.cod, self.vmap[p.source])
-        return Path.of(self.cod, edges)
+            return Path._trusted(self.cod, self.vmap[p.source], ())
+        return Path._trusted(self.cod, None, tuple(edges))
 
     def __eq__(self, other):
         if not isinstance(other, PathHom):

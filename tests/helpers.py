@@ -1,4 +1,5 @@
-"""Independent oracles and word generators used across the test suite.
+"""Independent oracles, references and word generators used across the test
+suite.
 
 The matrix oracle represents the full quotient algebra of a line graph with
 n vertices on n-by-n rational matrices; the Laurent oracle represents the
@@ -11,8 +12,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from pathalg import AlgebraContext, Graph
-from pathalg.algebra import GeneratorWord, Letter
+from pathalg import AlgebraContext, Graph, Path, prefix_leq
+from pathalg.algebra import AlgebraElement, GeneratorWord, Letter, _accumulate_pair
 
 
 def line_graph(n: int) -> Graph:
@@ -94,6 +95,31 @@ def element_matrix(n: int, element) -> list:
         j = vindex[mono.right.source]
         out[i][j] += coeff
     return out
+
+
+# -- all-pairs product -------------------------------------------------------------
+
+
+def _followed_by(p: Path, rest: tuple) -> Path:
+    return p.concat(Path.of(p.graph, rest)) if rest else p
+
+
+def reference_multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """The product by the defining rule, pair by pair: S_beta* S_gamma is
+    S_rest when gamma = beta rest, S_rest* when beta = gamma rest (gamma
+    strictly shorter), and 0 when neither path is a prefix of the other."""
+    ctx = a.context
+    acc: dict = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            beta, gamma = m1.right, m2.left
+            if prefix_leq(beta, gamma):
+                rest = gamma.edges[len(beta.edges):]
+                _accumulate_pair(ctx, _followed_by(m1.left, rest), m2.right, c1 * c2, acc)
+            elif prefix_leq(gamma, beta):
+                rest = beta.edges[len(gamma.edges):]
+                _accumulate_pair(ctx, m1.left, _followed_by(m2.right, rest), c1 * c2, acc)
+    return AlgebraElement(ctx, acc)
 
 
 # -- Laurent polynomials -------------------------------------------------------

@@ -271,6 +271,12 @@ class TestInputErrors:
         assert code == 2
         assert err == "error: 'infinite_emitters' must be a list\n"
 
+    def test_non_decimal_digit(self, capsys):
+        # '²' is a digit to str.isdigit but not a number to int()
+        code, out, err = run(capsys, "eval", "L(rp2)", "² s")
+        assert (code, out) == (2, "")
+        assert err == "error: unexpected character '²' (at position 1)\n"
+
     def test_deep_parenthesis_nesting(self, capsys):
         code, _, err = run(capsys, "eval", "L(toeplitz)", "(" * 3000 + "v" + ")" * 3000)
         assert code == 2

@@ -109,6 +109,14 @@ class TestErrors:
             parse_expression(L_toe, "e + ")
         assert "position 5" in str(info.value)
 
+    def test_digits_are_decimal_digits(self):
+        # any Unicode decimal digit is a number, as int() reads it ...
+        assert s(L_toe, "\u0661 e") == "e"
+        # ... while a superscript digit is no number at all
+        with pytest.raises(ParseError) as info:
+            parse_expression(L_toe, "e + \u00b2 e")
+        assert str(info.value) == "unexpected character '\u00b2' (at position 5)"
+
     def test_nesting_limit(self):
         assert s(L_toe, "(" * 100 + "e" + ")" * 100) == "e"
         with pytest.raises(ParseError) as info:

@@ -20,7 +20,6 @@ from pathalg import (
     regular_vertices,
     vertex_simple_loops_have_exits,
 )
-from pathalg.graphs import strip_prefix
 from pathalg.registry import GRAPHS
 
 from helpers import first_exitless_cycle, random_graph, vertex_simple_cycles
@@ -138,12 +137,6 @@ class TestPaths:
         assert not prefix_leq(st, s)
         # a length-0 path is below exactly the paths at its vertex
         assert not prefix_leq(Path.at(rp2, "w"), st)
-
-    def test_strip_prefix(self):
-        s = Path.of(rp2, ("s",))
-        st = Path.of(rp2, ("s", "t"))
-        assert strip_prefix(s, st).edges == ("t",)
-        assert strip_prefix(st, st) == Path.at(rp2, "w")
 
 
 class TestEnumeration:

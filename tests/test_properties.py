@@ -1,5 +1,6 @@
 """Property tests over random small graphs: products in the path, Cohn and
-Leavitt algebras.
+Leavitt algebras, the expression parser's sums, and the paths the package
+builds without re-validating them.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples (``conftest.py`` keeps Hypothesis' other files out of the tree).
@@ -10,8 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathalg import AlgebraContext, Graph, Path
+from pathalg import AlgebraContext, Graph, Path, paths_up_to, regular_vertices
 from pathalg.algebra import Monomial, multiply
+from pathalg.expressions import parse_expression
+from pathalg.registry import MORPHISMS
+
+from helpers import reference_multiply
 
 _settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -55,12 +60,12 @@ def walks(draw, g: Graph):
 
 
 @st.composite
-def elements(draw, ctx: AlgebraContext):
-    """Up to three basis monomials with small nonzero integer coefficients:
-    paths in path mode, pairs S_alpha S_beta* otherwise."""
+def elements(draw, ctx: AlgebraContext, max_terms: int = 3):
+    """Up to max_terms basis monomials with small nonzero integer
+    coefficients: paths in path mode, pairs S_alpha S_beta* otherwise."""
     g = ctx.graph
     total = ctx.zero()
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, max_terms))):
         _, alpha, v = draw(walks(g))
         left = _path(g, v, alpha)
         if ctx.is_path_mode:
@@ -93,3 +98,110 @@ def test_path_product_is_concatenation(data):
         assert product.terms == {Monomial(concatenation, Path.at(g, t2)): Fraction(1)}
     else:
         assert product.is_zero
+
+
+@pytest.mark.parametrize("make_context", MODES, ids=["path", "cohn", "leavitt"])
+@_settings
+@given(data=st.data())
+def test_multiply_matches_all_pairs_reference(make_context, data):
+    ctx = make_context(data.draw(graphs()))
+    a, b = data.draw(elements(ctx, max_terms=6)), data.draw(elements(ctx, max_terms=6))
+    assert multiply(a, b) == reference_multiply(a, b)
+
+
+@_settings
+@given(data=st.data())
+def test_leavitt_relation_vanishes_between_elements(data):
+    """x (sum_{s(e)=v} S_e S_e* - P_v) y = 0 at a regular vertex v, with the
+    sum formed once as an element and once inside left-folded products."""
+    g = data.draw(graphs().filter(regular_vertices))
+    ctx = AlgebraContext.leavitt(g)
+    v = data.draw(st.sampled_from(regular_vertices(g)))
+    x, y = data.draw(elements(ctx)), data.draw(elements(ctx))
+    relation = -ctx.vertex(v)
+    folded = -multiply(multiply(x, ctx.vertex(v)), y)
+    for e in g.out_edges(v):
+        relation = relation + multiply(ctx.edge(e), ctx.edge_star(e))
+        folded = folded + multiply(multiply(multiply(x, ctx.edge(e)), ctx.edge_star(e)), y)
+    assert multiply(multiply(x, relation), y).is_zero
+    assert folded.is_zero
+
+
+@st.composite
+def expression_terms(draw, ctx: AlgebraContext, depth: int = 1):
+    """The text of one term: an optional rational coefficient, then one to
+    three factors, each a generator or (at depth > 0) a parenthesized sum."""
+    g = ctx.graph
+    letters = list(g.vertices) + list(g.edges)
+    if not ctx.is_path_mode:
+        letters += [e + "*" for e in g.edges]
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        if depth and draw(st.booleans()):
+            inner = draw(st.lists(expression_terms(ctx, depth - 1), min_size=1, max_size=3))
+            factors.append("(" + _join(inner, draw(signs(len(inner) - 1))) + ")")
+        else:
+            factors.append(draw(st.sampled_from(letters)))
+    coefficient = draw(st.sampled_from(("", "2 ", "3 * ", "1/2 ", "5/3 ", "0 ")))
+    return coefficient + " ".join(factors)
+
+
+def signs(n: int):
+    return st.lists(st.sampled_from("+-"), min_size=n, max_size=n)
+
+
+def _join(terms: list, ops: list) -> str:
+    """terms[0] ops[0] terms[1] ops[1] ..."""
+    text = terms[0]
+    for op, term in zip(ops, terms[1:]):
+        text += f" {op} {term}"
+    return text
+
+
+@pytest.mark.parametrize("make_context", MODES, ids=["path", "cohn", "leavitt"])
+@_settings
+@given(data=st.data())
+def test_expression_sum_is_left_fold_of_terms(make_context, data):
+    """t1 ± t2 ± ... parses to the left fold of + and - over the separately
+    parsed terms; terms are drawn from a pool of three, so the same term is
+    often added, cancelled and added again."""
+    ctx = make_context(data.draw(graphs()))
+    pool = data.draw(st.lists(expression_terms(ctx), min_size=3, max_size=3))
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    ops = data.draw(signs(len(picks) - 1))
+    expected = parse_expression(ctx, picks[0])
+    for op, term in zip(ops, picks[1:]):
+        value = parse_expression(ctx, term)
+        expected = expected + value if op == "+" else expected - value
+    assert parse_expression(ctx, _join(picks, ops)) == expected
+
+
+def _assert_valid(p: Path) -> None:
+    rebuilt = Path(p.graph, p.vertex, p.edges)
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+@_settings
+@given(g=graphs())
+def test_built_paths_equal_validated_ones(g):
+    """Every path the package builds without checks equals, and hashes like,
+    the same path built through the validating constructor."""
+    for p in paths_up_to(g, 3):
+        _assert_valid(p)
+        if p.edges:
+            _assert_valid(p.drop_last())
+            _assert_valid(p.drop_first())
+        for e in g.out_edges(p.target):
+            _assert_valid(p.extend(e))
+    short = paths_up_to(g, 2)
+    for p in short:
+        for q in short:
+            if q.source == p.target:
+                _assert_valid(p.concat(q))
+
+
+@pytest.mark.parametrize("name", sorted(MORPHISMS))
+def test_applied_paths_equal_validated_ones(name):
+    f = MORPHISMS[name]
+    for p in paths_up_to(f.dom, 3):
+        _assert_valid(f.apply(p))
