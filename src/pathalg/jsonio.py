@@ -7,6 +7,7 @@ typo fails loudly instead of silently dropping data.
 from __future__ import annotations
 
 import json
+import math
 from typing import Mapping, Optional
 
 from .admissible import GraphInclusion
@@ -16,8 +17,76 @@ from .morphisms import PathHom
 from .pullback import DeferredHom, PullbackInstance
 
 
+# the C escaper behind json.dumps' default ensure_ascii=True
+_escape = json.encoder.encode_basestring_ascii
+
+
 def canonical_dumps(data) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """Exactly ``json.dumps(data, indent=2) + "\\n"``, written directly:
+    CPython serves an indented dump with its pure-Python encoder."""
+    out: list[str] = []
+    _write(data, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _scalar(x) -> str:
+    """Unquoted JSON text of None, a bool, an int or a float."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _escape(k)
+    if k is None or isinstance(k, (int, float)):
+        return _escape(_scalar(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _write(x, out: list, newline: str) -> None:
+    """Append the text of ``x`` at the indent that ``newline`` ends in."""
+    if isinstance(x, str):
+        out.append(_escape(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        joint = "{" + inner
+        for k, v in x.items():
+            out.append(joint + _key(k) + ": ")
+            joint = "," + inner
+            _write(v, out, inner)
+        out.append(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        joint = "[" + inner
+        for v in x:
+            out.append(joint)
+            joint = "," + inner
+            _write(v, out, inner)
+        out.append(newline + "]")
+    elif x is None or isinstance(x, (int, float)):
+        out.append(_scalar(x))
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _require_dict(data, what: str) -> dict:
@@ -249,8 +318,10 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an over-long int
         raise FileFormatError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise FileFormatError(f"{path} is not valid JSON: arrays and objects nest too deeply")
 
 
 def load_graph(path: str) -> Graph:

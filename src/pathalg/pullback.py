@@ -77,7 +77,9 @@ def _realize(h: HomLike) -> PathHom:
 class PullbackInstance:
     """One verification problem: the square plus the search bound."""
 
-    __slots__ = ("pi1", "pi2", "f", "f_res", "length_bound", "_f_cache", "_f_res_cache")
+    __slots__ = (
+        "pi1", "pi2", "f", "f_res", "length_bound", "_f_cache", "_f_res_cache", "_last_table"
+    )
 
     def __init__(
         self,
@@ -100,6 +102,7 @@ class PullbackInstance:
         self.length_bound = int(length_bound)
         self._f_cache = None
         self._f_res_cache = None
+        self._last_table = None  # (limit, preimage table)
 
     @property
     def amb1(self) -> Graph:
@@ -126,6 +129,13 @@ class PullbackInstance:
         if self._f_res_cache is None:
             self._f_res_cache = _realize(self.f_res)
         return self._f_res_cache
+
+    def _preimages(self, limit: int) -> dict[Path, Path]:
+        """``_preimage_table`` of the realized f, kept until a caller asks
+        for another limit, so H8 and the kernel check build it once."""
+        if self._last_table is None or self._last_table[0] != limit:
+            self._last_table = (limit, _preimage_table(self.realize_f(), limit))
+        return self._last_table[1]
 
     def with_bound(self, bound: int) -> "PullbackInstance":
         return PullbackInstance(self.pi1, self.pi2, self.f, self.f_res, bound)
@@ -473,7 +483,7 @@ def _check_h8(
             "a missing preimage below is not conclusive"
         )
 
-    table = _preimage_table(f, limit)
+    table = inst._preimages(limit)
     certificate = []
     for p in targets:
         q = table.get(p)
@@ -669,7 +679,7 @@ def check_kernel_inclusion(
 
     outside = set(inst.pi2.complement())
     pool = [p for p in paths_up_to(inst.amb2, bound) if p.target in outside]
-    table = _preimage_table(f, bound)
+    table = inst._preimages(bound)
 
     def preimage(p: Path) -> Path:
         q = table.get(p)

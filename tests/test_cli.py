@@ -264,6 +264,29 @@ class TestInputErrors:
         assert code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("command", ["classify", "pullback"])
+    @pytest.mark.parametrize(
+        "content,reason",
+        [
+            (
+                b'{"vertices": ["\xff"], "edges": []}',
+                "'utf-8' codec can't decode byte 0xff in position 15: invalid start byte",
+            ),
+            (b"[" * 100_000, "arrays and objects nest too deeply"),
+            # an int past the interpreter's digit limit, where it has one
+            (b'{"length_bound": ' + b"7" * 5000 + b"}", None),
+        ],
+        ids=["not-utf8", "deep-nesting", "long-int"],
+    )
+    def test_undecodable_file(self, capsys, tmp_path, command, content, reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if reason is not None:
+            assert err == f"error: {path} is not valid JSON: {reason}\n"
+
     def test_non_list_infinite_emitters(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"vertices": ["v"], "edges": [], "infinite_emitters": 5}')

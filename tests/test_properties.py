@@ -1,20 +1,25 @@
 """Property tests over random small graphs: products in the path, Cohn and
 Leavitt algebras, the expression parser's sums, and the paths the package
-builds without re-validating them.
+builds without re-validating them; and the canonical JSON writer against
+``json.dumps``.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples (``conftest.py`` keeps Hypothesis' other files out of the tree).
 """
+import json
+import math
 from fractions import Fraction
+from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pathalg import AlgebraContext, Graph, Path, paths_up_to, regular_vertices
+from pathalg import AlgebraContext, Graph, Path, canonical_dumps, paths_up_to, regular_vertices
 from pathalg.algebra import Monomial, multiply
+from pathalg.cli import main
 from pathalg.expressions import parse_expression
-from pathalg.registry import MORPHISMS
+from pathalg.registry import INCLUSIONS, MORPHISMS
 
 from helpers import reference_multiply
 
@@ -205,3 +210,87 @@ def test_applied_paths_equal_validated_ones(name):
     f = MORPHISMS[name]
     for p in paths_up_to(f.dom, 3):
         _assert_valid(f.apply(p))
+
+
+# -- the canonical JSON writer ---------------------------------------------------
+
+
+def reference_dumps(data) -> str:
+    return json.dumps(data, indent=2) + "\n"
+
+
+# built with chr, not st.characters, which builds a Unicode table on first use
+_characters = st.one_of(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\U0001f600\ud800\udfff'),
+    st.integers(0, 0x10FFFF).map(chr),  # lone surrogates included
+)
+
+
+def _text(max_size: int):
+    return st.lists(_characters, max_size=max_size).map("".join)
+
+
+_scalars = st.one_of(
+    _text(8),
+    st.integers(),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324]),
+)
+_keys = st.one_of(_text(6), st.integers(), st.booleans(), st.none(), st.floats())
+_json_data = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_keys, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=_json_data)
+@example(data={"nan": float("nan"), float("nan"): [float("inf"), -math.inf, -0.0]})
+def test_canonical_dumps_is_json_dumps_indent_2(data):
+    assert canonical_dumps(data) == reference_dumps(data)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 2), [Fraction(1)], {"a": {3}}, {(1,): 2}])
+def test_canonical_dumps_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as ours:
+        canonical_dumps(value)
+    with pytest.raises(TypeError) as theirs:
+        reference_dumps(value)
+    assert str(ours.value) == str(theirs.value)
+
+
+_CLI_JSON = {
+    "pullback rp2q": ["pullback", "rp2q", "--json"],
+    **{
+        f"pullback rp2q --bound {bound}": ["pullback", "rp2q", "--bound", str(bound), "--json"]
+        for bound in range(6)
+    },
+    **{f"classify {name}": ["classify", name, "--json"] for name in MORPHISMS},
+    **{f"admissible {name}": ["admissible", name, "--json"] for name in INCLUSIONS},
+    "compose": ["compose", "loop_square", "loop_to_pt"],
+    "eval": ["eval", "L(toeplitz)", "e e e* e*", "--json"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_CLI_JSON.values()), ids=list(_CLI_JSON))
+def test_cli_json_output_is_json_dumps_indent_2(argv, capsys):
+    main(argv)
+    out = capsys.readouterr().out
+    assert out == reference_dumps(json.loads(out))
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in (resources.files("pathalg") / "fixtures").iterdir())
+)
+def test_fixtures_are_json_dumps_indent_2(name):
+    text = (resources.files("pathalg") / "fixtures" / name).read_text(encoding="utf-8")
+    data = json.loads(text)
+    assert canonical_dumps(data) == reference_dumps(data) == text

@@ -8,6 +8,7 @@ import pytest
 
 import pathalg.admissible
 import pathalg.morphisms
+import pathalg.pullback
 from pathalg import (
     DeferredHom,
     DomainMismatch,
@@ -23,6 +24,7 @@ from pathalg import (
     check_hypotheses,
     check_kernel_inclusion,
 )
+from pathalg.cli import main
 from pathalg.registry import GRAPHS, INCLUSIONS, INSTANCES, MORPHISMS
 
 from helpers import first_exitless_cycle, random_graph
@@ -436,3 +438,31 @@ class TestChecksRunOncePerMap:
         report = check_kernel_inclusion(inst)
         assert report.all_ok and len(report.entries) == 25
         assert runs == {id(inst.f): 1, id(inst.f_res): 1, id(inst.pi1): 1, id(inst.pi2): 1}
+
+    def test_h8_and_the_kernel_check_share_one_preimage_table(self, monkeypatch, capsys):
+        calls = []
+        build = pathalg.pullback._preimage_table
+
+        def counted(f, limit):
+            calls.append(limit)
+            return build(f, limit)
+
+        monkeypatch.setattr(pathalg.pullback, "_preimage_table", counted)
+        assert main(["pullback", "rp2q", "--json"]) == 0
+        shared = capsys.readouterr().out
+        assert calls == [6]
+
+        # one table per caller, as before the table was kept: same bytes
+        monkeypatch.setattr(
+            PullbackInstance, "_preimages", lambda inst, limit: counted(inst.realize_f(), limit)
+        )
+        assert main(["pullback", "rp2q", "--json"]) == 0
+        assert capsys.readouterr().out == shared
+        assert calls == [6, 6, 6]
+
+    def test_preimage_table_follows_the_limit(self):
+        inst = INSTANCES["rp2q"](2)
+        table = inst._preimages(2)
+        assert inst._preimages(2) is table
+        assert len(inst._preimages(3)) > len(table)
+        assert inst.with_bound(2)._preimages(2) is not table
