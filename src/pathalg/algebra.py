@@ -239,9 +239,11 @@ def _accumulate_pair(
                 continue
             # sum terms end in a non-special edge: already tail-normal
             mono = Monomial(left.extend(e), right.extend(e))
-            acc[mono] = acc.get(mono, _ZERO) - coeff
+            old = acc.get(mono)
+            acc[mono] = -coeff if old is None else old - coeff
     mono = Monomial(left, right)
-    acc[mono] = acc.get(mono, _ZERO) + coeff
+    old = acc.get(mono)
+    acc[mono] = coeff if old is None else old + coeff
 
 
 class AlgebraElement:
@@ -319,16 +321,22 @@ class AlgebraElement:
     def __str__(self):
         if not self.terms:
             return "0"
+        # sign and magnitude from the reduced numerator and denominator,
+        # spelled as str(Fraction) spells them
         parts = []
+        terms = self.terms
         for mono in self.monomials():
-            coeff = self.terms[mono]
+            coeff = terms[mono]
+            num, den = coeff.numerator, coeff.denominator
+            parts.append(" - " if num < 0 else " + ")
+            num = abs(num)
             body = _render_monomial(mono)
-            mag = abs(coeff)
-            text = body if mag == 1 else f"{mag} {body}"
-            if not parts:
-                parts.append(text if coeff > 0 else "-" + text)
-            else:
-                parts.append((" + " if coeff > 0 else " - ") + text)
+            if den != 1:
+                body = f"{num}/{den} {body}"
+            elif num != 1:
+                body = f"{num} {body}"
+            parts.append(body)
+        parts[0] = "-" if parts[0] == " - " else ""
         return "".join(parts)
 
     def __repr__(self):

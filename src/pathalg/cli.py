@@ -163,18 +163,27 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _render(elem) -> str:
+    try:
+        return str(elem)
+    except ValueError:  # a product of long coefficients past the int-to-str digit limit
+        raise ExpressionError(
+            "the value has a coefficient with more digits than the interpreter prints"
+        ) from None
+
+
 def _cmd_eval(args) -> int:
     names = _named_graphs(args.graphs)
     ctx = _resolve_context(args.context, names)
     elem = parse_expression(ctx, args.expression)
-    payload = {"context": ctx.describe(), "expression": args.expression, "value": str(elem)}
+    payload = {"context": ctx.describe(), "expression": args.expression, "value": _render(elem)}
     if args.apply:
         hom = _resolve_morphism(args.apply, names)
         image = induce(hom, elem)
         payload["applied"] = {
             "morphism": args.apply,
             "context": image.context.describe(),
-            "value": str(image),
+            "value": _render(image),
         }
     if args.json:
         payload["zero"] = elem.is_zero

@@ -277,9 +277,10 @@ class Path:
 
     def sort_key(self) -> tuple:
         """Length-major, then lexicographic in edge declaration order."""
-        if self.is_vertex:
-            return (0, (self.graph.vertex_index(self.vertex),))
-        return (len(self.edges), tuple(self.graph.edge_index(e) for e in self.edges))
+        edges = self.edges
+        if not edges:
+            return (0, (self.graph._vindex[self.vertex],))
+        return (len(edges), tuple(map(self.graph._eindex.__getitem__, edges)))
 
     def __eq__(self, other):
         if not isinstance(other, Path):

@@ -122,6 +122,41 @@ def reference_multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(ctx, acc)
 
 
+# -- rendering ------------------------------------------------------------------
+
+
+def reference_path_key(p: Path) -> tuple:
+    """Length-major, then lexicographic in edge declaration order; a vertex
+    sorts by its declaration index."""
+    g = p.graph
+    if p.is_vertex:
+        return (0, (g.vertex_index(p.vertex),))
+    return (len(p.edges), tuple(g.edge_index(e) for e in p.edges))
+
+
+def reference_monomial_key(mono) -> tuple:
+    return (reference_path_key(mono.left), reference_path_key(mono.right))
+
+
+def reference_render(element: AlgebraElement) -> str:
+    """The normal form as text, with the sign and magnitude of each
+    coefficient taken by Fraction comparisons and abs."""
+    if not element.terms:
+        return "0"
+    parts = []
+    for mono in sorted(element.terms, key=reference_monomial_key):
+        coeff = element.terms[mono]
+        letters = list(mono.left.edges) + [e + "*" for e in reversed(mono.right.edges)]
+        body = " ".join(letters) if letters else mono.left.vertex
+        mag = abs(coeff)
+        text = body if mag == 1 else f"{mag} {body}"
+        if not parts:
+            parts.append(text if coeff > 0 else "-" + text)
+        else:
+            parts.append((" + " if coeff > 0 else " - ") + text)
+    return "".join(parts)
+
+
 # -- Laurent polynomials -------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, JSON output, and byte
 stability of the bundled fixture files."""
 import json
+import sys
 from importlib import resources
 
 import pytest
@@ -22,6 +23,12 @@ from pathalg import (
 )
 from pathalg.cli import main
 from pathalg.registry import GRAPHS, INCLUSIONS, MORPHISMS
+
+
+_needs_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any length",
+)
 
 
 def run(capsys, *argv):
@@ -299,6 +306,28 @@ class TestInputErrors:
         code, out, err = run(capsys, "eval", "L(rp2)", "² s")
         assert (code, out) == (2, "")
         assert err == "error: unexpected character '²' (at position 1)\n"
+
+    @_needs_digit_limit
+    @pytest.mark.parametrize(
+        "expression,position",
+        [("9" * 5000 + " s", 1), ("1/" + "9" * 5000 + " s", 3)],
+        ids=["numerator", "denominator"],
+    )
+    def test_number_past_the_digit_limit(self, capsys, expression, position):
+        code, out, err = run(capsys, "eval", "L(rp2)", expression)
+        assert (code, out) == (2, "")
+        assert err == f"error: number too long (5000 digits) (at position {position})\n"
+
+    @_needs_digit_limit
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_coefficient_past_the_digit_limit(self, capsys, json_flag):
+        # each factor parses; their product has 5000 digits
+        n = "9" * 2500
+        code, out, err = run(capsys, "eval", "L(rp2)", f"({n} v) ({n} v)", *json_flag)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the value has a coefficient with more digits than the interpreter prints\n"
+        )
 
     def test_deep_parenthesis_nesting(self, capsys):
         code, _, err = run(capsys, "eval", "L(toeplitz)", "(" * 3000 + "v" + ")" * 3000)

@@ -1,5 +1,7 @@
 """Expression grammar: rational coefficients, juxtaposed factors, postfix
 stars, parentheses, and the error positions the parser reports."""
+import sys
+
 import pytest
 
 from pathalg import AlgebraContext, Graph, ParseError, StarInPathMode, UnknownIdentifier
@@ -116,6 +118,21 @@ class TestErrors:
         with pytest.raises(ParseError) as info:
             parse_expression(L_toe, "e + \u00b2 e")
         assert str(info.value) == "unexpected character '\u00b2' (at position 5)"
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts integers of any length",
+    )
+    @pytest.mark.parametrize(
+        "text,position",
+        [("9" * 5000 + " e", 1), ("e + 1/" + "9" * 5000 + " e", 7)],
+        ids=["numerator", "denominator"],
+    )
+    def test_number_past_the_digit_limit(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_expression(L_toe, text)
+        assert str(info.value) == f"number too long (5000 digits) (at position {position})"
+        assert info.value.position == position
 
     def test_nesting_limit(self):
         assert s(L_toe, "(" * 100 + "e" + ")" * 100) == "e"

@@ -1,11 +1,14 @@
-"""The file loaders under fuzzing: whatever bytes a graph, morphism or
-instance file holds, ``pathalg`` keeps its exit-code contract.  The exit
-code is 0, 1 or 2, nothing escapes as a traceback, and exit 2 comes with an
-``error:`` line.
+"""The file loaders and the expression parser under fuzzing: whatever bytes
+a graph, morphism or instance file holds and whatever text an expression
+is, ``pathalg`` keeps its exit-code contract.  The exit code is 0, 1 or 2
+(0 or 2 for ``eval``), nothing escapes as a traceback, and exit 2 comes
+with an ``error:`` line.
 
-The bytes are random, truncated or mutated copies of the bundled fixtures,
-byte-level or after a JSON-level edit, with and without bytes that are not
-UTF-8.  Runs are derandomized and keep no example database.
+The file bytes are random, truncated or mutated copies of the bundled
+fixtures, byte-level or after a JSON-level edit, with and without bytes
+that are not UTF-8.  The expressions are runs of grammar tokens, long
+digit runs, unbalanced parentheses and non-ASCII text.  Runs are
+derandomized and keep no example database.
 """
 import contextlib
 import io
@@ -109,3 +112,41 @@ def test_loaders_keep_the_exit_code_contract(kind, tmp_path_factory):
             assert err.getvalue().startswith("error: ")
 
     check()
+
+
+# -- expression strings ----------------------------------------------------------
+
+_EVAL_CONTEXTS = ("P(rp2)", "C(rp2)", "C[v](rp2)", "L(rp2)")
+_expression_tokens = st.one_of(
+    st.sampled_from(
+        ["v", "w", "s", "r", "t", "v*", "s*", "r*", "t*", "zz", "+", "-", "*", "/",
+         "(", ")", "((", "))", "0", "1", "2", "1/2", "5/3", "1/0", "-v", "--json"]
+    ),
+    st.integers(0, 10**6).map(str),
+    # digit runs near and past the interpreter's int-to-str limit
+    st.tuples(st.sampled_from("19\u0669"), st.integers(2000, 5000)).map(lambda dn: dn[0] * dn[1]),
+    st.sampled_from(["\u00e9", "\u00b2", "\u0661", "\u00a0", "\u2028", "\ufeff", "\U0001f600"]),
+    st.integers(0, 0x10FFFF).map(chr),  # lone surrogates included
+)
+
+
+@st.composite
+def expressions(draw) -> str:
+    tokens = draw(st.lists(_expression_tokens, max_size=12))
+    return "".join(token + draw(st.sampled_from(["", " ", " "])) for token in tokens)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(context=st.sampled_from(_EVAL_CONTEXTS), text=expressions())
+def test_eval_keeps_the_exit_code_contract(context, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["eval", context, text])
+        except SystemExit as exc:  # argparse reads a text such as "-v" as an option
+            code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert any(line.startswith("error: ") or ": error: " in line for line in lines)

@@ -1,7 +1,7 @@
 """Property tests over random small graphs: products in the path, Cohn and
-Leavitt algebras, the expression parser's sums, and the paths the package
-builds without re-validating them; and the canonical JSON writer against
-``json.dumps``.
+Leavitt algebras, the expression parser's sums and generator runs, the
+rendered normal form, and the paths the package builds without
+re-validating them; and the canonical JSON writer against ``json.dumps``.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples (``conftest.py`` keeps Hypothesis' other files out of the tree).
@@ -16,12 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathalg import AlgebraContext, Graph, Path, canonical_dumps, paths_up_to, regular_vertices
-from pathalg.algebra import Monomial, multiply
+from pathalg.algebra import GeneratorWord, Letter, Monomial, multiply, normal_form
 from pathalg.cli import main
 from pathalg.expressions import parse_expression
 from pathalg.registry import INCLUSIONS, MORPHISMS
 
-from helpers import reference_multiply
+from helpers import reference_monomial_key, reference_multiply, reference_render
 
 _settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -64,10 +64,14 @@ def walks(draw, g: Graph):
     return source, edges, (g.tgt(edges[-1]) if edges else source)
 
 
+_small_integers = st.integers(-3, 3).filter(bool)
+
+
 @st.composite
-def elements(draw, ctx: AlgebraContext, max_terms: int = 3):
-    """Up to max_terms basis monomials with small nonzero integer
-    coefficients: paths in path mode, pairs S_alpha S_beta* otherwise."""
+def elements(draw, ctx: AlgebraContext, max_terms: int = 3, coefficients=_small_integers):
+    """Up to max_terms basis monomials with nonzero coefficients, small
+    integers by default: paths in path mode, pairs S_alpha S_beta*
+    otherwise."""
     g = ctx.graph
     total = ctx.zero()
     for _ in range(draw(st.integers(0, max_terms))):
@@ -78,7 +82,7 @@ def elements(draw, ctx: AlgebraContext, max_terms: int = 3):
         else:
             beta = _walk(draw, g, v, forward=False)
             term = ctx.pair_element(left, _path(g, v, beta))
-        total = total + term.scale(draw(st.integers(-3, 3).filter(bool)))
+        total = total + term.scale(draw(coefficients))
     return total
 
 
@@ -179,6 +183,104 @@ def test_expression_sum_is_left_fold_of_terms(make_context, data):
         value = parse_expression(ctx, term)
         expected = expected + value if op == "+" else expected - value
     assert parse_expression(ctx, _join(picks, ops)) == expected
+
+
+def _relative_cohn(g: Graph):
+    """The Cohn algebra relative to a random set of regular vertices."""
+    regular = regular_vertices(g)
+    return st.sets(st.sampled_from(regular)).map(
+        lambda vs: AlgebraContext.relative_cohn(g, vs)
+    ) if regular else st.just(AlgebraContext.cohn(g))
+
+
+CONTEXTS = {
+    "path": lambda g: st.just(AlgebraContext.path(g)),
+    "cohn": lambda g: st.just(AlgebraContext.cohn(g)),
+    "relative_cohn": _relative_cohn,
+    "leavitt": lambda g: st.just(AlgebraContext.leavitt(g)),
+}
+
+_WORD_COEFFICIENTS = {
+    "": Fraction(1), "2 ": Fraction(2), "3 * ": Fraction(3), "1/2 ": Fraction(1, 2),
+    "4/6 ": Fraction(2, 3), "0 ": Fraction(0),
+}
+
+
+@st.composite
+def generator_words(draw, ctx: AlgebraContext):
+    """(word, coefficient text, body text) of a scaled generator word.  The
+    word is one to three blocks, each either one to three random generators,
+    so that runs often die, or the letters of a pair S_a S_b*, so that
+    blocks often cancel along the prefix order; vertices are sometimes
+    starred."""
+    g = ctx.graph
+    letters = [Letter("P", v) for v in g.vertices] + [Letter("S", e) for e in g.edges]
+    if not ctx.is_path_mode:
+        letters += [Letter("S*", e) for e in g.edges]
+    word = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            word += draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3))
+            continue
+        _, alpha, v = draw(walks(g))
+        beta = () if ctx.is_path_mode else _walk(draw, g, v, forward=False)
+        word += [Letter("S", e) for e in alpha] + [Letter("S*", e) for e in reversed(beta)]
+        if not alpha and not beta:
+            word.append(Letter("P", v))
+    body = " ".join(
+        letter.name + "*" if letter.kind == "P" and draw(st.booleans()) else letter.render()
+        for letter in word
+    )
+    coefficient = draw(st.sampled_from(sorted(_WORD_COEFFICIENTS)))
+    return GeneratorWord(tuple(word), _WORD_COEFFICIENTS[coefficient]), coefficient, body
+
+
+@pytest.mark.parametrize("kind", sorted(CONTEXTS))
+@_settings
+@given(data=st.data())
+def test_term_is_the_multiply_fold_of_its_generators(kind, data):
+    """A scaled run of generators parses to the left fold of multiply over
+    ctx.vertex/edge/edge_star, scaled."""
+    ctx = data.draw(CONTEXTS[kind](data.draw(graphs())))
+    word, coefficient, body = data.draw(generator_words(ctx))
+    assert parse_expression(ctx, coefficient + body) == normal_form(ctx, word)
+
+
+@pytest.mark.parametrize("kind", sorted(CONTEXTS))
+@_settings
+@given(data=st.data())
+def test_parenthesized_terms_multiply(kind, data):
+    """(t1) (t2) is the product of the parsed terms, and runs on both sides
+    of a parenthesized term multiply with it."""
+    ctx = data.draw(CONTEXTS[kind](data.draw(graphs())))
+    (w1, c1, b1), (w2, c2, b2), (w3, _, b3) = (data.draw(generator_words(ctx)) for _ in range(3))
+    t1, t2 = parse_expression(ctx, c1 + b1), parse_expression(ctx, c2 + b2)
+    assert parse_expression(ctx, f"({c1}{b1}) ({c2}{b2})") == multiply(t1, t2)
+    around = multiply(multiply(normal_form(ctx, GeneratorWord(w1.letters)), t2),
+                      normal_form(ctx, GeneratorWord(w3.letters)))
+    assert parse_expression(ctx, f"{b1} ({c2}{b2}) {b3}") == around
+
+
+_fractions = st.tuples(
+    st.sampled_from((1, -1)),
+    st.one_of(
+        st.just(Fraction(1)),
+        st.integers(2, 12).map(Fraction),
+        st.tuples(st.integers(1, 20), st.integers(2, 20)).map(lambda nd: Fraction(*nd)),
+    ),
+).map(lambda sm: sm[0] * sm[1])
+
+
+@pytest.mark.parametrize("make_context", MODES, ids=["path", "cohn", "leavitt"])
+@_settings
+@given(data=st.data())
+def test_render_matches_reference(make_context, data):
+    """str reads the coefficients' numerators and denominators; the text is
+    the one Fraction comparisons and abs give, in the order of monomials()."""
+    ctx = make_context(data.draw(graphs()))
+    x = data.draw(elements(ctx, max_terms=6, coefficients=_fractions))
+    assert str(x) == reference_render(x)
+    assert x.monomials() == tuple(sorted(x.terms, key=reference_monomial_key))
 
 
 def _assert_valid(p: Path) -> None:
