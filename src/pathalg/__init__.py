@@ -21,7 +21,6 @@ from .algebra import (
     induce_leavitt,
     induce_path,
     multiply,
-    normal_form,
     verify_relations_preserved,
 )
 from .errors import (

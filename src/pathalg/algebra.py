@@ -45,33 +45,6 @@ RELATIVE_COHN = "relative_cohn"
 _ZERO = Fraction(0)
 
 
-class Letter(NamedTuple):
-    """One generator symbol: kind 'P' (vertex projection), 'S' (edge), or
-    'S*' (starred edge)."""
-
-    kind: str
-    name: str
-
-    def render(self) -> str:
-        return self.name + ("*" if self.kind == "S*" else "")
-
-
-@dataclass(frozen=True)
-class GeneratorWord:
-    """A scalar multiple of a product of generator letters."""
-
-    letters: tuple[Letter, ...]
-    scalar: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        object.__setattr__(self, "scalar", Fraction(self.scalar))
-
-    def __str__(self):
-        body = " ".join(l.render() for l in self.letters) or "1"
-        return body if self.scalar == 1 else f"{self.scalar} {body}"
-
-
 class Monomial(NamedTuple):
     """Basis monomial: the pair (left, right) denoting S_left S_right* with
     matching targets, in every mode.  A path p of the path algebra is the
@@ -211,15 +184,6 @@ class AlgebraContext:
         acc: dict[Monomial, Fraction] = {}
         _accumulate_pair(self, left, right, Fraction(1), acc)
         return AlgebraElement(self, acc)
-
-    def letter_element(self, letter: Letter) -> "AlgebraElement":
-        if letter.kind == "P":
-            return self.vertex(letter.name)
-        if letter.kind == "S":
-            return self.edge(letter.name)
-        if letter.kind == "S*":
-            return self.edge_star(letter.name)
-        raise ValueError(f"unknown letter kind {letter.kind!r}")
 
 
 def _accumulate_pair(
@@ -382,16 +346,6 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             for m2, c2 in exact.get((source, edges[:k]), ()):
                 _accumulate_pair(ctx, alpha, _append(m2.right, edges[k:]), c1 * c2, acc)
     return AlgebraElement(ctx, acc)
-
-
-def normal_form(ctx: AlgebraContext, word: GeneratorWord) -> AlgebraElement:
-    """Evaluate a generator word to its basis representation."""
-    result = ctx.unit()
-    for letter in word.letters:
-        if letter.kind == "S*" and ctx.is_path_mode:
-            raise StarInPathMode("starred letters are not allowed in path mode")
-        result = multiply(result, ctx.letter_element(letter))
-    return result.scale(word.scalar)
 
 
 # -- induced homomorphisms ----------------------------------------------------

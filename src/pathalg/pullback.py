@@ -9,7 +9,8 @@ The input is a square of graph maps
         amb1 -----f----> amb2
 
 with pi1, pi2 inclusions and f, f_res path homomorphisms, plus a length
-bound.  ``check_hypotheses`` evaluates eight hypotheses (H1..H8) in order;
+bound.  ``check_hypotheses`` evaluates eight hypotheses (H1..H8) in order,
+as the rows of one table over facts gathered once per report;
 ``check_commutativity`` and ``check_kernel_inclusion`` then verify the
 generator-level conclusions.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .admissible import GraphInclusion, breaking_vertices, is_admissible, quotient_map
 from .algebra import AlgebraContext, AlgebraElement, induce_leavitt
@@ -36,7 +37,7 @@ from .errors import (
     UnsupportedInfiniteEmitter,
 )
 from .graphs import Graph, Path, _exitless_cycle, paths_up_to
-from .morphisms import PathHom, classify
+from .morphisms import CategoryVerdict, PathHom, classify
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -149,10 +150,6 @@ class Hypothesis:
     witness: object = None
     detail: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict in ("pass", "pass_up_to_bound")
-
     def to_json_data(self) -> dict:
         data = {"name": self.name, "title": self.title, "verdict": self.verdict}
         if self.witness is not None:
@@ -212,14 +209,6 @@ def _path_data(p: Path) -> dict:
     return {"vertex": p.vertex} if p.is_vertex else {"edges": list(p.edges)}
 
 
-def _failed_class_witnesses(verdict) -> dict:
-    out = {}
-    for flag in ("vertex_injective", "monotone", "regular"):
-        if not getattr(verdict, flag):
-            out[flag] = verdict.witnesses.get(flag)
-    return out
-
-
 def _map_through_inclusion(inc: GraphInclusion, p: Path) -> Path:
     if p.is_vertex:
         return Path.at(inc.amb, inc.vmap[p.vertex])
@@ -272,209 +261,172 @@ def _preimage_table(f: PathHom, limit: int) -> dict[Path, Path]:
     return table
 
 
-def check_hypotheses(inst: PullbackInstance) -> HypothesisReport:
-    """Evaluate H1..H8 in order.
+class _Realized(NamedTuple):
+    """One side map as the checks see it: the realized map and its classify
+    verdict, or the (verdict, witness, detail) of why either is missing."""
 
-    Hypotheses whose inputs are unavailable (an earlier map failed to
-    realize, or symbolic flags leave a set undecided) report
-    ``not_evaluated``; the overall verdict is PASS only when everything is
-    verified outright, PASS_UP_TO_BOUND when the only caveat is the bounded
-    H8 search, and FAIL otherwise.
-    """
-    bound = inst.length_bound
-    hyps: list[Hypothesis] = []
+    hom: Optional[PathHom]
+    verdict: Optional[CategoryVerdict]
+    refusal: Optional[tuple]
 
-    # H1: both inclusions admissible
-    rep1 = is_admissible(inst.pi1)
-    rep2 = is_admissible(inst.pi2)
-    if rep1.ok and rep2.ok:
-        hyps.append(Hypothesis("H1", "both inclusions are admissible", "pass"))
-    else:
-        witness = {}
-        if not rep1.ok:
-            witness["pi1"] = rep1.to_json_data()
-        if not rep2.ok:
-            witness["pi2"] = rep2.to_json_data()
-        hyps.append(Hypothesis("H1", "both inclusions are admissible", "fail", witness))
 
-    # H2: vertex-simple loops of amb1 have exits (a flagged vertex always has one)
-    loop = _exitless_cycle(inst.amb1)
-    hyps.append(
-        Hypothesis(
-            "H2",
-            "every vertex-simple loop of amb1 has an exit",
-            "pass" if loop is None else "fail",
-            loop,
-        )
+def _realized(realize, unrealized: str) -> _Realized:
+    try:
+        hom = realize()
+    except InvalidPathHom as exc:
+        return _Realized(None, None, ("fail", {"error": str(exc)}, unrealized))
+    try:
+        return _Realized(hom, classify(hom), None)
+    except UnsupportedInfiniteEmitter as exc:
+        return _Realized(hom, None, ("not_evaluated", None, str(exc)))
+
+
+class _Facts(NamedTuple):
+    """What more than one hypothesis reads, computed once per report.  B1
+    and B2 are the breaking vertices of the two ambient graphs, both None
+    (with ``breaking_note``) when a flag leaves them undecided."""
+
+    inst: PullbackInstance
+    f: _Realized
+    f_res: _Realized
+    B1: Optional[set]
+    B2: Optional[set]
+    breaking_note: str
+
+
+def _facts(inst: PullbackInstance) -> _Facts:
+    f = _realized(inst.realize_f, "the morphism data does not define a path homomorphism")
+    f_res = _realized(
+        inst.realize_f_res, "the restriction data does not define a path homomorphism"
+    )
+    try:
+        B1 = set(breaking_vertices(inst.amb1, inst.pi1.complement()))
+        B2 = set(breaking_vertices(inst.amb2, inst.pi2.complement()))
+    except AmbiguousInfiniteEmitter as exc:
+        return _Facts(inst, f, f_res, None, None, str(exc))
+    return _Facts(inst, f, f_res, B1, B2, "")
+
+
+def _rmipg(m: _Realized) -> tuple:
+    """RMIPG is vertex-injective, monotone and regular: fail with the
+    witness of each flag that is off."""
+    if m.refusal is not None:
+        return m.refusal
+    v = m.verdict
+    failed = {
+        flag: v.witnesses.get(flag)
+        for flag in ("vertex_injective", "monotone", "regular")
+        if not getattr(v, flag)
+    }
+    return ("fail", failed, "") if failed else ("pass", None, "")
+
+
+def _first_offender(offenders, B2: Optional[set] = None) -> tuple:
+    """fail at the first offender, else pass; a pass over an empty B2 holds
+    vacuously."""
+    offender = next(iter(offenders), None)
+    if offender is not None:
+        return "fail", offender, ""
+    return "pass", None, "no breaking vertices; holds vacuously" if B2 == set() else ""
+
+
+def _h1(facts: _Facts) -> tuple:
+    reports = {"pi1": is_admissible(facts.inst.pi1), "pi2": is_admissible(facts.inst.pi2)}
+    witness = {name: rep.to_json_data() for name, rep in reports.items() if not rep.ok}
+    return ("fail", witness, "") if witness else ("pass", None, "")
+
+
+def _h2(facts: _Facts) -> tuple:
+    # a flagged vertex always has an exit
+    loop = _exitless_cycle(facts.inst.amb1)
+    return ("pass" if loop is None else "fail"), loop, ""
+
+
+def _h4(facts: _Facts) -> tuple:
+    f, B1, B2 = facts.f.hom, facts.B1, facts.B2
+    if f is None or B2 is None:
+        return "not_evaluated", None, facts.breaking_note or "f is unavailable"
+    offenders = (v for v in facts.inst.amb1.vertices if f.vmap[v] in B2 and v not in B1)
+    return _first_offender(offenders, B2)
+
+
+def _h5(facts: _Facts) -> tuple:
+    inst, f = facts.inst, facts.f.hom
+    if f is None:
+        return "not_evaluated", None, "f is unavailable"
+    return _first_offender(
+        v
+        for v in inst.amb1.vertices
+        if f.vmap[v] in inst.pi2.image_vertices and v not in inst.pi1.image_vertices
     )
 
-    # H3: f is a path homomorphism in RMIPG
-    f = verdict_f = None
-    try:
-        f = inst.realize_f()
-    except InvalidPathHom as exc:
-        hyps.append(
-            Hypothesis("H3", "f lies in RMIPG", "fail", {"error": str(exc)},
-                       "the morphism data does not define a path homomorphism")
-        )
-    if f is not None:
-        try:
-            verdict_f = classify(f)
-        except UnsupportedInfiniteEmitter as exc:
-            hyps.append(Hypothesis("H3", "f lies in RMIPG", "not_evaluated", None, str(exc)))
-        else:
-            if verdict_f.in_rmipg:
-                hyps.append(Hypothesis("H3", "f lies in RMIPG", "pass"))
-            else:
-                hyps.append(
-                    Hypothesis("H3", "f lies in RMIPG", "fail", _failed_class_witnesses(verdict_f))
-                )
 
-    # breaking-vertex sets, shared by H4/H7/H8
-    H1c = set(inst.pi1.complement())
-    H2c = set(inst.pi2.complement())
-    B1 = B2 = None
-    breaking_note = ""
-    try:
-        B1 = set(breaking_vertices(inst.amb1, H1c))
-        B2 = set(breaking_vertices(inst.amb2, H2c))
-    except AmbiguousInfiniteEmitter as exc:
-        breaking_note = str(exc)
+def _h6(facts: _Facts) -> tuple:
+    inst, f, res = facts.inst, facts.f.hom, facts.f_res
+    if res.refusal is None and f is not None:
+        mismatch = _restriction_mismatch(inst, f, res.hom)
+        if mismatch is not None:
+            return "fail", mismatch, "f and f_res disagree along the inclusions"
+    if res.refusal is None and f is None and res.verdict.in_rmipg:
+        return ("not_evaluated", None, "f is unavailable, so the restriction identity cannot be "
+                "checked (f_res itself lies in RMIPG)")
+    return _rmipg(res)
 
-    # H4: f maps only breaking-vertex preimages to breaking vertices
-    title4 = "preimages of breaking vertices are breaking"
-    if f is None or B1 is None or B2 is None:
-        note = breaking_note or "f is unavailable"
-        hyps.append(Hypothesis("H4", title4, "not_evaluated", None, note))
-    else:
-        offender = next(
-            (v for v in inst.amb1.vertices if f.vmap[v] in B2 and v not in B1), None
-        )
-        if offender is None:
-            detail = "" if B2 else "no breaking vertices; holds vacuously"
-            hyps.append(Hypothesis("H4", title4, "pass", None, detail))
-        else:
-            hyps.append(Hypothesis("H4", title4, "fail", offender))
 
-    # H5: vertices mapping into the second image lie in the first image
-    title5 = "f pulls the second inclusion's vertex image into the first's"
-    if f is None:
-        hyps.append(Hypothesis("H5", title5, "not_evaluated", None, "f is unavailable"))
-    else:
-        offender = next(
-            (
-                v
-                for v in inst.amb1.vertices
-                if f.vmap[v] in inst.pi2.image_vertices and v not in inst.pi1.image_vertices
-            ),
-            None,
-        )
-        if offender is None:
-            hyps.append(Hypothesis("H5", title5, "pass"))
-        else:
-            hyps.append(Hypothesis("H5", title5, "fail", offender))
+def _restriction_mismatch(inst: PullbackInstance, f: PathHom, f_res: PathHom) -> Optional[dict]:
+    for u in inst.sub1.vertices:
+        if f.vmap[inst.pi1.vmap[u]] != inst.pi2.vmap[f_res.vmap[u]]:
+            return {"generator": {"vertex": u}}
+    for x in inst.sub1.edges:
+        via_f = f.apply(Path.of(inst.amb1, (inst.pi1.emap[x],)))
+        via_res = _map_through_inclusion(inst.pi2, f_res.emap[x])
+        if via_f != via_res:
+            return {
+                "generator": {"edge": x},
+                "through_f": _path_data(via_f),
+                "through_f_res": _path_data(via_res),
+            }
+    return None
 
-    # H6: f restricts to f_res along the inclusions, and f_res lies in RMIPG
-    title6 = "f restricts to f_res, which lies in RMIPG"
-    f_res = verdict_res = None
-    try:
-        f_res = inst.realize_f_res()
-    except InvalidPathHom as exc:
-        hyps.append(
-            Hypothesis("H6", title6, "fail", {"error": str(exc)},
-                       "the restriction data does not define a path homomorphism")
-        )
-    if f_res is not None:
-        mismatch = None
-        if f is not None:
-            for u in inst.sub1.vertices:
-                if f.vmap[inst.pi1.vmap[u]] != inst.pi2.vmap[f_res.vmap[u]]:
-                    mismatch = {"generator": {"vertex": u}}
-                    break
-            if mismatch is None:
-                for x in inst.sub1.edges:
-                    via_f = f.apply(Path.of(inst.amb1, (inst.pi1.emap[x],)))
-                    via_res = _map_through_inclusion(inst.pi2, f_res.emap[x])
-                    if via_f != via_res:
-                        mismatch = {
-                            "generator": {"edge": x},
-                            "through_f": _path_data(via_f),
-                            "through_f_res": _path_data(via_res),
-                        }
-                        break
-        try:
-            verdict_res = classify(f_res)
-        except UnsupportedInfiniteEmitter as exc:
-            hyps.append(Hypothesis("H6", title6, "not_evaluated", None, str(exc)))
-        else:
-            if mismatch is not None:
-                hyps.append(Hypothesis("H6", title6, "fail", mismatch,
-                                       "f and f_res disagree along the inclusions"))
-            elif not verdict_res.in_rmipg:
-                hyps.append(
-                    Hypothesis("H6", title6, "fail", _failed_class_witnesses(verdict_res))
-                )
-            elif f is None:
-                hyps.append(
-                    Hypothesis("H6", title6, "not_evaluated", None,
-                               "f is unavailable, so the restriction identity cannot be checked "
-                               "(f_res itself lies in RMIPG)")
-                )
-            else:
-                hyps.append(Hypothesis("H6", title6, "pass"))
 
-    # H7: edges emitted from breaking-vertex preimages map to single edges
-    title7 = "f_res sends edges out of breaking-vertex preimages to single edges"
+def _h7(facts: _Facts) -> tuple:
+    inst, f, f_res, B2 = facts.inst, facts.f.hom, facts.f_res.hom, facts.B2
     if f is None or f_res is None or B2 is None:
-        note = breaking_note or "f or f_res is unavailable"
-        hyps.append(Hypothesis("H7", title7, "not_evaluated", None, note))
-    else:
-        offender = None
-        for x in inst.sub1.edges:
-            if f.vmap[inst.pi1.vmap[inst.sub1.src(x)]] in B2 and len(f_res.emap[x]) != 1:
-                offender = {"edge": x, "image_length": len(f_res.emap[x])}
-                break
-        if offender is None:
-            detail = "" if B2 else "no breaking vertices; holds vacuously"
-            hyps.append(Hypothesis("H7", title7, "pass", None, detail))
-        else:
-            hyps.append(Hypothesis("H7", title7, "fail", offender))
-
-    # H8: bounded surjectivity of f onto paths ending outside the second image
-    hyps.append(_check_h8(inst, f, verdict_f, bound))
-
-    return HypothesisReport(tuple(hyps), bound)
+        return "not_evaluated", None, facts.breaking_note or "f or f_res is unavailable"
+    return _first_offender(
+        (
+            {"edge": x, "image_length": len(f_res.emap[x])}
+            for x in inst.sub1.edges
+            if f.vmap[inst.pi1.vmap[inst.sub1.src(x)]] in B2 and len(f_res.emap[x]) != 1
+        ),
+        B2,
+    )
 
 
-def _check_h8(
-    inst: PullbackInstance,
-    f: Optional[PathHom],
-    verdict_f,
-    bound: int,
-) -> Hypothesis:
-    title = "paths ending outside the second image are hit by f (bounded search)"
+def _paths_outside(inst: PullbackInstance, bound: int) -> tuple[set, list[Path]]:
+    """The second inclusion's complement and the amb2 paths of length <=
+    bound ending in it."""
+    outside = set(inst.pi2.complement())
+    return outside, [p for p in paths_up_to(inst.amb2, bound) if p.target in outside]
+
+
+def _h8(facts: _Facts) -> tuple:
+    inst, f, bound = facts.inst, facts.f.hom, facts.inst.length_bound
     if f is None:
-        return Hypothesis("H8", title, "not_evaluated", None, "f is unavailable")
+        return "not_evaluated", None, "f is unavailable"
     if inst.amb2.infinite_emitters or inst.amb1.infinite_emitters:
-        return Hypothesis(
-            "H8", title, "not_evaluated", None,
-            "flagged vertices make the path family symbolic; cannot enumerate",
-        )
+        return ("not_evaluated", None,
+                "flagged vertices make the path family symbolic; cannot enumerate")
 
     # breaking vertices are flagged, so none exist once the flags are refused
-    targets_set = set(inst.pi2.complement())
-    targets = [p for p in paths_up_to(inst.amb2, bound) if p.target in targets_set]
+    outside, targets = _paths_outside(inst, bound)
 
-    injective = verdict_f is not None and verdict_f.vertex_injective
-    if injective:
+    if facts.f.verdict is not None and facts.f.verdict.vertex_injective:
         # vertex-injectivity makes every zero-image edge a strippable
         # self-loop, so some preimage is never longer than its image
-        limit = bound
-        exhaustive = True
-        cap_note = ""
+        limit, exhaustive, cap_note = bound, True, ""
     else:
-        c = max([len(f.emap[e]) for e in inst.amb1.edges], default=1)
-        c = max(1, c)
+        c = max([1] + [len(f.emap[e]) for e in inst.amb1.edges])
         wanted = bound * c + c
         limit = min(wanted, 4 * bound)
         exhaustive = wanted <= limit
@@ -496,10 +448,10 @@ def _check_h8(
             detail = cap_note or (
                 f"no domain path of length <= {limit} maps onto the witness path"
             )
-            return Hypothesis("H8", title, "fail", witness, detail)
+            return "fail", witness, detail
         certificate.append({"target": _path_data(p), "preimage": _path_data(q)})
 
-    max_len = _finite_family_max_length(inst.amb2, targets_set)
+    max_len = _finite_family_max_length(inst.amb2, outside)
     if max_len is not None and max_len <= bound:
         detail = (
             "the family of qualifying paths is finite and was fully covered "
@@ -507,7 +459,7 @@ def _check_h8(
             if max_len >= 0
             else "no path ends outside the second image; holds vacuously"
         )
-        return Hypothesis("H8", title, "pass", {"certificate": certificate}, detail)
+        return "pass", {"certificate": certificate}, detail
     if max_len is not None:
         detail = (
             f"qualifying paths form a finite family with maximum length {max_len}, "
@@ -517,7 +469,36 @@ def _check_h8(
         detail = f"infinitely many qualifying paths exist; checked up to length {bound}"
     if bound == 0:
         detail += " (degenerate bound 0: only length-0 paths were checked)"
-    return Hypothesis("H8", title, "pass_up_to_bound", {"certificate": certificate}, detail)
+    return "pass_up_to_bound", {"certificate": certificate}, detail
+
+
+# (name, title, check); each check maps the facts to (verdict, witness, detail)
+_HYPOTHESES = (
+    ("H1", "both inclusions are admissible", _h1),
+    ("H2", "every vertex-simple loop of amb1 has an exit", _h2),
+    ("H3", "f lies in RMIPG", lambda facts: _rmipg(facts.f)),
+    ("H4", "preimages of breaking vertices are breaking", _h4),
+    ("H5", "f pulls the second inclusion's vertex image into the first's", _h5),
+    ("H6", "f restricts to f_res, which lies in RMIPG", _h6),
+    ("H7", "f_res sends edges out of breaking-vertex preimages to single edges", _h7),
+    ("H8", "paths ending outside the second image are hit by f (bounded search)", _h8),
+)
+
+
+def check_hypotheses(inst: PullbackInstance) -> HypothesisReport:
+    """Evaluate H1..H8 in order.
+
+    Hypotheses whose inputs are unavailable (a map failed to realize, or
+    symbolic flags leave a set undecided) report ``not_evaluated``; the
+    overall verdict is PASS only when everything is verified outright,
+    PASS_UP_TO_BOUND when the only caveat is the bounded H8 search, and FAIL
+    otherwise.
+    """
+    facts = _facts(inst)
+    return HypothesisReport(
+        tuple(Hypothesis(name, title, *check(facts)) for name, title, check in _HYPOTHESES),
+        inst.length_bound,
+    )
 
 
 # -- generator-level conclusions ------------------------------------------------
@@ -557,8 +538,8 @@ class CommutativityReport:
         lines = []
         for e in self.entries:
             mark = "ok" if e.ok else "MISMATCH"
-            gen = e.generator.get("vertex") or e.generator.get("edge")
-            kind = "P" if "vertex" in e.generator else "S"
+            [(key, gen)] = e.generator.items()
+            kind = "P" if key == "vertex" else "S"
             lines.append(
                 f"  {kind}_{gen}: {e.through_amb}  vs  {e.through_sub}  [{mark}]"
             )
@@ -677,8 +658,7 @@ def check_kernel_inclusion(
     ctx1 = AlgebraContext.leavitt(inst.amb1)
     ctx2 = AlgebraContext.leavitt(inst.amb2)
 
-    outside = set(inst.pi2.complement())
-    pool = [p for p in paths_up_to(inst.amb2, bound) if p.target in outside]
+    _, pool = _paths_outside(inst, bound)
     table = inst._preimages(bound)
 
     def preimage(p: Path) -> Path:

@@ -1,5 +1,5 @@
-"""Independent oracles, references and word generators used across the test
-suite.
+"""Independent oracles, references, generator words with their evaluator,
+and random word generators used across the test suite.
 
 The matrix oracle represents the full quotient algebra of a line graph with
 n vertices on n-by-n rational matrices; the Laurent oracle represents the
@@ -11,15 +11,50 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
-from pathalg import AlgebraContext, Graph, Path, prefix_leq
-from pathalg.algebra import AlgebraElement, GeneratorWord, Letter, _accumulate_pair
+from pathalg import AlgebraContext, Graph, Path, multiply, prefix_leq
+from pathalg.algebra import AlgebraElement, _accumulate_pair
 
 
 def line_graph(n: int) -> Graph:
     vertices = [f"v{i}" for i in range(1, n + 1)]
     edges = [(f"g{i}", f"v{i}", f"v{i+1}") for i in range(1, n)]
     return Graph(vertices, edges)
+
+
+# -- generator words -------------------------------------------------------------
+
+
+class Letter(NamedTuple):
+    """One generator symbol: kind 'P' (vertex projection), 'S' (edge), or
+    'S*' (starred edge)."""
+
+    kind: str
+    name: str
+
+    def render(self) -> str:
+        return self.name + ("*" if self.kind == "S*" else "")
+
+
+class GeneratorWord(NamedTuple):
+    """A scalar multiple of a product of generator letters."""
+
+    letters: tuple
+    scalar: Fraction = Fraction(1)
+
+
+def letter_element(ctx: AlgebraContext, letter: Letter) -> AlgebraElement:
+    return {"P": ctx.vertex, "S": ctx.edge, "S*": ctx.edge_star}[letter.kind](letter.name)
+
+
+def normal_form(ctx: AlgebraContext, word: GeneratorWord) -> AlgebraElement:
+    """The word's value: the left fold of ``multiply`` over its generators,
+    scaled."""
+    result = ctx.unit()
+    for letter in word.letters:
+        result = multiply(result, letter_element(ctx, letter))
+    return result.scale(word.scalar)
 
 
 # -- exact rational matrices --------------------------------------------------
@@ -211,7 +246,7 @@ def random_fold(ctx: AlgebraContext, word: GeneratorWord, rng: random.Random):
     """Evaluate the word under a random association order; any association
     must agree with the canonical left fold for the product to be well
     defined."""
-    factors = [ctx.letter_element(letter) for letter in word.letters]
+    factors = [letter_element(ctx, letter) for letter in word.letters]
     if not factors:
         return ctx.unit().scale(word.scalar)
     while len(factors) > 1:

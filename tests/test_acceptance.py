@@ -14,6 +14,7 @@ from helpers import (
     element_laurent,
     element_matrix,
     line_graph,
+    normal_form,
     random_fold,
     random_word,
     word_laurent,
@@ -45,7 +46,6 @@ from pathalg import (
     prefix_leq,
     verify_relations_preserved,
 )
-from pathalg.algebra import normal_form
 from pathalg.cli import main as cli_main
 from pathalg.registry import EXAMPLES, GRAPHS, INSTANCES, MORPHISMS, run_example
 

@@ -227,9 +227,7 @@ class TestQuotientMap:
     def test_is_multiplicative_on_samples(self):
         import random
 
-        from helpers import random_word
-
-        from pathalg.algebra import normal_form
+        from helpers import normal_form, random_word
 
         rng = random.Random(21)
         ctx = AlgebraContext.leavitt(toeplitz)

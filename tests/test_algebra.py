@@ -19,17 +19,18 @@ from pathalg import (
     induce_cohn,
     induce_leavitt,
     induce_path,
-    normal_form,
     verify_relations_preserved,
 )
-from pathalg.algebra import GeneratorWord, Letter
 from pathalg.graphs import Graph
 from pathalg.registry import GRAPHS, MORPHISMS
 
 from helpers import (
+    GeneratorWord,
+    Letter,
     element_laurent,
     element_matrix,
     line_graph,
+    normal_form,
     random_fold,
     random_word,
     word_laurent,

@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 
 from pathalg import (
+    Graph,
     GraphInclusion,
     PathHom,
     PullbackInstance,
@@ -226,6 +227,15 @@ class TestPullback:
         assert data["hypotheses"]["first_failure"] == "H5"
         assert data["commutativity"] is None
         assert data["kernel"] is None
+
+    def test_vertex_with_the_empty_id(self, capsys, tmp_path):
+        g = Graph(["", "w"], [("e", "", "w")])
+        inc, ident = GraphInclusion.identity(g), PathHom.identity(g)
+        path = tmp_path / "blank.json"
+        save_json(str(path), instance_to_data(PullbackInstance(inc, inc, ident, ident, 2)))
+        code, out, _ = run(capsys, "pullback", str(path))
+        assert code == 0
+        assert "commutativity on generators:\n  P_:   vs    [ok]\n  P_w: w  vs  w  [ok]\n" in out
 
 
 class TestExamplesAndList:

@@ -1,8 +1,8 @@
 """The file loaders and the expression parser under fuzzing: whatever bytes
-a graph, morphism or instance file holds and whatever text an expression
-is, ``pathalg`` keeps its exit-code contract.  The exit code is 0, 1 or 2
-(0 or 2 for ``eval``), nothing escapes as a traceback, and exit 2 comes
-with an ``error:`` line.
+a graph, morphism, inclusion or instance file holds and whatever text an
+expression is, ``pathalg`` keeps its exit-code contract.  The exit code is
+0, 1 or 2 (0 or 2 for ``eval``), nothing escapes as a traceback, and exit
+2 comes with an ``error:`` line.
 
 The file bytes are random, truncated or mutated copies of the bundled
 fixtures, byte-level or after a JSON-level edit, with and without bytes
@@ -29,11 +29,18 @@ def _argv(path: str, kind: str) -> list:
         return ["eval", f"L({path})", "v"]
     if kind == "morphism":
         return ["classify", path, "--json"]
+    if kind == "inclusion":
+        return ["admissible", path, "--json"]
     # the file's own length bound may be anything, so the run's is fixed
     return ["pullback", path, "--bound", "2", "--json"]
 
 
-KINDS = {"graph": "rp2.json", "morphism": "phi_rp2.json", "instance": "rp2q.json"}
+KINDS = {
+    "graph": "rp2.json",
+    "morphism": "phi_rp2.json",
+    "inclusion": "loop_in_toeplitz.json",
+    "instance": "rp2q.json",
+}
 
 _not_utf8 = st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe9", b"\x80"])
 _json_values = st.one_of(

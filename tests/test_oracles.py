@@ -9,14 +9,16 @@ from fractions import Fraction
 import pytest
 
 from pathalg import AlgebraContext
-from pathalg.algebra import GeneratorWord, Letter, normal_form
 
 from helpers import (
+    GeneratorWord,
+    Letter,
     element_matrix,
     letter_matrix,
     line_graph,
     mat_eye,
     mat_mul,
+    normal_form,
     unit_matrix,
     word_laurent,
     word_matrix,

@@ -16,12 +16,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathalg import AlgebraContext, Graph, Path, canonical_dumps, paths_up_to, regular_vertices
-from pathalg.algebra import GeneratorWord, Letter, Monomial, multiply, normal_form
+from pathalg.algebra import Monomial, multiply
 from pathalg.cli import main
 from pathalg.expressions import parse_expression
 from pathalg.registry import INCLUSIONS, MORPHISMS
 
-from helpers import reference_monomial_key, reference_multiply, reference_render
+from helpers import (
+    GeneratorWord,
+    Letter,
+    normal_form,
+    reference_monomial_key,
+    reference_multiply,
+    reference_render,
+)
 
 _settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 

@@ -303,6 +303,87 @@ class TestMutations:
         assert witness["pi1"]["admissible"] is False
 
 
+def _induced(g: Graph, vertices, flagged=()) -> GraphInclusion:
+    sub = Graph(
+        vertices,
+        [(e, g.src(e), g.tgt(e)) for e in g.edges if g.src(e) in vertices and g.tgt(e) in vertices],
+        flagged,
+    )
+    return GraphInclusion(sub, g, {v: v for v in sub.vertices}, {e: e for e in sub.edges})
+
+
+def _flagged_square(amb1: Graph, amb2: Graph, vmap: dict, emap: dict, flagged1=(),
+                    res_emap=None):
+    """amb1 on the one vertex u over amb2 on a, b, h with the image {a, b};
+    f_res is f on the same ids unless ``res_emap`` says otherwise."""
+    pi1 = _induced(amb1, ["u"], flagged1)
+    pi2 = _induced(amb2, ["a", "b"])
+    f = PathHom(amb1, amb2, vmap, emap)
+    f_res = PathHom(pi1.sub, pi2.sub, vmap, emap if res_emap is None else res_emap)
+    return PullbackInstance(pi1, pi2, f, f_res, 2)
+
+
+# b is breaking: its unlisted edges land in the complement {h} and its
+# listed edge x lands on the image vertex a
+_BREAKING = Graph(["a", "b", "h"], [("x", "b", "a"), ("y", "a", "b")],
+                  infinite_emitters=[("b", ["h"])])
+# b's unlisted edges may land on either side of the image
+_AMBIGUOUS = Graph(["a", "b", "h"], [("x", "b", "a"), ("y", "a", "b")],
+                   infinite_emitters=[("b", ["a", "h"])])
+_POINT = Graph(["u"])
+_LOOP = Graph(["u"], [("z", "u", "u")])
+_FLAGGED_LOOP = Graph(["u"], [("z", "u", "u")], infinite_emitters=["u"])
+_UNLISTED = "classification is defined over fully listed graphs only"
+_SYMBOLIC = "flagged vertices make the path family symbolic; cannot enumerate"
+_EITHER_SIDE = "vertex 'b': unlisted edges may land on either side of the set"
+
+# (verdict, witness, detail) of the hypotheses each square reaches
+_FLAGGED_SQUARES = {
+    "h4_fail": (
+        lambda: _flagged_square(_POINT, _BREAKING, {"u": "b"}, {}),
+        {"H3": ("not_evaluated", None, _UNLISTED), "H4": ("fail", "u", ""),
+         "H7": ("pass", None, ""), "H8": ("not_evaluated", None, _SYMBOLIC)},
+    ),
+    "h7_fail": (
+        lambda: _flagged_square(_LOOP, _BREAKING, {"u": "b"}, {"z": ("x", "y")}),
+        {"H4": ("fail", "u", ""), "H6": ("pass", None, ""),
+         "H7": ("fail", {"edge": "z", "image_length": 2}, "")},
+    ),
+    "pass_with_breaking": (
+        lambda: _flagged_square(_LOOP, _BREAKING, {"u": "a"}, {"z": ("y", "x")}),
+        {"H4": ("pass", None, ""), "H7": ("pass", None, "")},
+    ),
+    "flagged_domains": (
+        lambda: _flagged_square(_FLAGGED_LOOP, _BREAKING, {"u": "a"}, {"z": ("y", "x")},
+                                flagged1=["u"]),
+        {"H3": ("not_evaluated", None, _UNLISTED), "H4": ("pass", None, ""),
+         "H6": ("not_evaluated", None, _UNLISTED), "H7": ("pass", None, ""),
+         "H8": ("not_evaluated", None, _SYMBOLIC)},
+    ),
+    # a map classify refuses is not_evaluated, even where f and f_res disagree
+    "flagged_restriction_mismatch": (
+        lambda: _flagged_square(_FLAGGED_LOOP, _BREAKING, {"u": "a"}, {"z": ("y", "x")},
+                                flagged1=["u"], res_emap={"z": ("y", "x", "y", "x")}),
+        {"H6": ("not_evaluated", None, _UNLISTED)},
+    ),
+    "ambiguous_emitter": (
+        lambda: _flagged_square(_LOOP, _AMBIGUOUS, {"u": "a"}, {"z": ("y", "x")}),
+        {"H4": ("not_evaluated", None, _EITHER_SIDE), "H5": ("pass", None, ""),
+         "H7": ("not_evaluated", None, _EITHER_SIDE), "H8": ("not_evaluated", None, _SYMBOLIC)},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FLAGGED_SQUARES))
+def test_flagged_square_verdicts(case):
+    make, expected = _FLAGGED_SQUARES[case]
+    report = check_hypotheses(make())
+    assert report.overall == "FAIL"
+    for name, want in expected.items():
+        h = report.hypothesis(name)
+        assert (h.verdict, h.witness, h.detail) == want, name
+
+
 class TestBoundedSearch:
     def build(self, bound, e2_length=2):
         # collapsing both vertices makes f non-injective, and nothing ever
@@ -344,6 +425,17 @@ class TestCommutativityFailures:
         assert bad[0].through_amb == "e e"
         assert bad[0].through_sub == "e"
         assert "DOES NOT COMMUTE" in report.render_text()
+
+    def test_vertex_with_the_empty_id(self):
+        g = Graph(["", "w"], [("e", "", "w")])
+        inc, ident = GraphInclusion.identity(g), PathHom.identity(g)
+        report = check_commutativity(PullbackInstance(inc, inc, ident, ident, 2))
+        assert report.render_text().splitlines() == [
+            "  P_:   vs    [ok]",
+            "  P_w: w  vs  w  [ok]",
+            "  S_e: e  vs  e  [ok]",
+            "  => commutes on all generators",
+        ]
 
     def test_non_realizing_maps_are_an_error(self):
         broken = DeferredHom(rp2, toeplitz, {"v": "v", "w": "w"},
