@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 semantic verdict against the input (a failed
 requirement, inadmissible inclusion, failed verification), 2 malformed
-input or usage.
+input or usage.  A package error exits with its class's ``exit_code``.
 """
 from __future__ import annotations
 
@@ -10,29 +10,12 @@ import argparse
 import os
 import re
 import sys
-from typing import Mapping, Optional
+from typing import Mapping
 
 from . import registry
 from .algebra import AlgebraContext, induce
 from .admissible import breaking_vertices, is_admissible, kernel_generators
-from .errors import (
-    AmbiguousInfiniteEmitter,
-    ContextMismatch,
-    DomainMismatch,
-    ExpressionError,
-    FileFormatError,
-    GraphError,
-    HypothesisNotMet,
-    InvalidInclusion,
-    InvalidPathHom,
-    NotAdmissible,
-    NotMonotone,
-    NotRegular,
-    NotVertexInjective,
-    PreimageNotFound,
-    StarInPathMode,
-    UnsupportedInfiniteEmitter,
-)
+from .errors import AmbiguousInfiniteEmitter, ExpressionError, FileFormatError, PathalgError
 from .expressions import parse_expression
 from .graphs import Graph
 from .jsonio import (
@@ -50,28 +33,6 @@ from .pullback import (
     check_hypotheses,
     check_kernel_inclusion,
 )
-
-_SEMANTIC_ERRORS = (
-    NotAdmissible,
-    NotMonotone,
-    NotRegular,
-    NotVertexInjective,
-    HypothesisNotMet,
-    PreimageNotFound,
-    DomainMismatch,
-)
-_INPUT_ERRORS = (
-    FileFormatError,
-    GraphError,
-    InvalidPathHom,
-    InvalidInclusion,
-    AmbiguousInfiniteEmitter,
-    ExpressionError,
-    ContextMismatch,
-    UnsupportedInfiniteEmitter,
-    StarInPathMode,
-)
-
 
 def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
@@ -130,6 +91,10 @@ def _print_json(data) -> None:
     sys.stdout.write(canonical_dumps(data))
 
 
+def _yes_no(label: str, ok: bool, witness) -> None:
+    print(f"{label}: yes" if ok else f"{label}: no  (witness: {witness})")
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -148,11 +113,7 @@ def _cmd_classify(args) -> int:
             ("regular", "regular"),
         )
         for label, flag in flags:
-            value = getattr(verdict, flag)
-            line = f"{label}: {'yes' if value else 'no'}"
-            if not value:
-                line += f"  (witness: {verdict.witnesses.get(flag)})"
-            print(line)
+            _yes_no(label, getattr(verdict, flag), verdict.witnesses.get(flag))
         classes = [name for name in CATEGORY_NAMES if verdict.satisfies(name)]
         print("classes: " + (" ".join(classes) if classes else "(none)"))
     if args.require:
@@ -210,49 +171,34 @@ def _cmd_admissible(args) -> int:
         args.inclusion, registry.INCLUSIONS, lambda path: load_inclusion(path, names), "inclusion"
     )
     report = is_admissible(inc)
-    payload = report.to_json_data()
-
-    breaking: Optional[list] = None
-    breaking_note = ""
     try:
         breaking = list(breaking_vertices(inc.amb, set(inc.complement())))
     except AmbiguousInfiniteEmitter as exc:
-        breaking_note = str(exc)
-    payload["breaking_vertices"] = breaking
-
-    kernel_data = None
+        breaking, breaking_note = None, str(exc)
     # kernel_generators reads the same breaking vertices, so it cannot raise here
-    if report.ok and breaking is not None:
-        kernel_data = kernel_generators(inc).to_json_data()
-    payload["kernel_generators"] = kernel_data
+    kernel = kernel_generators(inc) if report.ok and breaking is not None else None
 
     if args.json:
+        payload = report.to_json_data()
+        payload["breaking_vertices"] = breaking
+        payload["kernel_generators"] = None if kernel is None else kernel.to_json_data()
         _print_json(payload)
     else:
-        a1 = payload["a1_saturated"]
-        a2 = payload["a2_full_preimage"]
-        print(f"A1 complement saturated: {'yes' if a1['ok'] else 'no'}"
-              + ("" if a1["ok"] else f"  (witness: {a1['witness']})"))
-        print(f"A2 incoming edges of image vertices are in the image: "
-              f"{'yes' if a2['ok'] else 'no'}"
-              + ("" if a2["ok"] else f"  (witness: {a2['witness']})"))
-        hered = payload["hereditary_complement"]
-        if hered is None:
+        _yes_no("A1 complement saturated", *report.a1_saturated)
+        _yes_no("A2 incoming edges of image vertices are in the image", *report.a2_full_preimage)
+        if report.hereditary is None:
             print("hereditary (diagnostic): undecidable from the declared data")
         else:
-            print(f"hereditary (diagnostic): {'yes' if hered['ok'] else 'no'}"
-                  + ("" if hered["ok"] else f"  (witness: {hered['witness']})"))
-        comp = payload["complement"]
+            _yes_no("hereditary (diagnostic)", *report.hereditary)
+        comp = report.complement
         print("complement vertices: " + (" ".join(comp) if comp else "(none)"))
         if breaking is None:
             print(f"breaking vertices: undecidable ({breaking_note})")
         else:
             print("breaking vertices: " + (" ".join(breaking) if breaking else "(none)"))
-        if kernel_data is not None:
-            nproj = len(kernel_data["vertex_projections"])
-            ncorr = len(kernel_data["breaking_corrections"])
-            print(f"kernel generators: {nproj} vertex projection(s), "
-                  f"{ncorr} breaking correction(s)")
+        if kernel is not None:
+            print(f"kernel generators: {len(kernel.vertex_projections)} vertex projection(s), "
+                  f"{len(kernel.breaking_corrections)} breaking correction(s)")
         print(f"admissible: {'yes' if report.ok else 'no'}")
     return 0 if report.ok else 1
 
@@ -294,8 +240,7 @@ def _cmd_pullback(args) -> int:
 
 def _cmd_examples(args) -> int:
     if args.name is not None and args.name not in registry.EXAMPLES:
-        print(f"unknown example {args.name!r}; try 'pathalg list'", file=sys.stderr)
-        return 2
+        raise FileFormatError(f"unknown example {args.name!r}; try 'pathalg list'")
     names = [args.name] if args.name else list(registry.EXAMPLES)
     all_ok = True
     for name in names:
@@ -315,16 +260,13 @@ def _cmd_list(args) -> int:
     print("graphs:")
     for name, g in registry.GRAPHS.items():
         print(f"  {name}  ({len(g.vertices)} vertices, {len(g.edges)} edges)")
+    graph_name = {g: name for name, g in registry.GRAPHS.items()}
     print("morphisms:")
     for name, hom in registry.MORPHISMS.items():
-        dom = next(k for k, v in registry.GRAPHS.items() if v == hom.dom)
-        cod = next(k for k, v in registry.GRAPHS.items() if v == hom.cod)
-        print(f"  {name}  ({dom} -> {cod})")
+        print(f"  {name}  ({graph_name[hom.dom]} -> {graph_name[hom.cod]})")
     print("inclusions:")
     for name, inc in registry.INCLUSIONS.items():
-        sub = next(k for k, v in registry.GRAPHS.items() if v == inc.sub)
-        amb = next(k for k, v in registry.GRAPHS.items() if v == inc.amb)
-        print(f"  {name}  ({sub} in {amb})")
+        print(f"  {name}  ({graph_name[inc.sub]} in {graph_name[inc.amb]})")
     print("instances:")
     for name in registry.INSTANCES:
         print(f"  {name}")
@@ -394,12 +336,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _SEMANTIC_ERRORS as exc:
+    except PathalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 def run() -> None:

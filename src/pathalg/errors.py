@@ -2,12 +2,16 @@
 
 Everything raised on purpose derives from PathalgError so callers (and the
 CLI) can tell structured failures apart from bugs.  Errors that carry a
-counterexample expose it as ``.witness``.
+counterexample expose it as ``.witness``.  ``exit_code`` is the code the
+CLI exits with: 2 for malformed input, 1 where the check ran and the
+answer is no.
 """
 
 
 class PathalgError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class GraphError(PathalgError):
@@ -43,7 +47,7 @@ class InvalidPathHom(MorphismError):
 
 
 class DomainMismatch(MorphismError):
-    pass
+    exit_code = 1
 
 
 class AlgebraError(PathalgError):
@@ -59,6 +63,8 @@ class StarInPathMode(AlgebraError):
 
 
 class _WitnessedError(AlgebraError):
+    exit_code = 1
+
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
@@ -85,6 +91,8 @@ class InvalidInclusion(InclusionError):
 
 
 class NotAdmissible(InclusionError):
+    exit_code = 1
+
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
@@ -99,7 +107,7 @@ class AmbiguousInfiniteEmitter(InclusionError):
 
 
 class PullbackError(PathalgError):
-    pass
+    exit_code = 1
 
 
 class HypothesisNotMet(PullbackError):

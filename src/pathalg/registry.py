@@ -7,6 +7,7 @@ what the library computes (``pathalg examples`` runs them all).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .admissible import GraphInclusion
 from .algebra import AlgebraContext
@@ -134,137 +135,71 @@ class ExampleResult:
         return all(c.ok for c in self.checks)
 
 
-def _flag_checks(verdict, expected_flags: dict, expected_witnesses: dict) -> list[ExampleCheck]:
-    checks = []
-    for flag, want in expected_flags.items():
-        checks.append(ExampleCheck(flag, str(want), str(getattr(verdict, flag))))
-    for flag, want in expected_witnesses.items():
-        checks.append(
-            ExampleCheck(f"{flag} witness", str(want), str(verdict.witnesses.get(flag)))
-        )
-    return checks
-
-
-def _example_rose_to_loop() -> ExampleResult:
-    verdict = classify(MORPHISMS["rose2_to_loop"])
-    checks = _flag_checks(
-        verdict,
-        {
-            "is_path_hom": True,
-            "vertex_injective": True,
-            "vertex_bijective_finite": True,
-            "monotone": False,
-            "regular": False,
-        },
-        {
-            "monotone": ["e2", "e1"],
-            "regular": {"vertex": "v", "kind": "leaf_extension_conflict", "path": ["e"]},
-        },
-    )
-    return ExampleResult(
-        "rose-to-loop",
+# The six classification examples, one row each: the morphism classified,
+# the summary, then the expected flags, flag witnesses and class memberships.
+_CLASSIFICATIONS = {
+    "rose-to-loop": (
+        "rose2_to_loop",
         "two petals map to a loop and its square: one image is a prefix of the other",
-        tuple(checks),
-    )
-
-
-def _example_constant_rose() -> ExampleResult:
-    verdict = classify(MORPHISMS["rose2_to_pt"])
-    checks = _flag_checks(
-        verdict,
-        {
-            "is_path_hom": True,
-            "vertex_injective": True,
-            "vertex_bijective_finite": True,
-            "monotone": False,
-            "regular": False,
-        },
-        {
-            "monotone": ["e1", "e2"],
-            "regular": {"vertex": "v", "kind": "star_not_injective", "edges": ["e1", "e2"]},
-        },
-    )
-    return ExampleResult(
-        "constant-rose",
+        {"is_path_hom": True, "vertex_injective": True, "vertex_bijective_finite": True,
+         "monotone": False, "regular": False},
+        {"monotone": ["e2", "e1"],
+         "regular": {"vertex": "v", "kind": "leaf_extension_conflict", "path": ["e"]}},
+        {},
+    ),
+    "constant-rose": (
+        "rose2_to_pt",
         "both petals collapse to a point: equal length-0 images are prefix-comparable",
-        tuple(checks),
-    )
-
-
-def _example_edge_to_line() -> ExampleResult:
-    verdict = classify(MORPHISMS["edge_to_line"])
-    checks = _flag_checks(
-        verdict,
-        {
-            "vertex_injective": True,
-            "vertex_bijective_finite": False,
-            "monotone": True,
-            "regular": True,
-        },
-        {"vertex_bijective_finite": {"kind": "not_surjective", "vertex": "b"}},
-    )
-    checks.append(ExampleCheck("in RMIPG", "True", str(verdict.in_rmipg), basis="definition"))
-    checks.append(ExampleCheck("in RMBPG", "False", str(verdict.in_rmbpg), basis="definition"))
-    return ExampleResult(
-        "edge-to-line",
+        {"is_path_hom": True, "vertex_injective": True, "vertex_bijective_finite": True,
+         "monotone": False, "regular": False},
+        {"monotone": ["e1", "e2"],
+         "regular": {"vertex": "v", "kind": "star_not_injective", "edges": ["e1", "e2"]}},
+        {},
+    ),
+    "edge-to-line": (
+        "edge_to_line",
         "a single edge stretches across a 2-step line: regular but not vertex-surjective",
-        tuple(checks),
-    )
-
-
-def _example_missing_branch() -> ExampleResult:
-    verdict = classify(MORPHISMS["branch_missing"])
-    checks = _flag_checks(
-        verdict,
+        {"vertex_injective": True, "vertex_bijective_finite": False, "monotone": True,
+         "regular": True},
+        {"vertex_bijective_finite": {"kind": "not_surjective", "vertex": "b"}},
+        {"RMIPG": True, "RMBPG": False},
+    ),
+    "missing-branch": (
+        "branch_missing",
+        "the expansion tree below x2 never branches to y1, so one outgoing route is unreachable",
         {"vertex_injective": True, "monotone": True, "regular": False},
         {"regular": {"vertex": "v", "kind": "missing_branch", "path": ["x2", "y1"]}},
-    )
-    return ExampleResult(
-        "missing-branch",
-        "the expansion tree below x2 never branches to y1, so one outgoing route is unreachable",
-        tuple(checks),
-    )
-
-
-def _example_star_into_loop() -> ExampleResult:
-    verdict = classify(MORPHISMS["star_embed"])
-    checks = _flag_checks(
-        verdict,
-        {
-            "vertex_injective": True,
-            "vertex_bijective_finite": True,
-            "monotone": True,
-            "regular": False,
-        },
-        {"regular": {"vertex": "v", "kind": "missing_branch", "path": ["u"]}},
-    )
-    checks.append(ExampleCheck("in MBPG", "True", str(verdict.in_mbpg), basis="definition"))
-    return ExampleResult(
-        "star-into-loop",
-        "embedding a 2-star where the target also has a loop misses the loop branch",
-        tuple(checks),
-    )
-
-
-def _example_line_to_cycle() -> ExampleResult:
-    verdict = classify(MORPHISMS["line3_to_cycle3"])
-    checks = _flag_checks(
-        verdict,
-        {
-            "is_path_hom": True,
-            "vertex_injective": True,
-            "vertex_bijective_finite": True,
-            "monotone": True,
-            "regular": True,
-        },
         {},
-    )
-    checks.append(ExampleCheck("in RMBPG", "True", str(verdict.in_rmbpg), basis="definition"))
-    return ExampleResult(
-        "line-to-cycle",
+    ),
+    "star-into-loop": (
+        "star_embed",
+        "embedding a 2-star where the target also has a loop misses the loop branch",
+        {"vertex_injective": True, "vertex_bijective_finite": True, "monotone": True,
+         "regular": False},
+        {"regular": {"vertex": "v", "kind": "missing_branch", "path": ["u"]}},
+        {"MBPG": True},
+    ),
+    "line-to-cycle": (
+        "line3_to_cycle3",
         "wrapping a 2-edge line onto a 3-cycle satisfies the whole predicate tower",
-        tuple(checks),
-    )
+        {"is_path_hom": True, "vertex_injective": True, "vertex_bijective_finite": True,
+         "monotone": True, "regular": True},
+        {},
+        {"RMBPG": True},
+    ),
+}
+
+
+def _classification(name, morphism, summary, flags, witnesses, classes) -> ExampleResult:
+    verdict = classify(MORPHISMS[morphism])
+    checks = [ExampleCheck(flag, str(want), str(getattr(verdict, flag)))
+              for flag, want in flags.items()]
+    checks += [ExampleCheck(f"{flag} witness", str(want), str(verdict.witnesses.get(flag)))
+               for flag, want in witnesses.items()]
+    checks += [ExampleCheck(f"in {category}", str(want), str(verdict.satisfies(category)),
+                            basis="definition")
+               for category, want in classes.items()]
+    return ExampleResult(name, summary, tuple(checks))
 
 
 def _example_extended_lift_break() -> ExampleResult:
@@ -325,12 +260,7 @@ def _example_rp2q_pullback() -> ExampleResult:
 
 
 EXAMPLES = {
-    "rose-to-loop": _example_rose_to_loop,
-    "constant-rose": _example_constant_rose,
-    "edge-to-line": _example_edge_to_line,
-    "missing-branch": _example_missing_branch,
-    "star-into-loop": _example_star_into_loop,
-    "line-to-cycle": _example_line_to_cycle,
+    **{name: partial(_classification, name, *row) for name, row in _CLASSIFICATIONS.items()},
     "extended-lift-break": _example_extended_lift_break,
     "toeplitz-ev1": _example_toeplitz_ev1,
     "rp2q-pullback": _example_rp2q_pullback,

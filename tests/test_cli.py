@@ -7,9 +7,18 @@ from importlib import resources
 import pytest
 
 from pathalg import (
+    DomainMismatch,
+    ExpressionError,
     Graph,
     GraphInclusion,
+    HypothesisNotMet,
+    NotAdmissible,
+    NotMonotone,
+    NotRegular,
+    NotVertexInjective,
+    PathalgError,
     PathHom,
+    PreimageNotFound,
     PullbackInstance,
     canonical_dumps,
     graph_from_data,
@@ -22,6 +31,7 @@ from pathalg import (
     morphism_to_data,
     save_json,
 )
+from pathalg import cli, registry
 from pathalg.cli import main
 from pathalg.registry import GRAPHS, INCLUSIONS, MORPHISMS
 
@@ -77,6 +87,36 @@ class TestClassify:
         save_json(str(mpath), data)
         code, _, _ = run(capsys, "classify", str(mpath), "--graphs", str(gpath))
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            (
+                "branch_missing",
+                "path homomorphism: yes\n"
+                "vertex-injective: yes\n"
+                "vertex-bijective (finite): no  "
+                "(witness: {'kind': 'not_surjective', 'vertex': 'm'})\n"
+                "monotone: yes\n"
+                "regular: no  "
+                "(witness: {'vertex': 'v', 'kind': 'missing_branch', 'path': ['x2', 'y1']})\n"
+                "classes: PG IPG MIPG\n",
+            ),
+            (
+                "edge_to_line",
+                "path homomorphism: yes\n"
+                "vertex-injective: yes\n"
+                "vertex-bijective (finite): no  "
+                "(witness: {'kind': 'not_surjective', 'vertex': 'b'})\n"
+                "monotone: yes\n"
+                "regular: yes\n"
+                "classes: PG IPG MIPG RMIPG\n",
+            ),
+        ],
+        ids=["branch_missing", "edge_to_line"],
+    )
+    def test_text_with_witnesses(self, capsys, name, text):
+        assert run(capsys, "classify", name) == (0, text, "")
 
 
 class TestEval:
@@ -187,6 +227,103 @@ class TestAdmissible:
         assert "admissible: no" in out
         assert "A1 complement saturated: no  (witness: v)" in out
 
+    @pytest.mark.parametrize(
+        "emitters,edges,code,lines",
+        [
+            (
+                [],
+                [("e", "w", "v")],
+                1,
+                [
+                    "A1 complement saturated: yes",
+                    "A2 incoming edges of image vertices are in the image: no  (witness: e)",
+                    "hereditary (diagnostic): no  (witness: e)",
+                    "complement vertices: w",
+                    "breaking vertices: (none)",
+                    "admissible: no",
+                ],
+            ),
+            (
+                [("w", ["v"])],
+                [],
+                1,
+                [
+                    "A1 complement saturated: yes",
+                    "A2 incoming edges of image vertices are in the image: no  "
+                    "(witness: {'kind': 'unlisted_edge', 'vertex': 'w', 'target': 'v'})",
+                    "hereditary (diagnostic): no  "
+                    "(witness: {'kind': 'unlisted_edge', 'vertex': 'w', 'target': 'v'})",
+                    "complement vertices: w",
+                    "breaking vertices: (none)",
+                    "admissible: no",
+                ],
+            ),
+            (
+                ["w"],
+                [],
+                1,
+                [
+                    "A1 complement saturated: yes",
+                    "A2 incoming edges of image vertices are in the image: no  "
+                    "(witness: {'kind': 'undeclared_unlisted_targets', 'vertex': 'w', "
+                    "'note': 'cannot certify (A2); unlisted edges might land on image vertices'})",
+                    "hereditary (diagnostic): undecidable from the declared data",
+                    "complement vertices: w",
+                    "breaking vertices: (none)",
+                    "admissible: no",
+                ],
+            ),
+            (
+                [("v", ["v", "w"])],
+                [("e", "v", "w")],
+                1,
+                [
+                    "A1 complement saturated: yes",
+                    "A2 incoming edges of image vertices are in the image: no  "
+                    "(witness: {'kind': 'unlisted_edge', 'vertex': 'v', 'target': 'v'})",
+                    "hereditary (diagnostic): yes",
+                    "complement vertices: w",
+                    "breaking vertices: undecidable "
+                    "(vertex 'v': unlisted edges may land on either side of the set)",
+                    "admissible: no",
+                ],
+            ),
+            (
+                [("v", ["w"])],
+                [("l", "v", "v")],
+                0,
+                [
+                    "A1 complement saturated: yes",
+                    "A2 incoming edges of image vertices are in the image: yes",
+                    "hereditary (diagnostic): yes",
+                    "complement vertices: w",
+                    "breaking vertices: v",
+                    "kernel generators: 1 vertex projection(s), 1 breaking correction(s)",
+                    "admissible: yes",
+                ],
+            ),
+        ],
+        ids=[
+            "a2-edge",
+            "a2-unlisted-edge",
+            "hereditary-undecidable",
+            "breaking-undecidable",
+            "breaking-correction",
+        ],
+    )
+    def test_text_of_flagged_and_failing_inclusions(
+        self, capsys, tmp_path, emitters, edges, code, lines
+    ):
+        """Every `v` of the ambient graph {v, w} is the image of the point
+        or of its loop `l`; `w` is the complement."""
+        amb = Graph(["v", "w"], edges, infinite_emitters=emitters)
+        sub_edges = [e for e in edges if e[0] == "l"]
+        sub = Graph(["v"], sub_edges)
+        inc = GraphInclusion(sub, amb, {"v": "v"}, {e[0]: e[0] for e in sub_edges})
+        path = tmp_path / "inc.json"
+        save_json(str(path), inclusion_to_data(inc))
+        assert run(capsys, "admissible", str(path)) == (code, "\n".join(lines) + "\n", "")
+
 
 class TestPullback:
     def test_bundled_instance(self, capsys):
@@ -253,13 +390,60 @@ class TestExamplesAndList:
     def test_unknown_example(self, capsys):
         code, _, err = run(capsys, "examples", "nope")
         assert code == 2
-        assert "unknown example" in err
+        assert err == "error: unknown example 'nope'; try 'pathalg list'\n"
+
+    def test_wrong_expected_value(self, capsys, monkeypatch):
+        # the line-to-cycle row now classifies the two-petal wrap
+        monkeypatch.setitem(registry.MORPHISMS, "line3_to_cycle3", MORPHISMS["rose2_to_loop"])
+        assert run(capsys, "examples", "line-to-cycle") == (
+            1,
+            "[FAIL] line-to-cycle: wrapping a 2-edge line onto a 3-cycle satisfies "
+            "the whole predicate tower\n"
+            "    ok   is_path_hom = True\n"
+            "    ok   vertex_injective = True\n"
+            "    ok   vertex_bijective_finite = True\n"
+            "    FAIL monotone: expected True, got False\n"
+            "    FAIL regular: expected True, got False\n"
+            "    FAIL in RMBPG: expected True, got False\n",
+            "",
+        )
 
     def test_list(self, capsys):
         code, out, _ = run(capsys, "list")
         assert code == 0
         for needle in ("toeplitz", "phi_rp2", "loop_in_rp2", "rp2q", "rose-to-loop"):
             assert needle in out
+
+
+def _leaves(cls) -> list:
+    subclasses = cls.__subclasses__()
+    if not subclasses:
+        return [cls]
+    return [leaf for sub in subclasses for leaf in _leaves(sub)]
+
+
+# "the check ran and the answer is no"; every other package error is bad input
+_SEMANTIC = {
+    DomainMismatch,
+    NotVertexInjective,
+    NotMonotone,
+    NotRegular,
+    NotAdmissible,
+    HypothesisNotMet,
+    PreimageNotFound,
+}
+# every leaf of the error tree, and ExpressionError, which `eval` raises itself
+_RAISED = _leaves(PathalgError) + [ExpressionError]
+
+
+@pytest.mark.parametrize("error", _RAISED, ids=[e.__name__ for e in _RAISED])
+def test_error_class_exit_code(capsys, monkeypatch, error):
+    def raising(args):
+        raise error("the message")
+
+    monkeypatch.setattr(cli, "_cmd_list", raising)
+    code = 1 if error in _SEMANTIC else 2
+    assert run(capsys, "list") == (code, "", "error: the message\n")
 
 
 class TestInputErrors:

@@ -1,13 +1,15 @@
-"""The file loaders and the expression parser under fuzzing: whatever bytes
-a graph, morphism, inclusion or instance file holds and whatever text an
-expression is, ``pathalg`` keeps its exit-code contract.  The exit code is
-0, 1 or 2 (0 or 2 for ``eval``), nothing escapes as a traceback, and exit
+"""The file loaders, the expression parser and the example names under
+fuzzing: whatever bytes a graph, morphism, inclusion or instance file holds,
+whatever text an expression is and whatever name ``examples`` is given,
+``pathalg`` keeps its exit-code contract.  The exit code is 0, 1 or 2 (0 or
+2 for ``eval`` and ``examples``), nothing escapes as a traceback, and exit
 2 comes with an ``error:`` line.
 
 The file bytes are random, truncated or mutated copies of the bundled
 fixtures, byte-level or after a JSON-level edit, with and without bytes
 that are not UTF-8.  The expressions are runs of grammar tokens, long
-digit runs, unbalanced parentheses and non-ASCII text.  Runs are
+digit runs, unbalanced parentheses and non-ASCII text.  The example names
+are random text, near-misses of real names and non-ASCII text.  Runs are
 derandomized and keep no example database.
 """
 import contextlib
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathalg.cli import main
+from pathalg.registry import EXAMPLES
 
 FIXTURES = resources.files("pathalg") / "fixtures"
 
@@ -143,17 +146,55 @@ def expressions(draw) -> str:
     return "".join(token + draw(st.sampled_from(["", " ", " "])) for token in tokens)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(context=st.sampled_from(_EVAL_CONTEXTS), text=expressions())
-def test_eval_keeps_the_exit_code_contract(context, text):
+def _check_zero_or_two(argv: list) -> None:
+    """Exit 0, or 2 with an error line: ours, or argparse's when it reads a
+    text such as "-v" as an option."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(["eval", context, text])
-        except SystemExit as exc:  # argparse reads a text such as "-v" as an option
+            code = main(argv)
+        except SystemExit as exc:
             code = exc.code
     assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
         lines = err.getvalue().splitlines()
         assert any(line.startswith("error: ") or ": error: " in line for line in lines)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(context=st.sampled_from(_EVAL_CONTEXTS), text=expressions())
+def test_eval_keeps_the_exit_code_contract(context, text):
+    _check_zero_or_two(["eval", context, text])
+
+
+# -- example names ---------------------------------------------------------------
+
+@st.composite
+def near_misses(draw) -> str:
+    """A real example name with one character set, inserted or deleted, or
+    with its case or surrounding space changed."""
+    name = draw(st.sampled_from(list(EXAMPLES)))
+    at = draw(st.integers(0, len(name) - 1))
+    char = draw(st.characters(codec="utf-8"))
+    return draw(st.sampled_from([
+        name[:at] + char + name[at + 1:],
+        name[:at] + char + name[at:],
+        name[:at] + name[at + 1:],
+        name.upper(),
+        f" {name}",
+        f"{name} ",
+    ]))
+
+
+_example_names = st.one_of(
+    st.text(max_size=12),
+    near_misses(),
+    st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=6),  # non-ASCII only
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(name=_example_names)
+def test_examples_keep_the_exit_code_contract(name):
+    _check_zero_or_two(["examples", name])

@@ -1,7 +1,9 @@
 """Property tests over random small graphs: products in the path, Cohn and
 Leavitt algebras, the expression parser's sums and generator runs, the
-rendered normal form, and the paths the package builds without
-re-validating them; and the canonical JSON writer against ``json.dumps``.
+rendered normal form, the paths the package builds without re-validating
+them, the relations that maps of the category tower preserve, and
+composition of path homomorphisms; and the canonical JSON writer against
+``json.dumps``.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples (``conftest.py`` keeps Hypothesis' other files out of the tree).
@@ -15,7 +17,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pathalg import AlgebraContext, Graph, Path, canonical_dumps, paths_up_to, regular_vertices
+from pathalg import (
+    AlgebraContext,
+    Graph,
+    Path,
+    PathHom,
+    canonical_dumps,
+    classify,
+    compose,
+    enumerate_path_homs,
+    paths_up_to,
+    regular_vertices,
+    verify_relations_preserved,
+)
 from pathalg.algebra import Monomial, multiply
 from pathalg.cli import main
 from pathalg.expressions import parse_expression
@@ -36,11 +50,14 @@ MODES = (AlgebraContext.path, AlgebraContext.cohn, AlgebraContext.leavitt)
 
 
 @st.composite
-def graphs(draw):
-    """At most 4 vertices and 6 edges, loops and parallel edges allowed."""
-    vertices = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+def graphs(draw, max_vertices: int = 4, max_edges: int = 6):
+    """At most 4 vertices and 6 edges by default, loops and parallel edges
+    allowed."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
     ends = draw(
-        st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)), max_size=6)
+        st.lists(
+            st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)), max_size=max_edges
+        )
     )
     return Graph(vertices, [(f"e{i}", s, t) for i, (s, t) in enumerate(ends)])
 
@@ -319,6 +336,36 @@ def test_applied_paths_equal_validated_ones(name):
     f = MORPHISMS[name]
     for p in paths_up_to(f.dom, 3):
         _assert_valid(f.apply(p))
+
+
+# -- path homomorphisms ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "mode,category", [("cohn", "MIPG"), ("leavitt", "RMIPG")], ids=["cohn", "leavitt"]
+)
+@_settings
+@given(dom=graphs(3, 3), cod=graphs(3, 4))
+def test_tower_maps_preserve_the_relations(mode, category, dom, cod):
+    """Covariant induction: a map in MIPG sends the Cohn relations of its
+    domain to zero, and a map in RMIPG the Leavitt relations.  Both classes
+    are vertex-injective, so the survey enumerates only such maps."""
+    for f in enumerate_path_homs(dom, cod, 2, vertex_injective_only=True):
+        if classify(f).satisfies(category):
+            report = verify_relations_preserved(f, mode)
+            assert report.all_ok, report.failures()
+
+
+@_settings
+@given(data=st.data())
+def test_compose_is_associative_and_unital(data):
+    a, b, c, d = (data.draw(graphs(3, 3)) for _ in range(4))
+    f, g, h = (
+        data.draw(st.sampled_from(list(enumerate_path_homs(x, y, 2))))
+        for x, y in ((a, b), (b, c), (c, d))
+    )
+    assert compose(h, compose(g, f)) == compose(compose(h, g), f)
+    assert compose(f, PathHom.identity(a)) == f == compose(PathHom.identity(b), f)
 
 
 # -- the canonical JSON writer ---------------------------------------------------
