@@ -78,9 +78,7 @@ def _realize(h: HomLike) -> PathHom:
 class PullbackInstance:
     """One verification problem: the square plus the search bound."""
 
-    __slots__ = (
-        "pi1", "pi2", "f", "f_res", "length_bound", "_f_cache", "_f_res_cache", "_last_table"
-    )
+    __slots__ = ("pi1", "pi2", "f", "f_res", "length_bound", "_f_cache", "_f_res_cache")
 
     def __init__(
         self,
@@ -103,7 +101,6 @@ class PullbackInstance:
         self.length_bound = int(length_bound)
         self._f_cache = None
         self._f_res_cache = None
-        self._last_table = None  # (limit, preimage table)
 
     @property
     def amb1(self) -> Graph:
@@ -130,13 +127,6 @@ class PullbackInstance:
         if self._f_res_cache is None:
             self._f_res_cache = _realize(self.f_res)
         return self._f_res_cache
-
-    def _preimages(self, limit: int) -> dict[Path, Path]:
-        """``_preimage_table`` of the realized f, kept until a caller asks
-        for another limit, so H8 and the kernel check build it once."""
-        if self._last_table is None or self._last_table[0] != limit:
-            self._last_table = (limit, _preimage_table(self.realize_f(), limit))
-        return self._last_table[1]
 
     def with_bound(self, bound: int) -> "PullbackInstance":
         return PullbackInstance(self.pi1, self.pi2, self.f, self.f_res, bound)
@@ -252,13 +242,44 @@ def _finite_family_max_length(g: Graph, targets: set) -> Optional[int]:
     return best
 
 
-def _preimage_table(f: PathHom, limit: int) -> dict[Path, Path]:
-    """First (length-then-lex smallest) preimage for every path value f takes
-    on domain paths of length <= limit."""
-    table: dict[Path, Path] = {}
-    for q in paths_up_to(f.dom, limit):
-        table.setdefault(f.apply(q), q)
-    return table
+def _first_preimages(f: PathHom, targets) -> dict[Path, Path]:
+    """The first domain path, in ``paths_up_to`` order, that f maps onto
+    each target that has a preimage at all.
+
+    Every prefix of a first preimage is the first path to reach its state
+    (endpoint, image): an earlier path to that state, followed by the rest,
+    would be an earlier preimage.  So the search goes level by level, keeps
+    the first path per state and only images that are a prefix of some
+    target, and stops when every target is hit or no state is new.  With at
+    most |V(dom)| times (target prefixes) states it always ends, and a
+    target it misses has no preimage at any length."""
+    dom, vmap, emap = f.dom, f.vmap, f.emap
+    # an image is keyed by its source vertex and its edges
+    wanted = {(p.source, p.edges): p for p in targets}
+    prefixes = {(w, es[:i]) for w, es in wanted for i in range(len(es) + 1)}
+    seen: set = set()
+    found: dict[Path, Path] = {}
+
+    def keep(candidates) -> list:
+        kept = []
+        for edges, end, image in candidates:
+            if image in prefixes and (end, image) not in seen:
+                seen.add((end, image))
+                kept.append((edges, end, image))
+                if image in wanted and wanted[image] not in found:
+                    found[wanted[image]] = Path._trusted(dom, None if edges else end, edges)
+        return kept
+
+    keep(((), v, (vmap[v], ())) for v in dom.vertices)
+    # level 1 in global edge order, then extensions keep lex order
+    level = keep(((e,), dom.tgt(e), (vmap[dom.src(e)], emap[e].edges)) for e in dom.edges)
+    while level and len(found) < len(wanted):
+        level = keep(
+            (edges + (e,), dom.tgt(e), (w, image + emap[e].edges))
+            for edges, end, (w, image) in level
+            for e in dom.out_edges(end)
+        )
+    return found
 
 
 class _Realized(NamedTuple):
@@ -420,35 +441,12 @@ def _h8(facts: _Facts) -> tuple:
 
     # breaking vertices are flagged, so none exist once the flags are refused
     outside, targets = _paths_outside(inst, bound)
-
-    if facts.f.verdict is not None and facts.f.verdict.vertex_injective:
-        # vertex-injectivity makes every zero-image edge a strippable
-        # self-loop, so some preimage is never longer than its image
-        limit, exhaustive, cap_note = bound, True, ""
-    else:
-        c = max([1] + [len(f.emap[e]) for e in inst.amb1.edges])
-        wanted = bound * c + c
-        limit = min(wanted, 4 * bound)
-        exhaustive = wanted <= limit
-        cap_note = "" if exhaustive else (
-            f"search truncated at domain length {limit} (wanted {wanted}); "
-            "a missing preimage below is not conclusive"
-        )
-
-    table = inst._preimages(limit)
+    found = _first_preimages(f, targets)
     certificate = []
     for p in targets:
-        q = table.get(p)
+        q = found.get(p)
         if q is None:
-            witness = {
-                "path": _path_data(p),
-                "searched_domain_lengths_up_to": limit,
-                "search_exhaustive": exhaustive,
-            }
-            detail = cap_note or (
-                f"no domain path of length <= {limit} maps onto the witness path"
-            )
-            return "fail", witness, detail
+            return "fail", {"path": _path_data(p)}, "no domain path maps onto the witness path"
         certificate.append({"target": _path_data(p), "preimage": _path_data(q)})
 
     max_len = _finite_family_max_length(inst.amb2, outside)
@@ -659,14 +657,14 @@ def check_kernel_inclusion(
     ctx2 = AlgebraContext.leavitt(inst.amb2)
 
     _, pool = _paths_outside(inst, bound)
-    table = inst._preimages(bound)
+    found = _first_preimages(f, pool)
 
     def preimage(p: Path) -> Path:
-        q = table.get(p)
+        q = found.get(p)
         if q is None:
             raise PreimageNotFound(
-                f"no preimage of length <= {bound} for a kernel path; "
-                "the hypothesis report's bound certificate does not cover it",
+                "no domain path maps onto a kernel path; "
+                "the hypothesis report's certificate does not cover it",
                 path=p,
             )
         return q

@@ -13,8 +13,9 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from pathalg import AlgebraContext, Graph, Path, multiply, prefix_leq
+from pathalg import AlgebraContext, Graph, Path, PathHom, multiply, paths_up_to, prefix_leq
 from pathalg.algebra import AlgebraElement, _accumulate_pair
+from pathalg.registry import GRAPHS
 
 
 def line_graph(n: int) -> Graph:
@@ -253,6 +254,31 @@ def random_fold(ctx: AlgebraContext, word: GeneratorWord, rng: random.Random):
         i = rng.randrange(len(factors) - 1)
         factors[i : i + 2] = [factors[i] * factors[i + 1]]
     return factors[0].scale(word.scalar)
+
+
+# -- first preimages -------------------------------------------------------------
+
+
+def first_preimage_table(f: PathHom, limit: int) -> dict[Path, Path]:
+    """Reference for the H8 preimage search: the first domain path, in
+    ``paths_up_to`` order, for every value f takes on the domain paths of
+    length <= limit."""
+    table: dict[Path, Path] = {}
+    for q in paths_up_to(f.dom, limit):
+        table.setdefault(f.apply(q), q)
+    return table
+
+
+def zero_chain_map() -> PathHom:
+    """f from a loop s at u0, a chain z1 z2 of zero-image edges and an exit x
+    into toeplitz, collapsing u0, u1 and u2 onto v: the only preimage of
+    e f, s z1 z2 x, is longer than e f."""
+    amb1 = Graph(
+        ["u0", "u1", "u2", "w"],
+        [("s", "u0", "u0"), ("z1", "u0", "u1"), ("z2", "u1", "u2"), ("x", "u2", "w")],
+    )
+    return PathHom(amb1, GRAPHS["toeplitz"], {"u0": "v", "u1": "v", "u2": "v", "w": "w"},
+                   {"s": ("e",), "z1": (), "z2": (), "x": ("f",)})
 
 
 # -- vertex-simple cycles ---------------------------------------------------------

@@ -1,9 +1,9 @@
 """Property tests over random small graphs: products in the path, Cohn and
 Leavitt algebras, the expression parser's sums and generator runs, the
 rendered normal form, the paths the package builds without re-validating
-them, the relations that maps of the category tower preserve, and
-composition of path homomorphisms; and the canonical JSON writer against
-``json.dumps``.
+them, the relations that maps of the category tower preserve, composition
+of path homomorphisms and the H8 first-preimage search; and the canonical
+JSON writer against ``json.dumps``.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples (``conftest.py`` keeps Hypothesis' other files out of the tree).
@@ -33,15 +33,18 @@ from pathalg import (
 from pathalg.algebra import Monomial, multiply
 from pathalg.cli import main
 from pathalg.expressions import parse_expression
+from pathalg.pullback import _first_preimages
 from pathalg.registry import INCLUSIONS, MORPHISMS
 
 from helpers import (
     GeneratorWord,
     Letter,
+    first_preimage_table,
     normal_form,
     reference_monomial_key,
     reference_multiply,
     reference_render,
+    zero_chain_map,
 )
 
 _settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -366,6 +369,44 @@ def test_compose_is_associative_and_unital(data):
     )
     assert compose(h, compose(g, f)) == compose(compose(h, g), f)
     assert compose(f, PathHom.identity(a)) == f == compose(PathHom.identity(b), f)
+
+
+@st.composite
+def maps_with_zero_images(draw):
+    """A path homomorphism from at most 3 vertices and 5 edges into at most 3
+    vertices and 4 edges.  The vertex map is random, so often not injective,
+    and each edge is drawn from its image, a walk of at most 2 edges, so
+    zero-image edges and zero-image loops are frequent."""
+    cod = draw(graphs(3, 4))
+    vertices = [f"u{i}" for i in range(draw(st.integers(1, 3)))]
+    vmap = {u: draw(st.sampled_from(cod.vertices)) for u in vertices}
+    edges, emap = [], {}
+    for i in range(draw(st.integers(0, 5))):
+        u = draw(st.sampled_from(vertices))
+        image = _walk(draw, cod, vmap[u], forward=True, max_len=2)
+        end = cod.tgt(image[-1]) if image else vmap[u]
+        ends = [v for v in vertices if vmap[v] == end]
+        if ends:
+            edges.append((f"x{i}", u, draw(st.sampled_from(ends))))
+            emap[f"x{i}"] = image
+    return PathHom(Graph(vertices, edges), cod, vmap, emap)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(f=maps_with_zero_images(), b=st.integers(0, 3), ends=st.sets(st.integers(0, 2), min_size=1))
+@example(f=zero_chain_map(), b=2, ends={1})
+def test_first_preimages_are_those_of_the_full_table(f, b, ends):
+    """The search without a length limit finds, for the codomain paths of
+    length <= b that end at the vertices with the drawn indices (as H8's
+    targets end outside an image), the first preimages of the exhaustive
+    table, and misses exactly the paths the table misses.  The prefixes of a
+    first preimage reach distinct states (endpoint, prefix of its image), so
+    at most |V(dom)| times (b + 1) of them: the table at that length is
+    complete."""
+    targets = [p for p in paths_up_to(f.cod, b) if f.cod.vertex_index(p.target) in ends]
+    limit = len(f.dom.vertices) * (b + 1)
+    table = first_preimage_table(f, limit)
+    assert _first_preimages(f, targets) == {p: table[p] for p in targets if p in table}
 
 
 # -- the canonical JSON writer ---------------------------------------------------

@@ -1,14 +1,15 @@
 """Verifier: hypothesis reports, frozen verdicts for the bundled instance,
 single-fault mutations, and the generator-level conclusion checks."""
+import json
 import random
 import re
+import time
 from collections import Counter
 
 import pytest
 
 import pathalg.admissible
 import pathalg.morphisms
-import pathalg.pullback
 from pathalg import (
     DeferredHom,
     DomainMismatch,
@@ -23,11 +24,13 @@ from pathalg import (
     check_commutativity,
     check_hypotheses,
     check_kernel_inclusion,
+    instance_to_data,
+    save_json,
 )
 from pathalg.cli import main
 from pathalg.registry import GRAPHS, INCLUSIONS, INSTANCES, MORPHISMS
 
-from helpers import first_exitless_cycle, random_graph
+from helpers import first_exitless_cycle, random_graph, zero_chain_map
 
 loop = GRAPHS["loop"]
 rp2 = GRAPHS["rp2"]
@@ -384,6 +387,9 @@ def test_flagged_square_verdicts(case):
         assert (h.verdict, h.witness, h.detail) == want, name
 
 
+_NO_PREIMAGE = "no domain path maps onto the witness path"
+
+
 class TestBoundedSearch:
     def build(self, bound, e2_length=2):
         # collapsing both vertices makes f non-injective, and nothing ever
@@ -396,21 +402,84 @@ class TestBoundedSearch:
 
     def test_exhaustive_miss(self):
         h8 = check_hypotheses(self.build(2)).hypothesis("H8")
-        assert h8.verdict == "fail"
-        assert h8.witness["path"] == {"vertex": "w"}
-        assert h8.witness["search_exhaustive"] is True
-        # image lengths max out at 2, so the tight limit is 2*2 + 2
-        assert h8.witness["searched_domain_lengths_up_to"] == 6
+        assert (h8.verdict, h8.witness, h8.detail) == ("fail", {"path": {"vertex": "w"}}, _NO_PREIMAGE)
 
-    def test_hard_cap_truncates(self):
-        # the search stops at domain length 4 * bound: wanted 2 at bound 0,
-        # and 2*5 + 5 = 15 at bound 2 with an image of length 5
-        for inst, limit in ((self.build(0), 0), (self.build(2, e2_length=5), 8)):
+    def test_no_length_cap(self):
+        # at bound 0, and with an edge image of length 5, the miss is as
+        # conclusive as at any other bound: the search has no length limit
+        for inst in (self.build(0), self.build(2, e2_length=5)):
             h8 = check_hypotheses(inst).hypothesis("H8")
-            assert h8.verdict == "fail"
-            assert h8.witness["search_exhaustive"] is False
-            assert h8.witness["searched_domain_lengths_up_to"] == limit
-            assert "not conclusive" in h8.detail
+            assert (h8.verdict, h8.witness, h8.detail) == (
+                "fail", {"path": {"vertex": "w"}}, _NO_PREIMAGE
+            )
+
+
+def _zero_chain_square() -> PullbackInstance:
+    """f is not vertex-injective, and the preimage of e f is 4 long: past the
+    domain length bound*c + c = 3 (c the longest edge image) that once
+    limited the search."""
+    f = zero_chain_map()
+    pi1 = GraphInclusion(loop, f.dom, {"v": "u0"}, {"e": "s"})
+    return PullbackInstance(pi1, loop_in_toeplitz, f, PathHom.identity(loop), 2)
+
+
+_ZERO_CHAIN_H8 = {
+    "name": "H8",
+    "title": "paths ending outside the second image are hit by f (bounded search)",
+    "verdict": "pass_up_to_bound",
+    "witness": {
+        "certificate": [
+            {"target": {"vertex": "w"}, "preimage": {"vertex": "w"}},
+            {"target": {"edges": ["f"]}, "preimage": {"edges": ["x"]}},
+            {"target": {"edges": ["e", "f"]}, "preimage": {"edges": ["s", "z1", "z2", "x"]}},
+        ]
+    },
+    "detail": "infinitely many qualifying paths exist; checked up to length 2",
+}
+
+
+class TestExactH8:
+    def test_preimage_longer_than_any_length_cap(self):
+        report = check_hypotheses(_zero_chain_square())
+        assert (report.overall, report.first_failure) == ("FAIL", "H3")
+        assert report.hypothesis("H8").to_json_data() == _ZERO_CHAIN_H8
+
+    def test_non_injective_miss_does_not_stall(self):
+        # both vertices collapse onto v and a zero-image loop sits at a;
+        # amb1 has 317,810 paths of length <= 12 = 4 * bound
+        amb1 = Graph(
+            ["a", "b"],
+            [("p", "a", "b"), ("q", "b", "a"), ("r", "a", "a"), ("s", "b", "b"), ("z", "a", "a")],
+        )
+        f = PathHom(amb1, toeplitz, {"a": "v", "b": "v"},
+                    {"p": ("e",), "q": ("e", "e"), "r": ("e", "e", "e"), "s": ("e",), "z": ()})
+        pi1 = GraphInclusion(pt, amb1, {"v": "a"}, {})
+        inst = PullbackInstance(pi1, loop_in_toeplitz, f, PathHom(pt, loop, {"v": "v"}, {}), 3)
+        start = time.perf_counter()
+        h8 = check_hypotheses(inst).hypothesis("H8")
+        assert time.perf_counter() - start < 0.25
+        assert (h8.verdict, h8.witness, h8.detail) == ("fail", {"path": {"vertex": "w"}}, _NO_PREIMAGE)
+
+    def test_cli_prints_the_h8_row(self, capsys, tmp_path):
+        path = str(tmp_path / "zero_chain.json")
+        save_json(path, instance_to_data(_zero_chain_square()))
+        assert main(["pullback", path]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index(
+            "H8 [pass_up_to_bound] paths ending outside the second image are hit by f "
+            "(bounded search)"
+        )
+        assert lines[start + 1:] == [
+            "    witness: {'certificate': [{'target': {'vertex': 'w'}, 'preimage': "
+            "{'vertex': 'w'}}, {'target': {'edges': ['f']}, 'preimage': {'edges': ['x']}}, "
+            "{'target': {'edges': ['e', 'f']}, 'preimage': {'edges': ['s', 'z1', 'z2', 'x']}}]}",
+            "    infinitely many qualifying paths exist; checked up to length 2",
+            "overall: FAIL (length bound 2)",
+        ]
+        assert main(["pullback", path, "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)["hypotheses"]
+        assert (data["overall"], data["first_failure"]) == ("FAIL", "H3")
+        assert data["hypotheses"][-1] == _ZERO_CHAIN_H8
 
 
 class TestCommutativityFailures:
@@ -530,31 +599,3 @@ class TestChecksRunOncePerMap:
         report = check_kernel_inclusion(inst)
         assert report.all_ok and len(report.entries) == 25
         assert runs == {id(inst.f): 1, id(inst.f_res): 1, id(inst.pi1): 1, id(inst.pi2): 1}
-
-    def test_h8_and_the_kernel_check_share_one_preimage_table(self, monkeypatch, capsys):
-        calls = []
-        build = pathalg.pullback._preimage_table
-
-        def counted(f, limit):
-            calls.append(limit)
-            return build(f, limit)
-
-        monkeypatch.setattr(pathalg.pullback, "_preimage_table", counted)
-        assert main(["pullback", "rp2q", "--json"]) == 0
-        shared = capsys.readouterr().out
-        assert calls == [6]
-
-        # one table per caller, as before the table was kept: same bytes
-        monkeypatch.setattr(
-            PullbackInstance, "_preimages", lambda inst, limit: counted(inst.realize_f(), limit)
-        )
-        assert main(["pullback", "rp2q", "--json"]) == 0
-        assert capsys.readouterr().out == shared
-        assert calls == [6, 6, 6]
-
-    def test_preimage_table_follows_the_limit(self):
-        inst = INSTANCES["rp2q"](2)
-        table = inst._preimages(2)
-        assert inst._preimages(2) is table
-        assert len(inst._preimages(3)) > len(table)
-        assert inst.with_bound(2)._preimages(2) is not table
