@@ -14,10 +14,8 @@ otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .algebra import AlgebraContext, AlgebraElement, _push
 from .errors import (
     AmbiguousInfiniteEmitter,
     ContextMismatch,
@@ -25,6 +23,9 @@ from .errors import (
     NotAdmissible,
 )
 from .graphs import CheckResult, Graph, Path
+
+if TYPE_CHECKING:
+    from .algebra import AlgebraElement
 
 
 class GraphInclusion:
@@ -161,8 +162,7 @@ def _vertex_subset(g: Graph, H: Iterable[str]) -> frozenset:
     return Hs
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """Per-axiom verdicts; ``hereditary`` is a diagnostic only (implied by A2
     on decidable instances) and is None when the flags leave it open."""
 
@@ -274,8 +274,7 @@ def breaking_vertices(g: Graph, H: Iterable[str]) -> tuple[str, ...]:
     return tuple(v for v in g.vertices if v in out)
 
 
-@dataclass(frozen=True)
-class KernelGenerators:
+class KernelGenerators(NamedTuple):
     """Generators of ker(quotient_map): one projection per non-image vertex,
     plus one correction per breaking vertex listing its image edges."""
 
@@ -315,17 +314,21 @@ def kernel_generators(inc: GraphInclusion) -> KernelGenerators:
 
 
 def _quotient(inc: GraphInclusion, a: AlgebraElement) -> tuple:
-    """(source context, target context, vertex inverse, edge inverse) of the
-    quotient map of ``inc``, checked against the element ``a``.
+    """(source context, target context, vertex inverse, edge inverse, push)
+    of the quotient map of ``inc``, checked against the element ``a``;
+    ``push`` is the algebra's push of an element along a path map.
 
     Built on the first successful call and kept on the inclusion; an
     element of the kept source context skips the checks.  Otherwise they run
     in order: admissibility, the source context, the element's context, the
-    target context.
+    target context.  The algebra module is imported here, once per
+    inclusion, so that a run that only checks admissibility does not load it.
     """
     data = inc._quotient
     if data is not None and a.context == data[0]:
         return data
+    from .algebra import AlgebraContext, _push
+
     _require_admissible(inc)
     source = AlgebraContext.leavitt(inc.amb)
     if a.context != source:
@@ -335,6 +338,7 @@ def _quotient(inc: GraphInclusion, a: AlgebraElement) -> tuple:
         AlgebraContext.leavitt(inc.sub),
         {v: u for u, v in inc.vmap.items()},
         {e: x for x, e in inc.emap.items()},
+        _push,
     )
     return data
 
@@ -342,7 +346,7 @@ def _quotient(inc: GraphInclusion, a: AlgebraElement) -> tuple:
 def quotient_map(inc: GraphInclusion, a: AlgebraElement) -> AlgebraElement:
     """The surjection L(amb) -> L(sub): generators over the image survive
     (renamed into the subgraph), everything else dies."""
-    _, target, vinv, einv = _quotient(inc, a)
+    _, target, vinv, einv, push = _quotient(inc, a)
 
     def pull(p: Path) -> Optional[Path]:
         if p.is_vertex:
@@ -354,4 +358,4 @@ def quotient_map(inc: GraphInclusion, a: AlgebraElement) -> AlgebraElement:
             return None
         return Path.of(inc.sub, edges)
 
-    return _push(target, a, pull)
+    return push(target, a, pull)

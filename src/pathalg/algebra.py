@@ -24,7 +24,6 @@ rewriting terminates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -437,8 +436,7 @@ def induce(f: PathHom, a: AlgebraElement) -> AlgebraElement:
 # -- relation preservation -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     kind: str          # "CK1" or "CK2"
     label: str         # human-readable relation instance
     data: tuple        # (e, f) for CK1, (v,) for CK2
@@ -454,8 +452,7 @@ class RelationCheck:
         }
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     mode: str
     checks: tuple[RelationCheck, ...]
 

@@ -10,29 +10,24 @@ import argparse
 import os
 import re
 import sys
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from . import registry
-from .algebra import AlgebraContext, induce
-from .admissible import breaking_vertices, is_admissible, kernel_generators
 from .errors import AmbiguousInfiniteEmitter, ExpressionError, FileFormatError, PathalgError
-from .expressions import parse_expression
 from .graphs import Graph
-from .jsonio import (
-    canonical_dumps,
-    load_graph,
-    load_inclusion,
-    load_instance,
-    load_morphism,
-    morphism_to_data,
-)
 from .morphisms import CATEGORY_NAMES, PathHom, classify, compose
-from .pullback import (
-    FAIL,
-    check_commutativity,
-    check_hypotheses,
-    check_kernel_inclusion,
-)
+
+if TYPE_CHECKING:
+    from .algebra import AlgebraContext
+
+
+def _jsonio():
+    """The file-format module, imported by the commands that read a file or
+    print JSON: it loads ``json``, which the others do not need."""
+    from . import jsonio
+
+    return jsonio
+
 
 def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
@@ -41,7 +36,7 @@ def _stem(path: str) -> str:
 def _named_graphs(graph_files) -> dict[str, Graph]:
     names = dict(registry.GRAPHS)
     for path in graph_files or ():
-        names[_stem(path)] = load_graph(path)
+        names[_stem(path)] = _jsonio().load_graph(path)
     return names
 
 
@@ -57,7 +52,10 @@ def _resolve(spec: str, builtins: Mapping, load, kind: str):
 
 def _resolve_morphism(spec: str, names: Mapping[str, Graph]) -> PathHom:
     return _resolve(
-        spec, registry.MORPHISMS, lambda path: load_morphism(path, names).realize(), "morphism"
+        spec,
+        registry.MORPHISMS,
+        lambda path: _jsonio().load_morphism(path, names).realize(),
+        "morphism",
     )
 
 
@@ -65,13 +63,15 @@ _CONTEXT_RE = re.compile(r"(P|C|L)(?:\[([^\[\]]*)\])?\((.*)\)")
 
 
 def _resolve_context(spec: str, names: Mapping[str, Graph]) -> AlgebraContext:
+    from .algebra import AlgebraContext
+
     m = _CONTEXT_RE.fullmatch(spec.strip())
     if m is None:
         raise FileFormatError(
             f"cannot parse context {spec!r}; expected P(g), C(g), C[v1,v2](g) or L(g)"
         )
     kind, vlist, gspec = m.groups()
-    graph = _resolve(gspec.strip(), names, load_graph, "graph")
+    graph = _resolve(gspec.strip(), names, lambda path: _jsonio().load_graph(path), "graph")
     if kind != "C" and vlist is not None:
         raise FileFormatError("relation-vertex lists are only meaningful for C[...](g)")
     if kind == "P":
@@ -88,7 +88,7 @@ def _resolve_context(spec: str, names: Mapping[str, Graph]) -> AlgebraContext:
 
 
 def _print_json(data) -> None:
-    sys.stdout.write(canonical_dumps(data))
+    sys.stdout.write(_jsonio().canonical_dumps(data))
 
 
 def _yes_no(label: str, ok: bool, witness) -> None:
@@ -134,6 +134,9 @@ def _render(elem) -> str:
 
 
 def _cmd_eval(args) -> int:
+    from .algebra import induce
+    from .expressions import parse_expression
+
     names = _named_graphs(args.graphs)
     ctx = _resolve_context(args.context, names)
     elem = parse_expression(ctx, args.expression)
@@ -161,14 +164,19 @@ def _cmd_compose(args) -> int:
     first = _resolve_morphism(args.first, names)
     second = _resolve_morphism(args.second, names)
     result = compose(second, first)
-    _print_json(morphism_to_data(result, names))
+    _print_json(_jsonio().morphism_to_data(result, names))
     return 0
 
 
 def _cmd_admissible(args) -> int:
+    from .admissible import breaking_vertices, is_admissible, kernel_generators
+
     names = _named_graphs(args.graphs)
     inc = _resolve(
-        args.inclusion, registry.INCLUSIONS, lambda path: load_inclusion(path, names), "inclusion"
+        args.inclusion,
+        registry.INCLUSIONS,
+        lambda path: _jsonio().load_inclusion(path, names),
+        "inclusion",
     )
     report = is_admissible(inc)
     try:
@@ -204,9 +212,14 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_pullback(args) -> int:
+    from .pullback import FAIL, check_commutativity, check_hypotheses, check_kernel_inclusion
+
     # the built-in instances are factories, so a file resolves to one too
     make = _resolve(
-        args.instance, registry.INSTANCES, lambda path: lambda: load_instance(path), "instance"
+        args.instance,
+        registry.INSTANCES,
+        lambda path: lambda: _jsonio().load_instance(path),
+        "instance",
     )
     inst = make()
     if args.bound is not None:

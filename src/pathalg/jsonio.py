@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .admissible import GraphInclusion
 from .errors import FileFormatError
 from .graphs import Graph
-from .morphisms import PathHom
-from .pullback import DeferredHom, PullbackInstance
+from .morphisms import DeferredHom, PathHom
+
+if TYPE_CHECKING:
+    from .pullback import PullbackInstance
 
 
 # the C escaper behind json.dumps' default ensure_ascii=True
@@ -284,6 +286,8 @@ def _inner_maps(data, what: str) -> tuple[dict, dict]:
 
 
 def instance_from_data(data) -> PullbackInstance:
+    from .pullback import PullbackInstance
+
     data = _require_dict(data, "an instance")
     _require_keys(data, "an instance", ("graphs", "pi1", "pi2", "f", "f_res", "length_bound"))
     graphs_data = _require_dict(data["graphs"], "'graphs'")

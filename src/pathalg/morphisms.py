@@ -19,8 +19,7 @@ complete expansion tree, with an escape clause for 0-regular vertices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DomainMismatch, InvalidPathHom, NonComposablePath, UnsupportedInfiniteEmitter
 from .graphs import (
@@ -180,6 +179,30 @@ class PathHom:
         return f"PathHom({images or 'no edges'})"
 
 
+class DeferredHom:
+    """Unvalidated path-homomorphism data.
+
+    Instance files may describe morphisms that fail to be path homomorphisms
+    at all (non-composable images, endpoint mismatches); the verifier must
+    report that as a hypothesis failure rather than refuse the input, so
+    validation is deferred to ``realize``.
+
+    ``emap_raw`` values are edge-id lists or ``{"vertex": v}`` for length-0
+    images, mirroring the file format.
+    """
+
+    __slots__ = ("dom", "cod", "vmap", "emap_raw")
+
+    def __init__(self, dom: Graph, cod: Graph, vmap: dict, emap_raw: dict):
+        self.dom = dom
+        self.cod = cod
+        self.vmap = dict(vmap)
+        self.emap_raw = dict(emap_raw)
+
+    def realize(self) -> PathHom:
+        return PathHom(self.dom, self.cod, self.vmap, self.emap_raw)
+
+
 def compose(g: PathHom, f: PathHom) -> PathHom:
     """The composite g after f."""
     if f.cod != g.dom:
@@ -208,8 +231,7 @@ def extended_lift(f: PathHom) -> PathHom:
     return PathHom(dom_ext, cod_ext, dict(f.vmap), emap)
 
 
-@dataclass(frozen=True)
-class CategoryVerdict:
+class CategoryVerdict(NamedTuple):
     """Classification of one path homomorphism against the category tower.
 
     ``witnesses`` holds a counterexample for exactly the false flags, keyed
@@ -221,7 +243,7 @@ class CategoryVerdict:
     vertex_bijective_finite: bool
     monotone: bool
     regular: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
     @property
     def is_path_hom(self) -> bool:

@@ -22,7 +22,6 @@ family is provably finite and fully covered.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple, Optional, Union
 
@@ -37,35 +36,11 @@ from .errors import (
     UnsupportedInfiniteEmitter,
 )
 from .graphs import Graph, Path, _exitless_cycle, paths_up_to
-from .morphisms import CategoryVerdict, PathHom, classify
+from .morphisms import CategoryVerdict, DeferredHom, PathHom, classify
 
 PASS = "PASS"
 FAIL = "FAIL"
 PASS_UP_TO_BOUND = "PASS_UP_TO_BOUND"
-
-
-class DeferredHom:
-    """Unvalidated path-homomorphism data.
-
-    Instance files may describe morphisms that fail to be path homomorphisms
-    at all (non-composable images, endpoint mismatches); the verifier must
-    report that as a hypothesis failure rather than refuse the input, so
-    validation is deferred to ``realize``.
-
-    ``emap_raw`` values are edge-id lists or ``{"vertex": v}`` for length-0
-    images, mirroring the file format.
-    """
-
-    __slots__ = ("dom", "cod", "vmap", "emap_raw")
-
-    def __init__(self, dom: Graph, cod: Graph, vmap: dict, emap_raw: dict):
-        self.dom = dom
-        self.cod = cod
-        self.vmap = dict(vmap)
-        self.emap_raw = dict(emap_raw)
-
-    def realize(self) -> PathHom:
-        return PathHom(self.dom, self.cod, self.vmap, self.emap_raw)
 
 
 HomLike = Union[PathHom, DeferredHom]
@@ -132,8 +107,7 @@ class PullbackInstance:
         return PullbackInstance(self.pi1, self.pi2, self.f, self.f_res, bound)
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     name: str
     title: str
     verdict: str                 # "pass" | "fail" | "pass_up_to_bound" | "not_evaluated"
@@ -149,8 +123,7 @@ class Hypothesis:
         return data
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     hypotheses: tuple[Hypothesis, ...]
     bound: int
 
@@ -502,8 +475,7 @@ def check_hypotheses(inst: PullbackInstance) -> HypothesisReport:
 # -- generator-level conclusions ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CommutativityEntry:
+class CommutativityEntry(NamedTuple):
     generator: dict
     through_amb: str     # quotient of the induced image
     through_sub: str     # induced image of the quotient
@@ -518,8 +490,7 @@ class CommutativityEntry:
         }
 
 
-@dataclass(frozen=True)
-class CommutativityReport:
+class CommutativityReport(NamedTuple):
     entries: tuple[CommutativityEntry, ...]
 
     @property
@@ -584,8 +555,7 @@ def check_commutativity(inst: PullbackInstance) -> CommutativityReport:
     return CommutativityReport(tuple(entries))
 
 
-@dataclass(frozen=True)
-class KernelEntry:
+class KernelEntry(NamedTuple):
     target_pair: dict
     preimage_pair: dict
     killed_by_first_quotient: bool
@@ -605,8 +575,7 @@ class KernelEntry:
         }
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     entries: tuple[KernelEntry, ...]
     bound: int
 

@@ -2,19 +2,21 @@
 
 Everything here is constructed from the public API; the examples double as
 executable documentation, each one comparing frozen expected values against
-what the library computes (``pathalg examples`` runs them all).
+what the library computes (``pathalg examples`` runs them all).  The
+algebra, parser and verifier modules are imported by the examples that use
+them, so that listing or classifying the built-ins loads none of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING, NamedTuple
 
 from .admissible import GraphInclusion
-from .algebra import AlgebraContext
-from .expressions import parse_expression
 from .graphs import Graph
 from .morphisms import PathHom, classify, extended_lift
-from .pullback import PullbackInstance, check_commutativity, check_hypotheses, check_kernel_inclusion
+
+if TYPE_CHECKING:
+    from .pullback import PullbackInstance
 
 
 def _g(vertices, edges) -> Graph:
@@ -95,6 +97,8 @@ def rp2q_instance(bound: int = 6) -> PullbackInstance:
     """The quantum-plane-style verification square: a one-loop subgraph sits
     inside both ambient graphs, the ambient map doubles the loop and the
     restricted map squares the subgraph loop."""
+    from .pullback import PullbackInstance
+
     return PullbackInstance(
         INCLUSIONS["loop_in_rp2"],
         INCLUSIONS["loop_in_toeplitz"],
@@ -110,8 +114,7 @@ INSTANCES = {"rp2q": rp2q_instance}
 # -- worked examples ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExampleCheck:
+class ExampleCheck(NamedTuple):
     label: str
     expected: str
     actual: str
@@ -124,8 +127,7 @@ class ExampleCheck:
         return self.expected == self.actual
 
 
-@dataclass(frozen=True)
-class ExampleResult:
+class ExampleResult(NamedTuple):
     name: str
     summary: str
     checks: tuple[ExampleCheck, ...]
@@ -224,6 +226,9 @@ def _example_extended_lift_break() -> ExampleResult:
 
 
 def _example_toeplitz_ev1() -> ExampleResult:
+    from .algebra import AlgebraContext
+    from .expressions import parse_expression
+
     ctx = AlgebraContext.leavitt(GRAPHS["toeplitz"])
     elem = parse_expression(ctx, "e e e* e*")
     checks = [
@@ -239,6 +244,8 @@ def _example_toeplitz_ev1() -> ExampleResult:
 
 
 def _example_rp2q_pullback() -> ExampleResult:
+    from .pullback import check_commutativity, check_hypotheses, check_kernel_inclusion
+
     inst = rp2q_instance(6)
     report = check_hypotheses(inst)
     comm = check_commutativity(inst)

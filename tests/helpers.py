@@ -281,6 +281,13 @@ def zero_chain_map() -> PathHom:
                    {"s": ("e",), "z1": (), "z2": (), "x": ("f",)})
 
 
+def crossed_loops_map() -> PathHom:
+    """f from a loop x0 at u1 and a loop x1 at u0 onto the loop e: the first
+    preimage of e is x0, first in edge order but not in vertex order."""
+    dom = Graph(["u0", "u1"], [("x0", "u1", "u1"), ("x1", "u0", "u0")])
+    return PathHom(dom, GRAPHS["loop"], {"u0": "v", "u1": "v"}, {"x0": ("e",), "x1": ("e",)})
+
+
 # -- vertex-simple cycles ---------------------------------------------------------
 
 

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, exit codes, JSON output, and byte
 stability of the bundled fixture files."""
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
 
 import pytest
 
+import pathalg
 from pathalg import (
     DomainMismatch,
     ExpressionError,
@@ -571,3 +574,116 @@ class TestFixtures:
         with resources.as_file(FIXTURES / "phi_rp2.json") as path:
             code, _, _ = run(capsys, "classify", str(path), "--require", "RMBPG")
         assert code == 0
+
+
+# -- the package surface ----------------------------------------------------------
+
+# the public names: 86 exported names and the 8 submodules that define them
+_PUBLIC = [
+    "AdmissibilityReport", "AlgebraContext", "AlgebraElement", "AlgebraError",
+    "AmbiguousInfiniteEmitter", "CATEGORY_NAMES", "CategoryVerdict", "CheckResult",
+    "CommutativityReport", "ContextMismatch", "DanglingEndpoint", "DeferredHom",
+    "DomainMismatch", "DuplicateId", "ExpressionError", "FileFormatError", "Graph",
+    "GraphError", "GraphInclusion", "Hypothesis", "HypothesisNotMet", "HypothesisReport",
+    "InclusionError", "InvalidInclusion", "InvalidPathHom", "KernelGenerators",
+    "KernelReport", "MorphismError", "NonComposablePath", "NotAdmissible", "NotMonotone",
+    "NotRegular", "NotVertexInjective", "ParseError", "Path", "PathHom", "PathalgError",
+    "PreimageNotFound", "PullbackError", "PullbackInstance", "RelationReport",
+    "StarInPathMode", "UnknownIdentifier", "UnsupportedInfiniteEmitter", "admissible",
+    "algebra", "breaking_vertices", "canonical_dumps", "check_commutativity",
+    "check_hypotheses", "check_kernel_inclusion", "classify", "compose",
+    "enumerate_path_homs", "errors", "expressions", "extended_graph", "extended_lift",
+    "graph_from_data", "graph_to_data", "graphs", "inclusion_from_data",
+    "inclusion_to_data", "induce", "induce_cohn", "induce_leavitt", "induce_path",
+    "instance_from_data", "instance_to_data", "is_admissible", "is_hereditary",
+    "is_regular", "is_saturated", "jsonio", "kernel_generators", "load_graph",
+    "load_inclusion", "load_instance", "load_json", "load_morphism", "morphism_from_data",
+    "morphism_to_data", "morphisms", "multiply", "parse_expression", "paths_up_to",
+    "prefix_leq", "pullback", "quotient_map", "reg0_vertices", "regular_vertices",
+    "save_json", "verify_relations_preserved", "vertex_simple_loops_have_exits",
+]
+_SUBMODULES = {"admissible", "algebra", "errors", "expressions", "graphs", "jsonio",
+               "morphisms", "pullback"}
+
+
+class TestNamespace:
+    def test_all_is_pinned(self):
+        assert pathalg.__all__ == _PUBLIC
+
+    def test_every_name_resolves_to_its_definition(self):
+        values = {name: getattr(pathalg, name) for name in pathalg.__all__}
+        for name in _SUBMODULES:
+            assert values[name] is sys.modules[f"pathalg.{name}"]
+        for name, value in values.items():
+            if name not in _SUBMODULES:
+                assert any(getattr(values[m], name, None) is value for m in _SUBMODULES), name
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from pathalg import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(pathalg.__all__)
+
+    def test_dir_covers_all(self):
+        assert set(pathalg.__all__) <= set(dir(pathalg))
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            pathalg.no_such_name
+        assert not hasattr(pathalg, "cli_helpers")
+
+    def test_deferred_hom_lives_in_morphisms(self):
+        assert pathalg.pullback.DeferredHom is pathalg.morphisms.DeferredHom
+        assert pathalg.DeferredHom is pathalg.morphisms.DeferredHom
+
+
+# runs ``python -m pathalg ARGS`` and reports its exit code and loaded modules
+_PROBE = """\
+import json, runpy, sys
+code = None
+try:
+    runpy.run_module("pathalg", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
+"""
+
+
+def _modules_loaded(*argv) -> set:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pathalg.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("list",),
+        ("classify", "phi_rp2"),
+        ("eval", "L(rp2)", "s r r* + t t*", "--apply", "phi_rp2"),
+        ("compose", "rose2_to_loop", "loop_square"),
+        ("admissible", "loop_in_toeplitz"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_imports_only_what_it_runs(argv):
+    modules = _modules_loaded(*argv)
+    assert "dataclasses" not in modules
+    assert "pathalg.pullback" not in modules
+    # only eval computes in an algebra
+    assert ("pathalg.algebra" in modules) == (argv[0] == "eval")
+
+
+def test_pullback_command_loads_the_verifier():
+    modules = _modules_loaded("pullback", "rp2q")
+    assert "pathalg.pullback" in modules
+    assert "dataclasses" not in modules

@@ -14,7 +14,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from pathalg import (
@@ -39,6 +39,7 @@ from pathalg.registry import INCLUSIONS, MORPHISMS
 from helpers import (
     GeneratorWord,
     Letter,
+    crossed_loops_map,
     first_preimage_table,
     normal_form,
     reference_monomial_key,
@@ -392,9 +393,14 @@ def maps_with_zero_images(draw):
     return PathHom(Graph(vertices, edges), cod, vmap, emap)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+# No shrinking: each shrink step rebuilds the exhaustive reference table, and
+# shrinking a failure drifts to draws whose table is huge (a failing search
+# once took minutes to report).  The unshrunk draw is already small.
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          phases=(Phase.explicit, Phase.generate))
 @given(f=maps_with_zero_images(), b=st.integers(0, 3), ends=st.sets(st.integers(0, 2), min_size=1))
 @example(f=zero_chain_map(), b=2, ends={1})
+@example(f=crossed_loops_map(), b=1, ends={0})
 def test_first_preimages_are_those_of_the_full_table(f, b, ends):
     """The search without a length limit finds, for the codomain paths of
     length <= b that end at the vertices with the drawn indices (as H8's
