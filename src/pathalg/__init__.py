@@ -19,7 +19,6 @@ _EXPORTS = {
         "is_hereditary",
         "is_saturated",
         "kernel_generators",
-        "quotient_map",
     ),
     "algebra": (
         "AlgebraContext",
@@ -30,6 +29,7 @@ _EXPORTS = {
         "induce_leavitt",
         "induce_path",
         "multiply",
+        "quotient_map",
         "verify_relations_preserved",
     ),
     "errors": (

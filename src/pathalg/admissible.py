@@ -1,5 +1,5 @@
-"""Injective graph inclusions, admissibility, breaking vertices, the induced
-quotient map on Leavitt algebras, and its kernel generators.
+"""Injective graph inclusions, admissibility, breaking vertices, and the
+kernel generators of the induced quotient map (``algebra.quotient_map``).
 
 An inclusion F -> E is admissible when
   (A1) the complement H = E0 \\ image is saturated: no regular vertex outside
@@ -14,18 +14,10 @@ otherwise.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .errors import (
-    AmbiguousInfiniteEmitter,
-    ContextMismatch,
-    InvalidInclusion,
-    NotAdmissible,
-)
-from .graphs import CheckResult, Graph, Path
-
-if TYPE_CHECKING:
-    from .algebra import AlgebraElement
+from .errors import AmbiguousInfiniteEmitter, InvalidInclusion, NotAdmissible
+from .graphs import CheckResult, Graph
 
 
 class GraphInclusion:
@@ -33,7 +25,7 @@ class GraphInclusion:
 
     A GraphInclusion is treated as immutable: ``_admissibility`` keeps the
     report of ``is_admissible`` and ``_quotient`` the data of
-    ``quotient_map``, both filled on first use.
+    ``algebra.quotient_map``, both filled on first use.
     """
 
     __slots__ = (
@@ -311,51 +303,3 @@ def kernel_generators(inc: GraphInclusion) -> KernelGenerators:
         )
         corrections.append((w, edges))
     return KernelGenerators(H, tuple(corrections))
-
-
-def _quotient(inc: GraphInclusion, a: AlgebraElement) -> tuple:
-    """(source context, target context, vertex inverse, edge inverse, push)
-    of the quotient map of ``inc``, checked against the element ``a``;
-    ``push`` is the algebra's push of an element along a path map.
-
-    Built on the first successful call and kept on the inclusion; an
-    element of the kept source context skips the checks.  Otherwise they run
-    in order: admissibility, the source context, the element's context, the
-    target context.  The algebra module is imported here, once per
-    inclusion, so that a run that only checks admissibility does not load it.
-    """
-    data = inc._quotient
-    if data is not None and a.context == data[0]:
-        return data
-    from .algebra import AlgebraContext, _push
-
-    _require_admissible(inc)
-    source = AlgebraContext.leavitt(inc.amb)
-    if a.context != source:
-        raise ContextMismatch("element does not live in the Leavitt algebra of the ambient graph")
-    data = inc._quotient = (
-        source,
-        AlgebraContext.leavitt(inc.sub),
-        {v: u for u, v in inc.vmap.items()},
-        {e: x for x, e in inc.emap.items()},
-        _push,
-    )
-    return data
-
-
-def quotient_map(inc: GraphInclusion, a: AlgebraElement) -> AlgebraElement:
-    """The surjection L(amb) -> L(sub): generators over the image survive
-    (renamed into the subgraph), everything else dies."""
-    _, target, vinv, einv, push = _quotient(inc, a)
-
-    def pull(p: Path) -> Optional[Path]:
-        if p.is_vertex:
-            u = vinv.get(p.vertex)
-            return None if u is None else Path.at(inc.sub, u)
-        try:
-            edges = tuple(einv[e] for e in p.edges)
-        except KeyError:
-            return None
-        return Path.of(inc.sub, edges)
-
-    return push(target, a, pull)

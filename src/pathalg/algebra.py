@@ -1,5 +1,6 @@
 """Exact-arithmetic elements of path algebras and their Cuntz-Krieger
-quotients, with normal forms, the star involution, and induced maps.
+quotients, with normal forms, the star involution, the maps induced by path
+homomorphisms and the quotient maps of admissible inclusions.
 
 A context fixes the graph and the relation set:
 
@@ -25,8 +26,9 @@ rewriting terminates.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
+from .admissible import GraphInclusion, _require_admissible
 from .errors import (
     ContextMismatch,
     NotMonotone,
@@ -347,7 +349,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(ctx, acc)
 
 
-# -- induced homomorphisms ----------------------------------------------------
+# -- induced homomorphisms and quotient maps ------------------------------------
 
 # The class flags an induced map needs, in the order they are checked.
 _FLAGS = (
@@ -431,6 +433,45 @@ def induce(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     raise ContextMismatch(
         "induced maps exist for the path, Cohn, and Leavitt contexts only"
     )
+
+
+def quotient_map(inc: GraphInclusion, a: AlgebraElement) -> AlgebraElement:
+    """The surjection L(amb) -> L(sub) of an admissible inclusion: generators
+    over the image survive (renamed into the subgraph), everything else dies.
+
+    Its data (source context, target context, vertex inverse, edge inverse)
+    is built on the first successful call and kept on the inclusion; an
+    element of the kept source context skips the checks.  Otherwise they run
+    in order: admissibility, the source context, the element's context, the
+    target context.
+    """
+    data = inc._quotient
+    if data is None or a.context != data[0]:
+        _require_admissible(inc)
+        source = AlgebraContext.leavitt(inc.amb)
+        if a.context != source:
+            raise ContextMismatch(
+                "element does not live in the Leavitt algebra of the ambient graph"
+            )
+        data = inc._quotient = (
+            source,
+            AlgebraContext.leavitt(inc.sub),
+            {v: u for u, v in inc.vmap.items()},
+            {e: x for x, e in inc.emap.items()},
+        )
+    _, target, vinv, einv = data
+
+    def pull(p: Path) -> Optional[Path]:
+        if p.is_vertex:
+            u = vinv.get(p.vertex)
+            return None if u is None else Path.at(inc.sub, u)
+        try:
+            edges = tuple(einv[e] for e in p.edges)
+        except KeyError:
+            return None
+        return Path.of(inc.sub, edges)
+
+    return _push(target, a, pull)
 
 
 # -- relation preservation -----------------------------------------------------

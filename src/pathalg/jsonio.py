@@ -279,12 +279,6 @@ def instance_to_data(inst: PullbackInstance) -> dict:
     }
 
 
-def _inner_maps(data, what: str) -> tuple[dict, dict]:
-    data = _require_dict(data, what)
-    _require_keys(data, what, ("vmap", "emap"))
-    return data["vmap"], data["emap"]
-
-
 def instance_from_data(data) -> PullbackInstance:
     from .pullback import PullbackInstance
 
@@ -294,18 +288,16 @@ def instance_from_data(data) -> PullbackInstance:
     _require_keys(graphs_data, "'graphs'", _INSTANCE_GRAPHS)
     graphs = {name: graph_from_data(graphs_data[name]) for name in _INSTANCE_GRAPHS}
 
-    vmap, emap = _inner_maps(data["pi1"], "'pi1'")
-    pi1 = GraphInclusion(graphs["sub1"], graphs["amb1"], _str_map(vmap, "'pi1' vmap"),
-                         _str_map(emap, "'pi1' emap"))
-    vmap, emap = _inner_maps(data["pi2"], "'pi2'")
-    pi2 = GraphInclusion(graphs["sub2"], graphs["amb2"], _str_map(vmap, "'pi2' vmap"),
-                         _str_map(emap, "'pi2' emap"))
-    vmap, emap = _inner_maps(data["f"], "'f'")
-    f = DeferredHom(graphs["amb1"], graphs["amb2"], _str_map(vmap, "'f' vmap"),
-                    _raw_emap(emap, "'f' emap"))
-    vmap, emap = _inner_maps(data["f_res"], "'f_res'")
-    f_res = DeferredHom(graphs["sub1"], graphs["sub2"], _str_map(vmap, "'f_res' vmap"),
-                        _raw_emap(emap, "'f_res' emap"))
+    def maps(name: str, read_emap) -> tuple[dict, dict]:
+        what = f"'{name}'"
+        block = _require_dict(data[name], what)
+        _require_keys(block, what, ("vmap", "emap"))
+        return _str_map(block["vmap"], f"{what} vmap"), read_emap(block["emap"], f"{what} emap")
+
+    pi1 = GraphInclusion(graphs["sub1"], graphs["amb1"], *maps("pi1", _str_map))
+    pi2 = GraphInclusion(graphs["sub2"], graphs["amb2"], *maps("pi2", _str_map))
+    f = DeferredHom(graphs["amb1"], graphs["amb2"], *maps("f", _raw_emap))
+    f_res = DeferredHom(graphs["sub1"], graphs["sub2"], *maps("f_res", _raw_emap))
 
     bound = data["length_bound"]
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:

@@ -14,19 +14,20 @@ as the rows of one table over facts gathered once per report;
 ``check_commutativity`` and ``check_kernel_inclusion`` then verify the
 generator-level conclusions.
 
-H8 quantifies over all paths ending outside the second inclusion's image (or
-at its breaking vertices), which is an infinite family as soon as a cycle
-reaches those vertices; it is therefore checked up to the length bound and
-the overall verdict downgrades PASS to PASS_UP_TO_BOUND, except when the
-family is provably finite and fully covered.
+H8 quantifies over all paths ending outside the second inclusion's image,
+which is an infinite family as soon as a cycle reaches those vertices; it is
+therefore checked up to the length bound and the overall verdict downgrades
+PASS to PASS_UP_TO_BOUND, except when the family is provably finite and fully
+covered.  Only flagged vertices can be breaking, and H8 is not evaluated on
+flagged graphs, so the complement is its whole target set.
 """
 from __future__ import annotations
 
 from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple, Optional, Union
 
-from .admissible import GraphInclusion, breaking_vertices, is_admissible, quotient_map
-from .algebra import AlgebraContext, AlgebraElement, induce_leavitt
+from .admissible import GraphInclusion, breaking_vertices, is_admissible
+from .algebra import AlgebraContext, AlgebraElement, induce_leavitt, quotient_map
 from .errors import (
     AmbiguousInfiniteEmitter,
     DomainMismatch,
@@ -372,7 +373,7 @@ def _restriction_mismatch(inst: PullbackInstance, f: PathHom, f_res: PathHom) ->
         if f.vmap[inst.pi1.vmap[u]] != inst.pi2.vmap[f_res.vmap[u]]:
             return {"generator": {"vertex": u}}
     for x in inst.sub1.edges:
-        via_f = f.apply(Path.of(inst.amb1, (inst.pi1.emap[x],)))
+        via_f = f.emap[inst.pi1.emap[x]]
         via_res = _map_through_inclusion(inst.pi2, f_res.emap[x])
         if via_f != via_res:
             return {

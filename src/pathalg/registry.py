@@ -19,36 +19,32 @@ if TYPE_CHECKING:
     from .pullback import PullbackInstance
 
 
-def _g(vertices, edges) -> Graph:
-    return Graph(vertices, edges)
-
-
 GRAPHS: dict[str, Graph] = {
-    "pt": _g(["v"], []),
-    "loop": _g(["v"], [("e", "v", "v")]),
-    "edge": _g(["v", "w"], [("e", "v", "w")]),
-    "rose2": _g(["v"], [("e1", "v", "v"), ("e2", "v", "v")]),
-    "parallel2": _g(["v", "w"], [("e1", "v", "w"), ("e2", "v", "w")]),
-    "line3": _g(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c")]),
-    "cycle3": _g(
+    "pt": Graph(["v"], []),
+    "loop": Graph(["v"], [("e", "v", "v")]),
+    "edge": Graph(["v", "w"], [("e", "v", "w")]),
+    "rose2": Graph(["v"], [("e1", "v", "v"), ("e2", "v", "v")]),
+    "parallel2": Graph(["v", "w"], [("e1", "v", "w"), ("e2", "v", "w")]),
+    "line3": Graph(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c")]),
+    "cycle3": Graph(
         ["c0", "c1", "c2"],
         [("d0", "c0", "c1"), ("d1", "c1", "c2"), ("d2", "c2", "c0")],
     ),
-    "star2": _g(["v", "w1", "w2"], [("f1", "v", "w1"), ("f2", "v", "w2")]),
-    "star2_loop": _g(
+    "star2": Graph(["v", "w1", "w2"], [("f1", "v", "w1"), ("f2", "v", "w2")]),
+    "star2_loop": Graph(
         ["v", "w1", "w2"],
         [("u", "v", "v"), ("f1", "v", "w1"), ("f2", "v", "w2")],
     ),
-    "branch_dom": _g(
+    "branch_dom": Graph(
         ["v", "u", "w"],
         [("e0", "v", "u"), ("e1", "v", "w"), ("e2", "v", "w")],
     ),
-    "branch_cod": _g(
+    "branch_cod": Graph(
         ["v", "m", "u", "w"],
         [("x1", "v", "m"), ("x2", "v", "m"), ("y1", "m", "u"), ("y2", "m", "w")],
     ),
-    "rp2": _g(["v", "w"], [("s", "v", "v"), ("r", "v", "w"), ("t", "v", "w")]),
-    "toeplitz": _g(["v", "w"], [("e", "v", "v"), ("f", "v", "w")]),
+    "rp2": Graph(["v", "w"], [("s", "v", "v"), ("r", "v", "w"), ("t", "v", "w")]),
+    "toeplitz": Graph(["v", "w"], [("e", "v", "v"), ("f", "v", "w")]),
 }
 
 

@@ -2,14 +2,16 @@
 Leavitt algebras, the expression parser's sums and generator runs, the
 rendered normal form, the paths the package builds without re-validating
 them, the relations that maps of the category tower preserve, composition
-of path homomorphisms and the H8 first-preimage search; and the canonical
-JSON writer against ``json.dumps``.
+of path homomorphisms, the H8 first-preimage search and the mixed-pullback
+theorem on prefix-code squares; and the canonical JSON writer against
+``json.dumps``.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples (``conftest.py`` keeps Hypothesis' other files out of the tree).
 """
 import json
 import math
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -23,6 +25,9 @@ from pathalg import (
     Path,
     PathHom,
     canonical_dumps,
+    check_commutativity,
+    check_hypotheses,
+    check_kernel_inclusion,
     classify,
     compose,
     enumerate_path_homs,
@@ -39,9 +44,12 @@ from pathalg.registry import INCLUSIONS, MORPHISMS
 from helpers import (
     GeneratorWord,
     Letter,
+    complete_prefix_code,
     crossed_loops_map,
     first_preimage_table,
+    kernel_pairs,
     normal_form,
+    prefix_code_square,
     reference_monomial_key,
     reference_multiply,
     reference_render,
@@ -373,7 +381,7 @@ def test_compose_is_associative_and_unital(data):
 
 
 @st.composite
-def maps_with_zero_images(draw):
+def _random_maps(draw):
     """A path homomorphism from at most 3 vertices and 5 edges into at most 3
     vertices and 4 edges.  The vertex map is random, so often not injective,
     and each edge is drawn from its image, a walk of at most 2 edges, so
@@ -393,9 +401,47 @@ def maps_with_zero_images(draw):
     return PathHom(Graph(vertices, edges), cod, vmap, emap)
 
 
+@st.composite
+def _spliced_maps(draw):
+    """A path homomorphism into 3 vertices and at most 5 edges whose domain
+    threads the walks a b and a c through distinct vertices, with a
+    zero-image edge z after a:
+
+        u0 -a-> u1 -z-> u2 -b-> u3,   u2 -c-> u4
+
+    where b and c lead from the end of a to the two other vertices.  The
+    first preimage of a b is then a z b, longer than its image, and a and
+    a z reach two states with one image.  Half the draws add x: u1 -> u3
+    onto b, declared after it but from an earlier vertex, so the first
+    preimage of b is first in edge order, not in vertex order."""
+    i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    k, m = (n for n in range(3) if n != j)
+    arcs = [(i, j), (j, k), (j, m)] + draw(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=2)
+    )
+    cod = Graph(
+        ["v0", "v1", "v2"], [(f"e{n}", f"v{s}", f"v{t}") for n, (s, t) in enumerate(arcs)]
+    )
+    vmap = {"u0": f"v{i}", "u1": f"v{j}", "u2": f"v{j}", "u3": f"v{k}", "u4": f"v{m}"}
+    edges = [("a", "u0", "u1"), ("z", "u1", "u2"), ("b", "u2", "u3"), ("c", "u2", "u4")]
+    emap = {"a": ("e0",), "z": (), "b": ("e1",), "c": ("e2",)}
+    if draw(st.booleans()):
+        edges.append(("x", "u1", "u3"))
+        emap["x"] = ("e1",)
+    return PathHom(Graph(list(vmap), edges), cod, vmap, emap)
+
+
+def maps_with_zero_images():
+    """Random maps, or maps built around a chain of zero-image edges."""
+    return st.one_of(_random_maps(), _spliced_maps())
+
+
 # No shrinking: each shrink step rebuilds the exhaustive reference table, and
 # shrinking a failure drifts to draws whose table is huge (a failing search
-# once took minutes to report).  The unshrunk draw is already small.
+# once took minutes to report).  The unshrunk draw is already small.  The 100
+# draws alone, without the explicit examples, fail a search that builds level
+# 1 in source-vertex order, one that dedupes on the image alone and one that
+# keeps only images that are targets (not prefixes of targets).
 @settings(derandomize=True, database=None, deadline=None, max_examples=100,
           phases=(Phase.explicit, Phase.generate))
 @given(f=maps_with_zero_images(), b=st.integers(0, 3), ends=st.sets(st.integers(0, 2), min_size=1))
@@ -413,6 +459,36 @@ def test_first_preimages_are_those_of_the_full_table(f, b, ends):
     limit = len(f.dom.vertices) * (b + 1)
     table = first_preimage_table(f, limit)
     assert _first_preimages(f, targets) == {p: table[p] for p in targets if p in table}
+
+
+# -- the mixed-pullback theorem ----------------------------------------------------
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    k=st.integers(1, 3),
+    branchings=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    exits=st.integers(1, 2),
+    bound=st.integers(0, 3),
+)
+def test_prefix_code_squares_satisfy_the_theorem(k, branchings, seed, exits, bound):
+    """Squares that satisfy H1-H8 by construction: the hypotheses hold up to
+    the bound, H8 certifies each of the amb2 paths ending at w, the square
+    commutes on generators, and every spanning kernel pair comes from the
+    first quotient's kernel.  A full k-ary tree with b branchings has
+    1 + b(k - 1) leaves; for k = 1 the code is {e1 e1}.  The largest draw,
+    k = 3 with 2 exits at bound 3, has 729 kernel pairs."""
+    words = 1 if k == 1 else 1 + branchings * (k - 1)
+    code = complete_prefix_code(random.Random(seed), k, words)
+    inst = prefix_code_square(k, code, exits, bound)
+    pairs = kernel_pairs(k, exits, bound)
+
+    report = check_hypotheses(inst)
+    assert report.overall == "PASS_UP_TO_BOUND"
+    assert len(report.hypothesis("H8").witness["certificate"]) ** 2 == pairs
+    assert check_commutativity(inst).all_ok
+    kernel = check_kernel_inclusion(inst, report)
+    assert kernel.all_ok and len(kernel.entries) == pairs
 
 
 # -- the canonical JSON writer ---------------------------------------------------

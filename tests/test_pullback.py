@@ -482,6 +482,91 @@ class TestExactH8:
         assert data["hypotheses"][-1] == _ZERO_CHAIN_H8
 
 
+def _first_vertex_square(name: str, bound: int) -> PullbackInstance:
+    """The identity square of a built-in graph with both inclusions taking
+    its first vertex alone.  H1 fails (the vertex feeds into the complement),
+    but H8 still runs."""
+    g = GRAPHS[name]
+    v = g.vertices[0]
+    inc = GraphInclusion(Graph([v]), g, {v: v}, {})
+    return PullbackInstance(inc, inc, PathHom.identity(g), PathHom.identity(inc.sub), bound)
+
+
+def _certificate(*pairs) -> dict:
+    """A vertex id stands for a length-0 path, a tuple for its edges."""
+
+    def data(p):
+        return {"vertex": p} if isinstance(p, str) else {"edges": list(p)}
+
+    return {"certificate": [{"target": data(t), "preimage": data(q)} for t, q in pairs]}
+
+
+_DEGENERATE = " (degenerate bound 0: only length-0 paths were checked)"
+
+
+@pytest.mark.parametrize(
+    "make,verdict,witness,detail,overall",
+    [
+        pytest.param(
+            lambda: _first_vertex_square("edge", 1),
+            "pass",
+            _certificate(("w", "w"), (("e",), ("e",))),
+            "the family of qualifying paths is finite and was fully covered "
+            "(longest member has length 1)",
+            "FAIL",
+            id="finite-covered",
+        ),
+        pytest.param(
+            lambda: _first_vertex_square("line3", 1),
+            "pass_up_to_bound",
+            _certificate(("b", "b"), ("c", "c"), (("x",), ("x",)), (("y",), ("y",))),
+            "qualifying paths form a finite family with maximum length 2, "
+            "checked only up to the bound 1",
+            "FAIL",
+            id="finite-up-to-bound",
+        ),
+        pytest.param(
+            lambda: _first_vertex_square("edge", 0),
+            "pass_up_to_bound",
+            _certificate(("w", "w")),
+            "qualifying paths form a finite family with maximum length 1, "
+            "checked only up to the bound 0" + _DEGENERATE,
+            "FAIL",
+            id="finite-degenerate",
+        ),
+        pytest.param(
+            lambda: rp2q(2),
+            "pass_up_to_bound",
+            _certificate(("w", "w"), (("f",), ("r",)), (("e", "f"), ("t",))),
+            "infinitely many qualifying paths exist; checked up to length 2",
+            "PASS_UP_TO_BOUND",
+            id="infinite",
+        ),
+        pytest.param(
+            lambda: rp2q(0),
+            "pass_up_to_bound",
+            _certificate(("w", "w")),
+            "infinitely many qualifying paths exist; checked up to length 0" + _DEGENERATE,
+            "PASS_UP_TO_BOUND",
+            id="infinite-degenerate",
+        ),
+    ],
+)
+def test_h8_detail_forms(make, verdict, witness, detail, overall):
+    inst = make()
+    report = check_hypotheses(inst)
+    h8 = report.hypothesis("H8")
+    assert (h8.verdict, h8.witness, h8.detail) == (verdict, witness, detail)
+    assert report.overall == overall
+    lines = report.render_text().splitlines()
+    assert lines[-4:] == [
+        f"H8 [{verdict}] paths ending outside the second image are hit by f (bounded search)",
+        f"    witness: {witness}",
+        f"    {detail}",
+        f"overall: {overall} (length bound {inst.length_bound})",
+    ]
+
+
 class TestCommutativityFailures:
     def test_corrupt_restriction_yields_mismatch_entries(self):
         ident_res = PathHom.identity(loop)
