@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedInfiniteEmitter,
 )
 from .graphs import Graph, Path, regular_vertices
-from .morphisms import PathHom, classify
+from .morphisms import _CLASS_FLAGS, _FLAGS as _FLAG_LABELS, PathHom, classify
 
 PATH = "path"
 RELATIVE_COHN = "relative_cohn"
@@ -351,19 +351,19 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 # -- induced homomorphisms and quotient maps ------------------------------------
 
-# The class flags an induced map needs, in the order they are checked.
-_FLAGS = (
-    ("vertex_injective", NotVertexInjective, "vertex-injective"),
-    ("monotone", NotMonotone, "monotone"),
-    ("regular", NotRegular, "regular"),
-)
+# The error an induced map raises when a flag of its class is off.
+_FLAGS = {
+    "vertex_injective": NotVertexInjective,
+    "monotone": NotMonotone,
+    "regular": NotRegular,
+}
 
 # mode -> (the algebra it acts on, its context constructor, the map's name in
-# precondition messages, how many leading _FLAGS it needs)
+# precondition messages, the class of the tower it is defined on)
 _INDUCED = {
-    "path": ("path algebra", AlgebraContext.path, "path-algebra", 1),
-    "cohn": ("Cohn algebra", AlgebraContext.cohn, "Cohn", 2),
-    "leavitt": ("Leavitt algebra", AlgebraContext.leavitt, "Leavitt", 3),
+    "path": ("path algebra", AlgebraContext.path, "path-algebra", "ipg"),
+    "cohn": ("Cohn algebra", AlgebraContext.cohn, "Cohn", "mipg"),
+    "leavitt": ("Leavitt algebra", AlgebraContext.leavitt, "Leavitt", "rmipg"),
 }
 
 
@@ -379,14 +379,14 @@ def _induced_codomain(f: PathHom, a: AlgebraElement, mode: str) -> AlgebraContex
     contexts = (f._induced or {}).get(mode)
     if contexts is not None and a.context == contexts[0]:
         return contexts[1]
-    algebra, make_context, name, needs = _INDUCED[mode]
+    algebra, make_context, name, category = _INDUCED[mode]
     if a.context.graph != f.dom or a.context != make_context(f.dom):
         raise ContextMismatch(f"element does not live in the {algebra} of the domain")
     verdict = classify(f)
-    for flag, error, adjective in _FLAGS[:needs]:
+    for flag in _CLASS_FLAGS[category]:
         if not getattr(verdict, flag):
-            raise error(
-                f"induced {name} map needs a {adjective} morphism",
+            raise _FLAGS[flag](
+                f"induced {name} map needs a {_FLAG_LABELS[flag]} morphism",
                 witness=verdict.witnesses.get(flag),
             )
     target = make_context(f.cod)

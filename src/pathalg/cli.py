@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Mapping
 from . import registry
 from .errors import AmbiguousInfiniteEmitter, ExpressionError, FileFormatError, PathalgError
 from .graphs import Graph
-from .morphisms import CATEGORY_NAMES, PathHom, classify, compose
+from .morphisms import _FLAGS, CATEGORY_NAMES, PathHom, classify, compose
 
 if TYPE_CHECKING:
     from .algebra import AlgebraContext
@@ -105,14 +105,7 @@ def _cmd_classify(args) -> int:
     if args.json:
         _print_json(verdict.to_json_data())
     else:
-        flags = (
-            ("path homomorphism", "is_path_hom"),
-            ("vertex-injective", "vertex_injective"),
-            ("vertex-bijective (finite)", "vertex_bijective_finite"),
-            ("monotone", "monotone"),
-            ("regular", "regular"),
-        )
-        for label, flag in flags:
+        for flag, label in _FLAGS.items():
             _yes_no(label, getattr(verdict, flag), verdict.witnesses.get(flag))
         classes = [name for name in CATEGORY_NAMES if verdict.satisfies(name)]
         print("classes: " + (" ".join(classes) if classes else "(none)"))
@@ -227,17 +220,17 @@ def _cmd_pullback(args) -> int:
             raise FileFormatError("--bound must be non-negative")
         inst = inst.with_bound(args.bound)
     report = check_hypotheses(inst)
-    payload = {"hypotheses": report.to_json_data(), "commutativity": None, "kernel": None}
-
     comm = kernel = None
     if report.overall != FAIL:
         comm = check_commutativity(inst)
         kernel = check_kernel_inclusion(inst, report)
-        payload["commutativity"] = comm.to_json_data()
-        payload["kernel"] = kernel.to_json_data()
 
     if args.json:
-        _print_json(payload)
+        _print_json({
+            "hypotheses": report.to_json_data(),
+            "commutativity": None if comm is None else comm.to_json_data(),
+            "kernel": None if kernel is None else kernel.to_json_data(),
+        })
     else:
         print(report.render_text())
         if comm is not None:

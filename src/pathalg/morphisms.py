@@ -34,7 +34,27 @@ from .graphs import (
     star_letter,
 )
 
-CATEGORY_NAMES = ("PG", "IPG", "BPG", "MIPG", "MBPG", "RMIPG", "RMBPG")
+# Each flag of a verdict and its label, in report order.
+_FLAGS = {
+    "is_path_hom": "path homomorphism",
+    "vertex_injective": "vertex-injective",
+    "vertex_bijective_finite": "vertex-bijective (finite)",
+    "monotone": "monotone",
+    "regular": "regular",
+}
+
+# Each class of the tower and the flags that define it, in check order.
+_CLASS_FLAGS = {
+    "pg": ("is_path_hom",),
+    "ipg": ("vertex_injective",),
+    "bpg": ("vertex_bijective_finite",),
+    "mipg": ("vertex_injective", "monotone"),
+    "mbpg": ("vertex_bijective_finite", "monotone"),
+    "rmipg": ("vertex_injective", "monotone", "regular"),
+    "rmbpg": ("vertex_bijective_finite", "monotone", "regular"),
+}
+
+CATEGORY_NAMES = tuple(name.upper() for name in _CLASS_FLAGS)
 
 
 def _image_ids(raw) -> Optional[tuple]:
@@ -252,48 +272,47 @@ class CategoryVerdict(NamedTuple):
 
     @property
     def in_pg(self) -> bool:
-        return self.is_path_hom
+        return self.satisfies("pg")
 
     @property
     def in_ipg(self) -> bool:
-        return self.vertex_injective
+        return self.satisfies("ipg")
 
     @property
     def in_bpg(self) -> bool:
-        return self.vertex_bijective_finite
+        return self.satisfies("bpg")
 
     @property
     def in_mipg(self) -> bool:
-        return self.in_ipg and self.monotone
+        return self.satisfies("mipg")
 
     @property
     def in_mbpg(self) -> bool:
-        return self.in_bpg and self.monotone
+        return self.satisfies("mbpg")
 
     @property
     def in_rmipg(self) -> bool:
-        return self.in_mipg and self.regular
+        return self.satisfies("rmipg")
 
     @property
     def in_rmbpg(self) -> bool:
-        return self.in_mbpg and self.regular
+        return self.satisfies("rmbpg")
 
     def satisfies(self, category: str) -> bool:
         try:
-            return getattr(self, "in_" + category.lower())
-        except AttributeError:
+            flags = _CLASS_FLAGS[category.lower()]
+        except (AttributeError, KeyError):
             raise ValueError(f"unknown category {category!r}; expected one of {CATEGORY_NAMES}")
+        for flag in flags:
+            if not getattr(self, flag):
+                return False
+        return True
 
     def to_json_data(self) -> dict:
-        return {
-            "is_path_hom": self.is_path_hom,
-            "vertex_injective": self.vertex_injective,
-            "vertex_bijective_finite": self.vertex_bijective_finite,
-            "monotone": self.monotone,
-            "regular": self.regular,
-            "classes": {name: self.satisfies(name) for name in CATEGORY_NAMES},
-            "witnesses": self.witnesses,
-        }
+        data = {flag: getattr(self, flag) for flag in _FLAGS}
+        data["classes"] = {name: self.satisfies(name) for name in CATEGORY_NAMES}
+        data["witnesses"] = self.witnesses
+        return data
 
 
 def _vertex_injectivity_witness(f: PathHom) -> Optional[list]:
@@ -387,39 +406,22 @@ def _classify(f: PathHom) -> CategoryVerdict:
             raise UnsupportedInfiniteEmitter(
                 "classification is defined over fully listed graphs only"
             )
-    witnesses: dict = {}
-
     inj_witness = _vertex_injectivity_witness(f)
-    vertex_injective = inj_witness is None
-    if inj_witness is not None:
-        witnesses["vertex_injective"] = inj_witness
-
     if inj_witness is not None:
         bij_witness = {"kind": "not_injective", "vertices": inj_witness}
     else:
         covered = set(f.vmap.values())
         missing = next((w for w in f.cod.vertices if w not in covered), None)
         bij_witness = None if missing is None else {"kind": "not_surjective", "vertex": missing}
-    vertex_bijective = bij_witness is None
-    if bij_witness is not None:
-        witnesses["vertex_bijective_finite"] = bij_witness
-
-    mono_witness = _monotonicity_witness(f)
-    monotone = mono_witness is None
-    if mono_witness is not None:
-        witnesses["monotone"] = mono_witness
-
-    regular_result = is_regular(f)
-    if not regular_result.ok:
-        witnesses["regular"] = regular_result.witness
-
-    return CategoryVerdict(
-        vertex_injective=vertex_injective,
-        vertex_bijective_finite=vertex_bijective,
-        monotone=monotone,
-        regular=regular_result.ok,
-        witnesses=witnesses,
-    )
+    # flag -> its first counterexample, None where the flag holds
+    found = {
+        "vertex_injective": inj_witness,
+        "vertex_bijective_finite": bij_witness,
+        "monotone": _monotonicity_witness(f),
+        "regular": is_regular(f).witness,
+    }
+    witnesses = {flag: w for flag, w in found.items() if w is not None}
+    return CategoryVerdict(**{flag: w is None for flag, w in found.items()}, witnesses=witnesses)
 
 
 def enumerate_path_homs(

@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedInfiniteEmitter,
 )
 from .graphs import Graph, Path, _exitless_cycle, paths_up_to
-from .morphisms import CategoryVerdict, DeferredHom, PathHom, classify
+from .morphisms import _CLASS_FLAGS, CategoryVerdict, DeferredHom, PathHom, classify
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -303,16 +303,11 @@ def _facts(inst: PullbackInstance) -> _Facts:
 
 
 def _rmipg(m: _Realized) -> tuple:
-    """RMIPG is vertex-injective, monotone and regular: fail with the
-    witness of each flag that is off."""
+    """Fail with the witness of each RMIPG flag that is off."""
     if m.refusal is not None:
         return m.refusal
     v = m.verdict
-    failed = {
-        flag: v.witnesses.get(flag)
-        for flag in ("vertex_injective", "monotone", "regular")
-        if not getattr(v, flag)
-    }
+    failed = {flag: v.witnesses.get(flag) for flag in _CLASS_FLAGS["rmipg"] if not getattr(v, flag)}
     return ("fail", failed, "") if failed else ("pass", None, "")
 
 

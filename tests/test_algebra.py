@@ -11,6 +11,7 @@ from pathalg import (
     NotRegular,
     NotVertexInjective,
     Path,
+    PathalgError,
     PathHom,
     StarInPathMode,
     UnsupportedInfiniteEmitter,
@@ -46,6 +47,11 @@ L_loop = AlgebraContext.leavitt(loop)
 C_loop = AlgebraContext.cohn(loop)
 L_toe = AlgebraContext.leavitt(toeplitz)
 P_rp2 = AlgebraContext.path(rp2)
+
+# w -> v and both parallel edges onto the loop
+collapse = PathHom(
+    GRAPHS["parallel2"], loop, {"v": "v", "w": "v"}, {"e1": ("e",), "e2": ("e",)}
+)
 
 
 def nf(ctx, *letters, scalar=1):
@@ -261,6 +267,36 @@ class TestInducedMaps:
             with pytest.raises(NotVertexInjective) as info:
                 induce_path(f, AlgebraContext.path(par).vertex("v"))
             assert info.value.witness == ["v", "w"]
+
+    # the parallel-edge collapse is neither vertex-injective nor monotone, and
+    # rose2_to_pt is neither monotone nor regular: each map is refused for the
+    # first flag of its class that is off
+    @pytest.mark.parametrize(
+        "induce_map, make_context, f, error, message, witness",
+        [
+            (induce_path, AlgebraContext.path, collapse, NotVertexInjective,
+             "induced path-algebra map needs a vertex-injective morphism", ["v", "w"]),
+            (induce_cohn, AlgebraContext.cohn, collapse, NotVertexInjective,
+             "induced Cohn map needs a vertex-injective morphism", ["v", "w"]),
+            (induce_leavitt, AlgebraContext.leavitt, collapse, NotVertexInjective,
+             "induced Leavitt map needs a vertex-injective morphism", ["v", "w"]),
+            (induce_cohn, AlgebraContext.cohn, MORPHISMS["rose2_to_pt"], NotMonotone,
+             "induced Cohn map needs a monotone morphism", ["e1", "e2"]),
+            (induce_leavitt, AlgebraContext.leavitt, MORPHISMS["rose2_to_pt"], NotMonotone,
+             "induced Leavitt map needs a monotone morphism", ["e1", "e2"]),
+            (induce_leavitt, AlgebraContext.leavitt, MORPHISMS["star_embed"], NotRegular,
+             "induced Leavitt map needs a regular morphism",
+             {"vertex": "v", "kind": "missing_branch", "path": ["u"]}),
+        ],
+    )
+    def test_refusal_names_the_first_missing_flag(
+        self, induce_map, make_context, f, error, message, witness
+    ):
+        with pytest.raises(PathalgError) as info:
+            induce_map(f, make_context(f.dom).vertex("v"))
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert info.value.witness == witness
 
     def test_cohn_functor_needs_monotone(self):
         with pytest.raises(NotMonotone) as info:

@@ -192,10 +192,32 @@ class TestClassification:
 
     def test_satisfies_names(self):
         verdict = classify(phi)
-        for name in ("PG", "IPG", "BPG", "MIPG", "MBPG", "RMIPG", "RMBPG"):
+        for name in ("PG", "IPG", "BPG", "MIPG", "MBPG", "RMIPG", "RMBPG", "rmipg", "Mipg"):
             assert verdict.satisfies(name)
-        with pytest.raises(ValueError):
-            verdict.satisfies("XYZ")
+        for name in ("XYZ", "", None, 5):
+            with pytest.raises(ValueError):
+                verdict.satisfies(name)
+
+    def test_class_reads_agree_with_the_definitions(self):
+        small = [GRAPHS[name] for name in ("pt", "loop", "edge", "rose2", "parallel2", "toeplitz")]
+        for dom in small:
+            for cod in small:
+                for f in enumerate_path_homs(dom, cod, 2):
+                    v = classify(f)
+                    definitions = {
+                        "PG": True,
+                        "IPG": v.vertex_injective,
+                        "BPG": v.vertex_bijective_finite,
+                        "MIPG": v.vertex_injective and v.monotone,
+                        "MBPG": v.vertex_bijective_finite and v.monotone,
+                        "RMIPG": v.vertex_injective and v.monotone and v.regular,
+                        "RMBPG": v.vertex_bijective_finite and v.monotone and v.regular,
+                    }
+                    classes = v.to_json_data()["classes"]
+                    assert list(classes) == list(definitions)
+                    for name, expected in definitions.items():
+                        read = getattr(v, "in_" + name.lower())
+                        assert read == v.satisfies(name) == classes[name] == expected, (f, name)
 
     def test_flagged_graphs_refused(self):
         g = Graph(["v"], [("e", "v", "v")], infinite_emitters=["v"])
