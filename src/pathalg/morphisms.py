@@ -19,18 +19,16 @@ complete expansion tree, with an escape clause for 0-regular vertices.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .errors import DomainMismatch, InvalidPathHom, NonComposablePath, UnsupportedInfiniteEmitter
 from .graphs import (
     CheckResult,
     Graph,
     Path,
+    _require_unflagged,
     extended_graph,
     paths_up_to,
-    prefix_leq,
-    reg0_vertices,
-    regular_vertices,
     star_letter,
 )
 
@@ -161,6 +159,22 @@ class PathHom:
         )
         self._verdict = None
         self._induced = None
+
+    @classmethod
+    def _trusted(cls, dom: Graph, cod: Graph, choice: tuple, images: tuple) -> "PathHom":
+        """A map from parts already known to be valid, with no checks:
+        ``choice`` holds the vertex images in ``dom.vertices`` order and
+        ``images`` the edge images, cod paths with matching endpoints, in
+        ``dom.edges`` order."""
+        h = object.__new__(cls)
+        h.dom = dom
+        h.cod = cod
+        h.vmap = dict(zip(dom.vertices, choice))
+        h.emap = dict(zip(dom.edges, images))
+        h._key = (dom, cod, choice, images)
+        h._verdict = None
+        h._induced = None
+        return h
 
     @classmethod
     def identity(cls, g: Graph) -> "PathHom":
@@ -315,45 +329,59 @@ class CategoryVerdict(NamedTuple):
         return data
 
 
-def _vertex_injectivity_witness(f: PathHom) -> Optional[list]:
-    vs = f.dom.vertices
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if f.vmap[vs[i]] == f.vmap[vs[j]]:
-                return [vs[i], vs[j]]
-    return None
+def _vertex_witnesses(f: PathHom) -> tuple[Optional[list], Optional[dict]]:
+    """The first counterexamples to vertex-injectivity and to
+    vertex-bijectivity, None where the property holds."""
+    covered = set(f.vmap.values())
+    if len(covered) < len(f.vmap):
+        vs = f.dom.vertices
+        pair = next(
+            [v, w] for i, v in enumerate(vs) for w in vs[i + 1 :] if f.vmap[v] == f.vmap[w]
+        )
+        return pair, {"kind": "not_injective", "vertices": pair}
+    for w in f.cod.vertices:
+        if w not in covered:
+            return None, {"kind": "not_surjective", "vertex": w}
+    return None, None
 
 
 def _monotonicity_witness(f: PathHom) -> Optional[list]:
     es = f.dom.edges
-    for e in es:
-        for e2 in es:
-            if e != e2 and prefix_leq(f.emap[e], f.emap[e2]):
-                return [e, e2]
+    images = [f.emap[e].edges for e in es]
+    for i, a in enumerate(images):
+        if a:
+            n = len(a)
+            for j, b in enumerate(images):
+                if b[:n] == a and i != j:
+                    return [es[i], es[j]]
+        else:
+            # a length-0 image is a prefix of every image that starts at its vertex
+            v = f.vmap[f.dom.src(es[i])]
+            for j, e in enumerate(es):
+                if i != j and f.vmap[f.dom.src(e)] == v:
+                    return [es[i], e]
     return None
 
 
-def _expansion_failure(cod: Graph, root: str, paths: Sequence[Path], prefix: list) -> Optional[dict]:
-    """None iff ``paths`` (positive-length, from ``root``) is the leaf set of
-    a complete expansion tree rooted at ``root``.
+def _expansion_failure(cod: Graph, root: str, paths: list, prefix: list) -> Optional[dict]:
+    """None iff ``paths`` (the edge tuples of positive-length paths from
+    ``root``) is the leaf set of a complete expansion tree rooted at ``root``.
 
     The tree view: partition by first edge; the first-edge set must be all of
     the root's outgoing edges; each part is either the single path that stops
     there (a leaf) or recursively an expansion set one level down.  A missing
     outgoing edge, or a leaf that other paths extend past, is a failure.
     """
-    groups: dict[str, list[Path]] = {}
+    groups: dict[str, list[tuple]] = {}
     for p in paths:
-        x = p.edges[0]
-        rest = p.drop_first()
-        groups.setdefault(x, []).append(rest)
-    for x in cod.out_edges(root):
+        groups.setdefault(p[0], []).append(p[1:])
+    out = cod.out_edges(root)
+    for x in out:
         if x not in groups:
             return {"kind": "missing_branch", "path": prefix + [x]}
-    for x in cod.out_edges(root):
+    for x in out:
         residuals = groups[x]
-        stopped = [r for r in residuals if r.is_vertex]
-        if stopped:
+        if () in residuals:
             if len(residuals) == 1:
                 continue
             return {"kind": "leaf_extension_conflict", "path": prefix + [x]}
@@ -366,27 +394,37 @@ def _expansion_failure(cod: Graph, root: str, paths: Sequence[Path], prefix: lis
 def is_regular(f: PathHom) -> CheckResult:
     """Regularity of f; a False verdict carries the first offending vertex
     together with the specific clause that broke."""
-    reg0 = set(reg0_vertices(f.dom))
-    for v in regular_vertices(f.dom):
-        star = f.dom.out_edges(v)
-        images = [f.emap[e] for e in star]
-        if v in reg0 and images[0].is_vertex:
+    witness = _regularity_witness(f)
+    return CheckResult(witness is None, witness)
+
+
+def _regularity_witness(f: PathHom) -> Optional[dict]:
+    dom = f.dom
+    _require_unflagged(dom, "reg0_vertices")
+    for v in dom.vertices:
+        star = dom.out_edges(v)
+        if not star:
+            continue  # a sink is not regular
+        # every image starts at f(v), so images are equal iff their edges are
+        images = [f.emap[e].edges for e in star]
+        if len(star) == 1 and not images[0] and dom.tgt(star[0]) == v:
             # 0-regular escape: the lone loop may collapse onto its vertex
             continue
-        for j in range(len(star)):
-            for i in range(j):
-                if images[i] == images[j]:
-                    return CheckResult(
-                        False,
-                        {"vertex": v, "kind": "star_not_injective", "edges": [star[i], star[j]]},
-                    )
+        if len(set(images)) < len(images):
+            pair = next(
+                [star[i], star[j]]
+                for j in range(len(star))
+                for i in range(j)
+                if images[i] == images[j]
+            )
+            return {"vertex": v, "kind": "star_not_injective", "edges": pair}
         for e, img in zip(star, images):
-            if img.is_vertex:
-                return CheckResult(False, {"vertex": v, "kind": "collapsed_edge", "edge": e})
+            if not img:
+                return {"vertex": v, "kind": "collapsed_edge", "edge": e}
         failure = _expansion_failure(f.cod, f.vmap[v], images, [])
         if failure is not None:
-            return CheckResult(False, {"vertex": v, **failure})
-    return CheckResult(True)
+            return {"vertex": v, **failure}
+    return None
 
 
 def classify(f: PathHom) -> CategoryVerdict:
@@ -406,22 +444,20 @@ def _classify(f: PathHom) -> CategoryVerdict:
             raise UnsupportedInfiniteEmitter(
                 "classification is defined over fully listed graphs only"
             )
-    inj_witness = _vertex_injectivity_witness(f)
-    if inj_witness is not None:
-        bij_witness = {"kind": "not_injective", "vertices": inj_witness}
-    else:
-        covered = set(f.vmap.values())
-        missing = next((w for w in f.cod.vertices if w not in covered), None)
-        bij_witness = None if missing is None else {"kind": "not_surjective", "vertex": missing}
+    injective, bijective = _vertex_witnesses(f)
+    monotone = _monotonicity_witness(f)
+    regular = _regularity_witness(f)
     # flag -> its first counterexample, None where the flag holds
     found = {
-        "vertex_injective": inj_witness,
-        "vertex_bijective_finite": bij_witness,
-        "monotone": _monotonicity_witness(f),
-        "regular": is_regular(f).witness,
+        "vertex_injective": injective,
+        "vertex_bijective_finite": bijective,
+        "monotone": monotone,
+        "regular": regular,
     }
     witnesses = {flag: w for flag, w in found.items() if w is not None}
-    return CategoryVerdict(**{flag: w is None for flag, w in found.items()}, witnesses=witnesses)
+    return CategoryVerdict(
+        injective is None, bijective is None, monotone is None, regular is None, witnesses
+    )
 
 
 def enumerate_path_homs(
@@ -456,5 +492,6 @@ def enumerate_path_homs(
             candidate_lists.append(candidates)
         if candidate_lists is None:
             continue
+        # the pools are keyed by endpoints, so every image fits its edge
         for images in itertools.product(*candidate_lists):
-            yield PathHom(dom, cod, vmap, dict(zip(dom.edges, images)))
+            yield PathHom._trusted(dom, cod, choice, images)

@@ -1,6 +1,6 @@
-"""Independent oracles, references, generator words with their evaluator,
-random word generators and the prefix-code pullback squares used across the
-test suite.
+"""Independent oracles, references (the category-tower verdict among them),
+generator words with their evaluator, random word generators and the
+prefix-code pullback squares used across the test suite.
 
 The matrix oracle represents the full quotient algebra of a line graph with
 n vertices on n-by-n rational matrices; the Laurent oracle represents the
@@ -24,6 +24,8 @@ from pathalg import (
     multiply,
     paths_up_to,
     prefix_leq,
+    reg0_vertices,
+    regular_vertices,
 )
 from pathalg.algebra import AlgebraElement, _accumulate_pair
 from pathalg.registry import GRAPHS
@@ -297,6 +299,95 @@ def crossed_loops_map() -> PathHom:
     preimage of e is x0, first in edge order but not in vertex order."""
     dom = Graph(["u0", "u1"], [("x0", "u1", "u1"), ("x1", "u0", "u0")])
     return PathHom(dom, GRAPHS["loop"], {"u0": "v", "u1": "v"}, {"x0": ("e",), "x1": ("e",)})
+
+
+# -- the category tower -------------------------------------------------------------
+
+
+def _reference_expansion_failure(cod: Graph, root: str, paths: list, prefix: list):
+    """The first failure of ``paths`` (positive-length, from ``root``) to be
+    the leaf set of a complete expansion tree, found on Path objects."""
+    groups: dict[str, list[Path]] = {}
+    for p in paths:
+        groups.setdefault(p.edges[0], []).append(p.drop_first())
+    for x in cod.out_edges(root):
+        if x not in groups:
+            return {"kind": "missing_branch", "path": prefix + [x]}
+    for x in cod.out_edges(root):
+        residuals = groups[x]
+        if any(r.is_vertex for r in residuals):
+            if len(residuals) == 1:
+                continue
+            return {"kind": "leaf_extension_conflict", "path": prefix + [x]}
+        failure = _reference_expansion_failure(cod, cod.tgt(x), residuals, prefix + [x])
+        if failure is not None:
+            return failure
+    return None
+
+
+def _reference_regularity_witness(f: PathHom):
+    reg0 = set(reg0_vertices(f.dom))
+    for v in regular_vertices(f.dom):
+        star = f.dom.out_edges(v)
+        images = [f.emap[e] for e in star]
+        if v in reg0 and images[0].is_vertex:
+            continue
+        for j in range(len(star)):
+            for i in range(j):
+                if images[i] == images[j]:
+                    return {"vertex": v, "kind": "star_not_injective", "edges": [star[i], star[j]]}
+        for e, img in zip(star, images):
+            if img.is_vertex:
+                return {"vertex": v, "kind": "collapsed_edge", "edge": e}
+        failure = _reference_expansion_failure(f.cod, f.vmap[v], images, [])
+        if failure is not None:
+            return {"vertex": v, **failure}
+    return None
+
+
+def reference_verdict(f: PathHom) -> dict:
+    """``classify(f).to_json_data()`` from the definitions on Path objects:
+    pairwise vertex scans, ``prefix_leq`` for monotonicity, the
+    ``reg0_vertices``/``regular_vertices`` loop for regularity and
+    ``Path.drop_first`` for the expansion tree.  Each witness is the first
+    in declaration order."""
+    vs, es = f.dom.vertices, f.dom.edges
+    injective = None
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            if injective is None and f.vmap[vs[i]] == f.vmap[vs[j]]:
+                injective = [vs[i], vs[j]]
+    if injective is not None:
+        bijective = {"kind": "not_injective", "vertices": injective}
+    else:
+        missing = [w for w in f.cod.vertices if w not in f.vmap.values()]
+        bijective = {"kind": "not_surjective", "vertex": missing[0]} if missing else None
+    monotone = None
+    for e in es:
+        for e2 in es:
+            if monotone is None and e != e2 and prefix_leq(f.emap[e], f.emap[e2]):
+                monotone = [e, e2]
+    found = {
+        "vertex_injective": injective,
+        "vertex_bijective_finite": bijective,
+        "monotone": monotone,
+        "regular": _reference_regularity_witness(f),
+    }
+    inj, bij, mono, reg = (w is None for w in found.values())
+    return {
+        "is_path_hom": True,
+        **{flag: w is None for flag, w in found.items()},
+        "classes": {
+            "PG": True,
+            "IPG": inj,
+            "BPG": bij,
+            "MIPG": inj and mono,
+            "MBPG": bij and mono,
+            "RMIPG": inj and mono and reg,
+            "RMBPG": bij and mono and reg,
+        },
+        "witnesses": {flag: w for flag, w in found.items() if w is not None},
+    }
 
 
 # -- vertex-simple cycles ---------------------------------------------------------

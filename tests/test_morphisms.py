@@ -190,6 +190,49 @@ class TestClassification:
         assert not result.ok
         assert result.witness == {"vertex": "v", "kind": "missing_branch", "path": ["f"]}
 
+    def test_leaf_extension_conflict_witness(self):
+        # a x y stops where b x y z goes on: the leaf x y has an extension
+        dom = Graph(["p", "q", "r"], [("a", "p", "q"), ("b", "p", "r")])
+        cod = Graph(
+            ["s", "t", "u", "w"], [("x", "s", "t"), ("y", "t", "u"), ("z", "u", "w")]
+        )
+        vmap = {"p": "s", "q": "u", "r": "w"}
+        f = PathHom(dom, cod, vmap, {"a": ("x", "y"), "b": ("x", "y", "z")})
+        assert is_regular(f).witness == {
+            "vertex": "p",
+            "kind": "leaf_extension_conflict",
+            "path": ["x", "y"],
+        }
+
+    def test_star_not_injective_on_collapsed_edges(self):
+        rose3 = Graph(["v"], [("e1", "v", "v"), ("e2", "v", "v"), ("e3", "v", "v")])
+        f = PathHom(rose3, loop, {"v": "v"}, {"e1": ("e",), "e2": (), "e3": ()})
+        assert is_regular(f).witness == {
+            "vertex": "v",
+            "kind": "star_not_injective",
+            "edges": ["e2", "e3"],
+        }
+
+    def test_monotone_witness_from_a_collapsed_edge(self):
+        # the length-0 image of e2 is a prefix of e1's image, which starts at v
+        rose3 = Graph(["v"], [("e1", "v", "v"), ("e2", "v", "v"), ("e3", "v", "v")])
+        f = PathHom(rose3, loop, {"v": "v"}, {"e1": ("e",), "e2": (), "e3": ()})
+        assert classify(f).witnesses["monotone"] == ["e2", "e1"]
+        # a length-0 image at w is no prefix of an image that starts at v
+        two_loops = Graph(["a", "b"], [("x", "a", "a"), ("y", "b", "b")])
+        g = PathHom(two_loops, toeplitz, {"a": "v", "b": "w"}, {"x": ("e",), "y": ()})
+        assert classify(g).monotone
+
+    def test_is_regular_refuses_a_flagged_domain(self):
+        g = Graph(["v", "w"], [("e", "v", "v")], infinite_emitters=["w"])
+        f = PathHom(g, loop, {"v": "v", "w": "v"}, {"e": ("e",)})
+        with pytest.raises(UnsupportedInfiniteEmitter) as err:
+            is_regular(f)
+        assert str(err.value) == (
+            "reg0_vertices: vertex 'w' is flagged as an infinite emitter, so the "
+            "listed edges are incomplete"
+        )
+
     def test_satisfies_names(self):
         verdict = classify(phi)
         for name in ("PG", "IPG", "BPG", "MIPG", "MBPG", "RMIPG", "RMBPG", "rmipg", "Mipg"):

@@ -1,10 +1,11 @@
 """Property tests over random small graphs: products in the path, Cohn and
 Leavitt algebras, the expression parser's sums and generator runs, the
-rendered normal form, the paths the package builds without re-validating
-them, the relations that maps of the category tower preserve, composition
-of path homomorphisms, the H8 first-preimage search and the mixed-pullback
-theorem on prefix-code squares; and the canonical JSON writer against
-``json.dumps``.
+rendered normal form, the paths and maps the package builds without
+re-validating them, the relations that maps of the category tower
+preserve, classification against its reference, composition of path
+homomorphisms and the functoriality of the induced maps, the H8
+first-preimage search and the mixed-pullback theorem on prefix-code
+squares; and the canonical JSON writer against ``json.dumps``.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples (``conftest.py`` keeps Hypothesis' other files out of the tree).
@@ -35,7 +36,7 @@ from pathalg import (
     regular_vertices,
     verify_relations_preserved,
 )
-from pathalg.algebra import Monomial, multiply
+from pathalg.algebra import Monomial, induce_cohn, induce_leavitt, induce_path, multiply
 from pathalg.cli import main
 from pathalg.expressions import parse_expression
 from pathalg.pullback import _first_preimages
@@ -53,6 +54,7 @@ from helpers import (
     reference_monomial_key,
     reference_multiply,
     reference_render,
+    reference_verdict,
     zero_chain_map,
 )
 
@@ -353,6 +355,22 @@ def test_applied_paths_equal_validated_ones(name):
 # -- path homomorphisms ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("injective", [False, True], ids=["all", "injective"])
+@_settings
+@given(dom=graphs(3, 3), cod=graphs(3, 3))
+def test_enumerated_maps_equal_validated_ones(injective, dom, cod):
+    """Every map the enumerator builds without checks equals, hashes and
+    prints like the same map built through the validating constructor, with
+    its own vertex and edge dicts in declaration order."""
+    homs = list(enumerate_path_homs(dom, cod, 2, vertex_injective_only=injective))
+    for h in homs:
+        checked = PathHom(h.dom, h.cod, h.vmap, h.emap)
+        assert h == checked and hash(h) == hash(checked) and repr(h) == repr(checked)
+        assert list(h.vmap.items()) == list(checked.vmap.items())
+        assert list(h.emap.items()) == list(checked.emap.items())
+    assert len({id(h.vmap) for h in homs}) == len({id(h.emap) for h in homs}) == len(homs)
+
+
 @pytest.mark.parametrize(
     "mode,category", [("cohn", "MIPG"), ("leavitt", "RMIPG")], ids=["cohn", "leavitt"]
 )
@@ -482,6 +500,58 @@ def test_first_preimages_are_those_of_the_full_table(f, b, ends):
     limit = len(f.dom.vertices) * (b + 1)
     table = first_preimage_table(f, limit)
     assert _first_preimages(f, targets) == {p: table[p] for p in targets if p in table}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(f=_random_maps())
+@example(f=MORPHISMS["loop_to_pt"])
+@example(f=MORPHISMS["rose2_to_pt"])
+@example(f=MORPHISMS["branch_missing"])
+def test_classify_matches_reference_verdict(f):
+    """The verdict read off edge tuples is the one the definitions give on
+    Path objects, witnesses included.  The random maps have non-injective
+    vertex maps, zero-image edges and zero-image loops at 0-regular
+    vertices."""
+    assert classify(f).to_json_data() == reference_verdict(f)
+
+
+# class -> its algebra's context and the induced map on it
+_INDUCED_MAPS = {
+    "IPG": (AlgebraContext.path, induce_path),
+    "MIPG": (AlgebraContext.cohn, induce_cohn),
+    "RMIPG": (AlgebraContext.leavitt, induce_leavitt),
+}
+
+
+def _generators(ctx: AlgebraContext) -> list:
+    g = ctx.graph
+    gens = [ctx.vertex(v) for v in g.vertices] + [ctx.edge(e) for e in g.edges]
+    if not ctx.is_path_mode:
+        gens += [ctx.edge_star(e) for e in g.edges]
+    return gens
+
+
+@pytest.mark.parametrize("category", list(_INDUCED_MAPS))
+@_settings
+@given(data=st.data())
+def test_induced_maps_are_functorial(category, data):
+    """For f and g of one class, IPG, MIPG or RMIPG, the composite g f is in
+    that class too, and on every generator of its algebra it induces the
+    composite of the maps g and f induce."""
+    make_context, induce = _INDUCED_MAPS[category]
+    a, b, c = (data.draw(graphs(3, 3)) for _ in range(3))
+    f_pool, g_pool = (
+        [h for h in enumerate_path_homs(x, y, 2, vertex_injective_only=True)
+         if classify(h).satisfies(category)]
+        for x, y in ((a, b), (b, c))
+    )
+    if not (f_pool and g_pool):
+        return
+    f, g = data.draw(st.sampled_from(f_pool)), data.draw(st.sampled_from(g_pool))
+    gf = compose(g, f)
+    assert classify(gf).satisfies(category)
+    for x in _generators(make_context(a)):
+        assert induce(gf, x) == induce(g, induce(f, x))
 
 
 # -- the mixed-pullback theorem ----------------------------------------------------
