@@ -92,7 +92,6 @@ _EXPORTS = {
     "morphisms": (
         "CATEGORY_NAMES",
         "CategoryVerdict",
-        "DeferredHom",
         "PathHom",
         "classify",
         "compose",

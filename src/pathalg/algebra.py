@@ -534,7 +534,7 @@ def verify_relations_preserved(f: PathHom, mode: str) -> RelationReport:
                 cod_ctx.path_element(f.emap[e2]),
             )
             if e == e2:
-                img = img - cod_ctx.vertex(f.vertex_image(g.tgt(e)))
+                img = img - cod_ctx.vertex(f.vmap[g.tgt(e)])
             checks.append(
                 RelationCheck(
                     kind="CK1",
@@ -549,7 +549,7 @@ def verify_relations_preserved(f: PathHom, mode: str) -> RelationReport:
         total = cod_ctx.zero()
         for e in g.out_edges(v):
             total = total + cod_ctx.pair_element(f.emap[e], f.emap[e])
-        img = total - cod_ctx.vertex(f.vertex_image(v))
+        img = total - cod_ctx.vertex(f.vmap[v])
         label = " + ".join(f"{e} {e}*" for e in g.out_edges(v)) + f" - {v}"
         checks.append(
             RelationCheck(kind="CK2", label=label, data=(v,), ok=img.is_zero, residual=str(img))

@@ -54,7 +54,7 @@ def _resolve_morphism(spec: str, names: Mapping[str, Graph]) -> PathHom:
     return _resolve(
         spec,
         registry.MORPHISMS,
-        lambda path: _jsonio().load_morphism(path, names).realize(),
+        lambda path: _jsonio().load_morphism(path, names),
         "morphism",
     )
 

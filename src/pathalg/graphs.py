@@ -112,7 +112,9 @@ class Graph:
                         )
             emitters.append((v, targets))
         self.infinite_emitters = tuple(emitters)
-        self._hash = hash((self.vertices, self._triples, self.infinite_emitters))
+        # the flags stay out: an undeclared target set is None, and hash(None)
+        # varies from process to process
+        self._hash = hash((self.vertices, self._triples))
 
     # -- accessors ---------------------------------------------------------
 
@@ -134,28 +136,11 @@ class Graph:
     def has_edge(self, e) -> bool:
         return e in self._eindex
 
-    def vertex_index(self, v: str) -> int:
-        return self._vindex[v]
-
-    def edge_index(self, e: str) -> int:
-        return self._eindex[e]
-
     def edge_triples(self) -> tuple[tuple[str, str, str], ...]:
         return self._triples
 
     def is_flagged(self, v: str) -> bool:
         return any(v == w for w, _ in self.infinite_emitters)
-
-    def emitter_targets(self, v: str) -> Optional[tuple[str, ...]]:
-        """Declared landing set of the unlisted edges out of flagged ``v``."""
-        for w, targets in self.infinite_emitters:
-            if w == v:
-                return targets
-        raise KeyError(v)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
 
     def __eq__(self, other):
         if self is other:
@@ -205,7 +190,8 @@ class Path:
         self.graph = graph
         self.vertex = vertex
         self.edges = edges
-        self._hash = hash((vertex, edges))
+        # by value alone: hash(None) would vary from process to process
+        self._hash = hash(edges or vertex)
 
     @classmethod
     def _trusted(cls, graph: Graph, vertex: Optional[str], edges: tuple) -> "Path":
@@ -215,7 +201,7 @@ class Path:
         p.graph = graph
         p.vertex = vertex
         p.edges = edges
-        p._hash = hash((vertex, edges))
+        p._hash = hash(edges or vertex)
         return p
 
     @classmethod
@@ -267,13 +253,6 @@ class Path:
         if len(self.edges) == 1:
             return Path._trusted(self.graph, self.graph.src(self.edges[0]), ())
         return Path._trusted(self.graph, None, self.edges[:-1])
-
-    def drop_first(self) -> "Path":
-        if self.is_vertex:
-            raise ValueError("a length-0 path has no first edge")
-        if len(self.edges) == 1:
-            return Path._trusted(self.graph, self.graph.tgt(self.edges[0]), ())
-        return Path._trusted(self.graph, None, self.edges[1:])
 
     def sort_key(self) -> tuple:
         """Length-major, then lexicographic in edge declaration order."""

@@ -11,9 +11,9 @@ import math
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .admissible import GraphInclusion
-from .errors import FileFormatError
+from .errors import FileFormatError, InvalidPathHom
 from .graphs import Graph
-from .morphisms import DeferredHom, PathHom
+from .morphisms import PathHom
 
 if TYPE_CHECKING:
     from .pullback import PullbackInstance
@@ -190,16 +190,12 @@ def _graph_from_ref(ref, names: Optional[Mapping[str, Graph]], what: str) -> Gra
     return graph_from_data(ref)
 
 
-def _hom_maps_to_data(h) -> dict:
-    """The vertex and edge maps of a PathHom or DeferredHom in file form."""
-    if isinstance(h, DeferredHom):
-        # already in file form
-        emap = {e: dict(r) if isinstance(r, dict) else list(r) for e, r in h.emap_raw.items()}
-    else:
-        emap = {
-            e: {"vertex": img.vertex} if img.is_vertex else list(img.edges)
-            for e, img in h.emap.items()
-        }
+def _hom_maps_to_data(h: PathHom) -> dict:
+    """The vertex and edge maps of a PathHom in file form."""
+    emap = {
+        e: {"vertex": img.vertex} if img.is_vertex else list(img.edges)
+        for e, img in h.emap.items()
+    }
     return {"vmap": dict(h.vmap), "emap": emap}
 
 
@@ -227,16 +223,14 @@ def _raw_emap(data, what: str) -> dict:
     return out
 
 
-def morphism_from_data(data, names: Optional[Mapping[str, Graph]] = None) -> DeferredHom:
-    """Morphism files realize lazily: the shape is validated here, the
-    path-homomorphism laws only when the caller realizes the result."""
+def morphism_from_data(data, names: Optional[Mapping[str, Graph]] = None) -> PathHom:
     data = _require_dict(data, "a morphism")
     _require_keys(data, "a morphism", ("dom", "cod", "vmap", "emap"))
     dom = _graph_from_ref(data["dom"], names, "'dom'")
     cod = _graph_from_ref(data["cod"], names, "'cod'")
     vmap = _str_map(data["vmap"], "'vmap'")
     emap = _raw_emap(data["emap"], "'emap'")
-    return DeferredHom(dom, cod, vmap, emap)
+    return PathHom(dom, cod, vmap, emap)
 
 
 # -- inclusions --------------------------------------------------------------
@@ -266,6 +260,15 @@ def inclusion_from_data(data, names: Optional[Mapping[str, Graph]] = None) -> Gr
 _INSTANCE_GRAPHS = ("amb1", "amb2", "sub1", "sub2")
 
 
+def _hom_or_error(dom: Graph, cod: Graph, vmap: dict, emap: dict) -> PathHom | InvalidPathHom:
+    """The map, or the InvalidPathHom that building it raised: a square
+    whose map breaks the laws fails H3 or H6 instead of being refused on load."""
+    try:
+        return PathHom(dom, cod, vmap, emap)
+    except InvalidPathHom as exc:
+        return exc
+
+
 def instance_to_data(inst: PullbackInstance) -> dict:
     graphs = {name: graph_to_data(getattr(inst, name)) for name in _INSTANCE_GRAPHS}
 
@@ -273,8 +276,8 @@ def instance_to_data(inst: PullbackInstance) -> dict:
         "graphs": graphs,
         "pi1": {"vmap": dict(inst.pi1.vmap), "emap": dict(inst.pi1.emap)},
         "pi2": {"vmap": dict(inst.pi2.vmap), "emap": dict(inst.pi2.emap)},
-        "f": _hom_maps_to_data(inst.f),
-        "f_res": _hom_maps_to_data(inst.f_res),
+        "f": _hom_maps_to_data(inst.realize_f()),
+        "f_res": _hom_maps_to_data(inst.realize_f_res()),
         "length_bound": inst.length_bound,
     }
 
@@ -296,8 +299,8 @@ def instance_from_data(data) -> PullbackInstance:
 
     pi1 = GraphInclusion(graphs["sub1"], graphs["amb1"], *maps("pi1", _str_map))
     pi2 = GraphInclusion(graphs["sub2"], graphs["amb2"], *maps("pi2", _str_map))
-    f = DeferredHom(graphs["amb1"], graphs["amb2"], *maps("f", _raw_emap))
-    f_res = DeferredHom(graphs["sub1"], graphs["sub2"], *maps("f_res", _raw_emap))
+    f = _hom_or_error(graphs["amb1"], graphs["amb2"], *maps("f", _raw_emap))
+    f_res = _hom_or_error(graphs["sub1"], graphs["sub2"], *maps("f_res", _raw_emap))
 
     bound = data["length_bound"]
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
@@ -324,7 +327,7 @@ def load_graph(path: str) -> Graph:
     return graph_from_data(load_json(path))
 
 
-def load_morphism(path: str, names: Optional[Mapping[str, Graph]] = None) -> DeferredHom:
+def load_morphism(path: str, names: Optional[Mapping[str, Graph]] = None) -> PathHom:
     return morphism_from_data(load_json(path), names)
 
 

@@ -180,12 +180,6 @@ class PathHom:
     def identity(cls, g: Graph) -> "PathHom":
         return cls(g, g, {v: v for v in g.vertices}, {e: (e,) for e in g.edges})
 
-    def vertex_image(self, v: str) -> str:
-        return self.vmap[v]
-
-    def edge_image(self, e: str) -> Path:
-        return self.emap[e]
-
     def apply(self, p: Path) -> Path:
         if p.graph != self.dom:
             raise DomainMismatch("path does not live in the morphism's domain")
@@ -211,30 +205,6 @@ class PathHom:
     def __repr__(self):
         images = ", ".join(f"{e}->{self.emap[e]}" for e in self.dom.edges)
         return f"PathHom({images or 'no edges'})"
-
-
-class DeferredHom:
-    """Unvalidated path-homomorphism data.
-
-    Instance files may describe morphisms that fail to be path homomorphisms
-    at all (non-composable images, endpoint mismatches); the verifier must
-    report that as a hypothesis failure rather than refuse the input, so
-    validation is deferred to ``realize``.
-
-    ``emap_raw`` values are edge-id lists or ``{"vertex": v}`` for length-0
-    images, mirroring the file format.
-    """
-
-    __slots__ = ("dom", "cod", "vmap", "emap_raw")
-
-    def __init__(self, dom: Graph, cod: Graph, vmap: dict, emap_raw: dict):
-        self.dom = dom
-        self.cod = cod
-        self.vmap = dict(vmap)
-        self.emap_raw = dict(emap_raw)
-
-    def realize(self) -> PathHom:
-        return PathHom(self.dom, self.cod, self.vmap, self.emap_raw)
 
 
 def compose(g: PathHom, f: PathHom) -> PathHom:

@@ -24,7 +24,7 @@ flagged graphs, so the complement is its whole target set.
 from __future__ import annotations
 
 from graphlib import CycleError, TopologicalSorter
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .admissible import GraphInclusion, breaking_vertices, is_admissible
 from .algebra import AlgebraContext, AlgebraElement, induce_leavitt, quotient_map
@@ -37,36 +37,42 @@ from .errors import (
     UnsupportedInfiniteEmitter,
 )
 from .graphs import Graph, Path, _exitless_cycle, paths_up_to
-from .morphisms import _CLASS_FLAGS, CategoryVerdict, DeferredHom, PathHom, classify
+from .morphisms import _CLASS_FLAGS, CategoryVerdict, PathHom, classify
 
 PASS = "PASS"
 FAIL = "FAIL"
 PASS_UP_TO_BOUND = "PASS_UP_TO_BOUND"
 
 
-HomLike = Union[PathHom, DeferredHom]
-
-
-def _realize(h: HomLike) -> PathHom:
-    return h if isinstance(h, PathHom) else h.realize()
+def _built(h: PathHom | InvalidPathHom) -> PathHom:
+    """The map ``h``, or raise the error that kept it from being built."""
+    if isinstance(h, InvalidPathHom):
+        raise h
+    return h
 
 
 class PullbackInstance:
-    """One verification problem: the square plus the search bound."""
+    """One verification problem: the square plus the search bound.
 
-    __slots__ = ("pi1", "pi2", "f", "f_res", "length_bound", "_f_cache", "_f_res_cache")
+    ``f`` and ``f_res`` are PathHoms, or the InvalidPathHom raised while
+    building one from file data: the verifier reports such a map as an H3 or
+    H6 failure, not as a load error."""
+
+    __slots__ = ("pi1", "pi2", "f", "f_res", "length_bound")
 
     def __init__(
         self,
         pi1: GraphInclusion,
         pi2: GraphInclusion,
-        f: HomLike,
-        f_res: HomLike,
+        f: PathHom | InvalidPathHom,
+        f_res: PathHom | InvalidPathHom,
         length_bound: int,
     ):
-        if f.dom != pi1.amb or f.cod != pi2.amb:
+        if not isinstance(f, InvalidPathHom) and (f.dom != pi1.amb or f.cod != pi2.amb):
             raise DomainMismatch("f must run between the two ambient graphs")
-        if f_res.dom != pi1.sub or f_res.cod != pi2.sub:
+        if not isinstance(f_res, InvalidPathHom) and (
+            f_res.dom != pi1.sub or f_res.cod != pi2.sub
+        ):
             raise DomainMismatch("f_res must run between the two subgraphs")
         if length_bound < 0:
             raise ValueError("length bound must be >= 0")
@@ -75,8 +81,6 @@ class PullbackInstance:
         self.f = f
         self.f_res = f_res
         self.length_bound = int(length_bound)
-        self._f_cache = None
-        self._f_res_cache = None
 
     @property
     def amb1(self) -> Graph:
@@ -95,14 +99,10 @@ class PullbackInstance:
         return self.pi2.sub
 
     def realize_f(self) -> PathHom:
-        if self._f_cache is None:
-            self._f_cache = _realize(self.f)
-        return self._f_cache
+        return _built(self.f)
 
     def realize_f_res(self) -> PathHom:
-        if self._f_res_cache is None:
-            self._f_res_cache = _realize(self.f_res)
-        return self._f_res_cache
+        return _built(self.f_res)
 
     def with_bound(self, bound: int) -> "PullbackInstance":
         return PullbackInstance(self.pi1, self.pi2, self.f, self.f_res, bound)

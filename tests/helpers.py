@@ -179,8 +179,8 @@ def reference_path_key(p: Path) -> tuple:
     sorts by its declaration index."""
     g = p.graph
     if p.is_vertex:
-        return (0, (g.vertex_index(p.vertex),))
-    return (len(p.edges), tuple(g.edge_index(e) for e in p.edges))
+        return (0, (g.vertices.index(p.vertex),))
+    return (len(p.edges), tuple(g.edges.index(e) for e in p.edges))
 
 
 def reference_monomial_key(mono) -> tuple:
@@ -304,12 +304,19 @@ def crossed_loops_map() -> PathHom:
 # -- the category tower -------------------------------------------------------------
 
 
+def _drop_first(p: Path) -> Path:
+    """``p`` without its first edge."""
+    if len(p.edges) == 1:
+        return Path.at(p.graph, p.graph.tgt(p.edges[0]))
+    return Path.of(p.graph, p.edges[1:])
+
+
 def _reference_expansion_failure(cod: Graph, root: str, paths: list, prefix: list):
     """The first failure of ``paths`` (positive-length, from ``root``) to be
     the leaf set of a complete expansion tree, found on Path objects."""
     groups: dict[str, list[Path]] = {}
     for p in paths:
-        groups.setdefault(p.edges[0], []).append(p.drop_first())
+        groups.setdefault(p.edges[0], []).append(_drop_first(p))
     for x in cod.out_edges(root):
         if x not in groups:
             return {"kind": "missing_branch", "path": prefix + [x]}
@@ -349,7 +356,7 @@ def reference_verdict(f: PathHom) -> dict:
     """``classify(f).to_json_data()`` from the definitions on Path objects:
     pairwise vertex scans, ``prefix_leq`` for monotonicity, the
     ``reg0_vertices``/``regular_vertices`` loop for regularity and
-    ``Path.drop_first`` for the expansion tree.  Each witness is the first
+    ``_drop_first`` for the expansion tree.  Each witness is the first
     in declaration order."""
     vs, es = f.dom.vertices, f.dom.edges
     injective = None
@@ -400,11 +407,12 @@ def vertex_simple_cycles(g: Graph) -> tuple[tuple[str, ...], ...]:
     declaration order; discovery order is deterministic.
     """
     cycles = []
+    index = {v: i for i, v in enumerate(g.vertices)}
 
     def walk(start_i: int, u: str, visited: set, acc: list) -> None:
         for e in g.out_edges(u):
             w = g.tgt(e)
-            wi = g.vertex_index(w)
+            wi = index[w]
             if wi == start_i:
                 cycles.append(tuple(acc + [e]))
             elif wi > start_i and w not in visited:

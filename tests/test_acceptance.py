@@ -215,7 +215,7 @@ def test_criterion_7_bundled_pullback_instance():
 
 def test_criterion_8_mutation_sensitivity():
     """Single-fault mutations of the instance fail at the mutated hypothesis."""
-    from pathalg import DeferredHom, Graph, GraphInclusion, PathHom, PullbackInstance
+    from pathalg import Graph, GraphInclusion, InvalidPathHom, PathHom, PullbackInstance
     from pathalg.registry import INCLUSIONS
 
     loop = GRAPHS["loop"]
@@ -234,14 +234,9 @@ def test_criterion_8_mutation_sensitivity():
         loop_square,
         4,
     )
-    m2 = PullbackInstance(
-        loop_in_rp2,
-        loop_in_toeplitz,
-        DeferredHom(rp2, toeplitz, {"v": "v", "w": "w"},
-                    {"s": ["e", "e"], "r": ["f"], "t": ["f", "f"]}),
-        loop_square,
-        4,
-    )
+    with pytest.raises(InvalidPathHom) as broken:
+        PathHom(rp2, toeplitz, {"v": "v", "w": "w"}, {"s": ["e", "e"], "r": ["f"], "t": ["f", "f"]})
+    m2 = PullbackInstance(loop_in_rp2, loop_in_toeplitz, broken.value, loop_square, 4)
     m3 = PullbackInstance(
         loop_in_rp2,
         GraphInclusion.identity(toeplitz),
@@ -261,7 +256,7 @@ def test_criterion_9_cli_contract(capsys, tmp_path):
     rebuilders = {
         "toeplitz.json": lambda d: graph_to_data(graph_from_data(d)),
         "rp2.json": lambda d: graph_to_data(graph_from_data(d)),
-        "phi_rp2.json": lambda d: morphism_to_data(morphism_from_data(d).realize()),
+        "phi_rp2.json": lambda d: morphism_to_data(morphism_from_data(d)),
         "loop_in_toeplitz.json": lambda d: inclusion_to_data(inclusion_from_data(d)),
         "rp2q.json": lambda d: instance_to_data(instance_from_data(d)),
     }

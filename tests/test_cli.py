@@ -368,6 +368,92 @@ class TestPullback:
         assert data["commutativity"] is None
         assert data["kernel"] is None
 
+    def test_map_that_is_not_a_path_hom_fails_h3(self, capsys, tmp_path):
+        path = _broken_rp2q(tmp_path, "f", "t", ["f", "f"])
+        error = "the image of edge 't' is not a path: edge 'f' ends at 'w' but edge 'f' starts at 'v'"
+        code, out, err = run(capsys, "pullback", path)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "H1 [pass] both inclusions are admissible",
+            "H2 [pass] every vertex-simple loop of amb1 has an exit",
+            "H3 [fail] f lies in RMIPG",
+            f"    witness: {{'error': {error!r}}}",
+            "    the morphism data does not define a path homomorphism",
+            "H4 [not_evaluated] preimages of breaking vertices are breaking",
+            "    f is unavailable",
+            "H5 [not_evaluated] f pulls the second inclusion's vertex image into the first's",
+            "    f is unavailable",
+            "H6 [not_evaluated] f restricts to f_res, which lies in RMIPG",
+            "    f is unavailable, so the restriction identity cannot be checked"
+            " (f_res itself lies in RMIPG)",
+            "H7 [not_evaluated] f_res sends edges out of breaking-vertex preimages to single edges",
+            "    f or f_res is unavailable",
+            "H8 [not_evaluated] paths ending outside the second image are hit by f (bounded search)",
+            "    f is unavailable",
+            "overall: FAIL (length bound 6)",
+        ]
+        code, out, err = run(capsys, "pullback", path, "--json")
+        assert (code, err) == (1, "")
+        assert out == canonical_dumps(_failed_square("H3", [
+            ("H1", "pass"),
+            ("H2", "pass"),
+            ("H3", "fail", {"error": error}, "the morphism data does not define a path homomorphism"),
+            ("H4", "not_evaluated", None, "f is unavailable"),
+            ("H5", "not_evaluated", None, "f is unavailable"),
+            ("H6", "not_evaluated", None, "f is unavailable, so the restriction identity cannot be"
+                                          " checked (f_res itself lies in RMIPG)"),
+            ("H7", "not_evaluated", None, "f or f_res is unavailable"),
+            ("H8", "not_evaluated", None, "f is unavailable"),
+        ]))
+
+    def test_restriction_that_is_not_a_path_hom_fails_h6(self, capsys, tmp_path):
+        path = _broken_rp2q(tmp_path, "f_res", "e", ["nope"])
+        error = "edge 'e' maps through an unknown edge 'nope'"
+        certificate = [
+            {"target": {"vertex": "w"}, "preimage": {"vertex": "w"}},
+            {"target": {"edges": ["f"]}, "preimage": {"edges": ["r"]}},
+            {"target": {"edges": ["e", "f"]}, "preimage": {"edges": ["t"]}},
+            {"target": {"edges": ["e", "e", "f"]}, "preimage": {"edges": ["s", "r"]}},
+            {"target": {"edges": ["e", "e", "e", "f"]}, "preimage": {"edges": ["s", "t"]}},
+            {"target": {"edges": ["e", "e", "e", "e", "f"]}, "preimage": {"edges": ["s", "s", "r"]}},
+            {"target": {"edges": ["e", "e", "e", "e", "e", "f"]},
+             "preimage": {"edges": ["s", "s", "t"]}},
+        ]
+        code, out, err = run(capsys, "pullback", path)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "H1 [pass] both inclusions are admissible",
+            "H2 [pass] every vertex-simple loop of amb1 has an exit",
+            "H3 [pass] f lies in RMIPG",
+            "H4 [pass] preimages of breaking vertices are breaking",
+            "    no breaking vertices; holds vacuously",
+            "H5 [pass] f pulls the second inclusion's vertex image into the first's",
+            "H6 [fail] f restricts to f_res, which lies in RMIPG",
+            f"    witness: {{'error': {error!r}}}",
+            "    the restriction data does not define a path homomorphism",
+            "H7 [not_evaluated] f_res sends edges out of breaking-vertex preimages to single edges",
+            "    f or f_res is unavailable",
+            "H8 [pass_up_to_bound] paths ending outside the second image are hit by f"
+            " (bounded search)",
+            f"    witness: {{'certificate': {certificate!r}}}",
+            "    infinitely many qualifying paths exist; checked up to length 6",
+            "overall: FAIL (length bound 6)",
+        ]
+        code, out, err = run(capsys, "pullback", path, "--json")
+        assert (code, err) == (1, "")
+        assert out == canonical_dumps(_failed_square("H6", [
+            ("H1", "pass"),
+            ("H2", "pass"),
+            ("H3", "pass"),
+            ("H4", "pass", None, "no breaking vertices; holds vacuously"),
+            ("H5", "pass"),
+            ("H6", "fail", {"error": error},
+             "the restriction data does not define a path homomorphism"),
+            ("H7", "not_evaluated", None, "f or f_res is unavailable"),
+            ("H8", "pass_up_to_bound", {"certificate": certificate},
+             "infinitely many qualifying paths exist; checked up to length 6"),
+        ]))
+
     def test_vertex_with_the_empty_id(self, capsys, tmp_path):
         g = Graph(["", "w"], [("e", "", "w")])
         inc, ident = GraphInclusion.identity(g), PathHom.identity(g)
@@ -376,6 +462,52 @@ class TestPullback:
         code, out, _ = run(capsys, "pullback", str(path))
         assert code == 0
         assert "commutativity on generators:\n  P_:   vs    [ok]\n  P_w: w  vs  w  [ok]\n" in out
+
+
+def _broken_rp2q(tmp_path, side: str, edge: str, image: list) -> str:
+    """The bundled rp2q instance file with one edge image of ``side``
+    replaced, so that map breaks the path-homomorphism laws."""
+    data = json.loads(fixture_text("rp2q.json"))
+    data[side]["emap"][edge] = image
+    path = tmp_path / "broken.json"
+    save_json(str(path), data)
+    return str(path)
+
+
+_TITLES = {
+    "H1": "both inclusions are admissible",
+    "H2": "every vertex-simple loop of amb1 has an exit",
+    "H3": "f lies in RMIPG",
+    "H4": "preimages of breaking vertices are breaking",
+    "H5": "f pulls the second inclusion's vertex image into the first's",
+    "H6": "f restricts to f_res, which lies in RMIPG",
+    "H7": "f_res sends edges out of breaking-vertex preimages to single edges",
+    "H8": "paths ending outside the second image are hit by f (bounded search)",
+}
+
+
+def _hypothesis(name: str, verdict: str, witness=None, detail: str = "") -> dict:
+    entry = {"name": name, "title": _TITLES[name], "verdict": verdict}
+    if witness is not None:
+        entry["witness"] = witness
+    if detail:
+        entry["detail"] = detail
+    return entry
+
+
+def _failed_square(first_failure: str, rows: list) -> dict:
+    """The ``pullback --json`` document of an rp2q square (bound 6) that
+    fails: one ``_hypothesis`` argument tuple per hypothesis."""
+    return {
+        "hypotheses": {
+            "overall": "FAIL",
+            "length_bound": 6,
+            "first_failure": first_failure,
+            "hypotheses": [_hypothesis(*row) for row in rows],
+        },
+        "commutativity": None,
+        "kernel": None,
+    }
 
 
 class TestExamplesAndList:
@@ -551,7 +683,7 @@ class TestFixtures:
 
     def test_morphism_stable(self):
         text = fixture_text("phi_rp2.json")
-        hom = morphism_from_data(json.loads(text)).realize()
+        hom = morphism_from_data(json.loads(text))
         assert canonical_dumps(morphism_to_data(hom)) == text
         assert hom == MORPHISMS["phi_rp2"]
 
@@ -582,8 +714,8 @@ class TestFixtures:
 _PUBLIC = [
     "AdmissibilityReport", "AlgebraContext", "AlgebraElement", "AlgebraError",
     "AmbiguousInfiniteEmitter", "CATEGORY_NAMES", "CategoryVerdict", "CheckResult",
-    "CommutativityReport", "ContextMismatch", "DanglingEndpoint", "DeferredHom",
-    "DomainMismatch", "DuplicateId", "ExpressionError", "FileFormatError", "Graph",
+    "CommutativityReport", "ContextMismatch", "DanglingEndpoint", "DomainMismatch",
+    "DuplicateId", "ExpressionError", "FileFormatError", "Graph",
     "GraphError", "GraphInclusion", "Hypothesis", "HypothesisNotMet", "HypothesisReport",
     "InclusionError", "InvalidInclusion", "InvalidPathHom", "KernelGenerators",
     "KernelReport", "MorphismError", "NonComposablePath", "NotAdmissible", "NotMonotone",
@@ -631,10 +763,6 @@ class TestNamespace:
         with pytest.raises(AttributeError, match="no_such_name"):
             pathalg.no_such_name
         assert not hasattr(pathalg, "cli_helpers")
-
-    def test_deferred_hom_lives_in_morphisms(self):
-        assert pathalg.pullback.DeferredHom is pathalg.morphisms.DeferredHom
-        assert pathalg.DeferredHom is pathalg.morphisms.DeferredHom
 
 
 # runs ``python -m pathalg ARGS`` and reports its exit code and loaded modules

@@ -1,7 +1,10 @@
 """Graph, path and enumeration core."""
 import importlib
+import os
 import pkgutil
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -67,9 +70,9 @@ class TestConstruction:
     def test_flagged_vertex_normalized(self):
         g = Graph(["v", "w"], [("e", "v", "w")], infinite_emitters=["v"])
         assert g.is_flagged("v") and not g.is_flagged("w")
-        assert g.emitter_targets("v") is None
-        g2 = Graph(["v", "w"], [], infinite_emitters=[("v", ("w",))])
-        assert g2.emitter_targets("v") == ("w",)
+        assert g.infinite_emitters == (("v", None),)
+        g2 = Graph(["v", "w"], [], infinite_emitters=[("v", ["w"])])
+        assert g2.infinite_emitters == (("v", ("w",)),)
 
     def test_flagged_unknown_vertex_rejected(self):
         with pytest.raises(DanglingEndpoint):
@@ -125,9 +128,7 @@ class TestPaths:
     def test_drop_ends(self):
         p = Path.of(rp2, ("s", "s", "t"))
         assert p.drop_last().edges == ("s", "s")
-        assert p.drop_first().edges == ("s", "t")
         assert Path.of(rp2, ("t",)).drop_last() == Path.at(rp2, "v")
-        assert Path.of(rp2, ("t",)).drop_first() == Path.at(rp2, "w")
 
     def test_prefix_order(self):
         v = Path.at(rp2, "v")
@@ -231,3 +232,30 @@ class TestExtendedGraph:
         g = Graph(["v"], [("e", "v", "v"), ("e*", "v", "v")])
         with pytest.raises(DuplicateId):
             extended_graph(g)
+
+
+# prints the hashes of one value of each kind that hashes a graph or a path
+_HASHES = """\
+from pathalg import AlgebraContext, Graph, Path
+from pathalg.registry import GRAPHS, MORPHISMS
+rp2 = GRAPHS["rp2"]
+flagged = Graph(["v", "w"], [("e", "v", "w")], infinite_emitters=["v"])
+print(hash(Path.at(rp2, "v")), hash(Path.of(rp2, ("s", "t"))), hash(flagged),
+      hash(MORPHISMS["phi_rp2"]), hash(AlgebraContext.leavitt(rp2).edge("s")))
+"""
+
+
+def test_hashes_do_not_depend_on_the_process():
+    """Under one PYTHONHASHSEED two processes give every value the same
+    hash, so dicts and sets keyed by them get the same layout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pathalg.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": "0"}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _HASHES], env=env, capture_output=True, text=True, timeout=60
+        )
+        for _ in range(2)
+    ]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout

@@ -4,10 +4,11 @@ import json
 import pytest
 
 from pathalg import (
-    DeferredHom,
     FileFormatError,
     Graph,
     GraphInclusion,
+    InvalidPathHom,
+    PathHom,
     canonical_dumps,
     graph_from_data,
     graph_to_data,
@@ -100,20 +101,20 @@ class TestMorphisms:
     def test_round_trip_with_names(self):
         phi = MORPHISMS["phi_rp2"]
         back = morphism_from_data(morphism_to_data(phi, GRAPHS), GRAPHS)
-        assert isinstance(back, DeferredHom)
-        assert back.realize() == phi
+        assert isinstance(back, PathHom)
+        assert back == phi
 
     def test_round_trip_inline_graphs(self):
         phi = MORPHISMS["phi_rp2"]
         data = morphism_to_data(phi)
         assert data["dom"]["vertices"] == ["v", "w"]
-        assert morphism_from_data(data).realize() == phi
+        assert morphism_from_data(data) == phi
 
     def test_vertex_valued_edge_images(self):
         collapse = MORPHISMS["loop_to_pt"]
         data = morphism_to_data(collapse, GRAPHS)
         assert data["emap"]["e"] == {"vertex": "v"}
-        assert morphism_from_data(data, GRAPHS).realize() == collapse
+        assert morphism_from_data(data, GRAPHS) == collapse
 
     def test_unknown_graph_name_rejected(self):
         data = morphism_to_data(MORPHISMS["phi_rp2"], GRAPHS)
@@ -157,6 +158,14 @@ class TestInstances:
         # serializing again reproduces the same document
         assert instance_to_data(back) == instance_to_data(inst)
 
+    def test_map_that_did_not_build_is_kept_and_not_written(self):
+        data = instance_to_data(INSTANCES["rp2q"]())
+        data["f"]["emap"]["t"] = ["f", "f"]
+        inst = instance_from_data(data)
+        assert isinstance(inst.f, InvalidPathHom)
+        with pytest.raises(InvalidPathHom, match="the image of edge 't' is not a path"):
+            instance_to_data(inst)
+
     def test_graph_keys_fixed(self):
         data = instance_to_data(INSTANCES["rp2q"]())
         assert list(data["graphs"]) == ["amb1", "amb2", "sub1", "sub2"]
@@ -188,7 +197,7 @@ class TestFileHelpers:
     def test_load_morphism_and_instance(self, tmp_path):
         mpath = tmp_path / "phi.json"
         save_json(str(mpath), morphism_to_data(MORPHISMS["phi_rp2"]))
-        assert load_morphism(str(mpath)).realize() == MORPHISMS["phi_rp2"]
+        assert load_morphism(str(mpath)) == MORPHISMS["phi_rp2"]
         ipath = tmp_path / "inst.json"
         save_json(str(ipath), instance_to_data(INSTANCES["rp2q"]()))
         assert load_instance(str(ipath)).length_bound == 6

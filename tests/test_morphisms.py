@@ -53,7 +53,7 @@ class TestValidation:
 
     def test_vertex_image_in_file_form(self):
         f = PathHom(loop, toeplitz, {"v": "v"}, {"e": {"vertex": "v"}})
-        assert f.edge_image("e") == Path.at(toeplitz, "v")
+        assert f.emap["e"] == Path.at(toeplitz, "v")
 
     def test_unknown_image_edge(self):
         with pytest.raises(InvalidPathHom, match="maps through an unknown edge 'zz'"):
@@ -65,7 +65,7 @@ class TestValidation:
 
     def test_empty_image_means_collapse(self):
         f = PathHom(loop, pt, {"v": "v"}, {"e": ()})
-        assert f.edge_image("e").is_vertex
+        assert f.emap["e"].is_vertex
 
     def test_identity(self):
         ident = PathHom.identity(rp2)

@@ -335,7 +335,6 @@ def test_built_paths_equal_validated_ones(g):
         _assert_valid(p)
         if p.edges:
             _assert_valid(p.drop_last())
-            _assert_valid(p.drop_first())
         for e in g.out_edges(p.target):
             _assert_valid(p.extend(e))
     short = paths_up_to(g, 2)
@@ -496,7 +495,7 @@ def test_first_preimages_are_those_of_the_full_table(f, b, ends):
     first preimage reach distinct states (endpoint, prefix of its image), so
     at most |V(dom)| times (b + 1) of them: the table at that length is
     complete."""
-    targets = [p for p in paths_up_to(f.cod, b) if f.cod.vertex_index(p.target) in ends]
+    targets = [p for p in paths_up_to(f.cod, b) if f.cod.vertices.index(p.target) in ends]
     limit = len(f.dom.vertices) * (b + 1)
     table = first_preimage_table(f, limit)
     assert _first_preimages(f, targets) == {p: table[p] for p in targets if p in table}

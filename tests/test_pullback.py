@@ -11,7 +11,6 @@ import pytest
 import pathalg.admissible
 import pathalg.morphisms
 from pathalg import (
-    DeferredHom,
     DomainMismatch,
     Graph,
     GraphInclusion,
@@ -93,17 +92,19 @@ _MALFORMED = [
 
 
 class TestDeferredHom:
+    """Map data in file form, as the loaders pass it to PathHom."""
+
     def test_realizes_valid_data(self):
-        d = DeferredHom(rp2, toeplitz, dict(phi.vmap), {"s": ["e", "e"], "r": ["f"], "t": ["e", "f"]})
-        assert d.realize() == phi
+        d = PathHom(rp2, toeplitz, dict(phi.vmap), {"s": ["e", "e"], "r": ["f"], "t": ["e", "f"]})
+        assert d == phi
 
     def test_vertex_valued_image(self):
-        d = DeferredHom(loop, toeplitz, {"v": "v"}, {"e": {"vertex": "v"}})
-        assert d.realize().emap["e"].is_vertex
+        d = PathHom(loop, toeplitz, {"v": "v"}, {"e": {"vertex": "v"}})
+        assert d.emap["e"].is_vertex
 
     def test_empty_image_uses_source_vertex(self):
-        d = DeferredHom(loop, toeplitz, {"v": "v"}, {"e": []})
-        assert d.realize().emap["e"].vertex == "v"
+        d = PathHom(loop, toeplitz, {"v": "v"}, {"e": []})
+        assert d.emap["e"].vertex == "v"
 
     @pytest.mark.parametrize(
         "vmap,emap,message",
@@ -113,11 +114,12 @@ class TestDeferredHom:
     )
     def test_malformed_data_raises_invalid_path_hom(self, vmap, emap, message):
         with pytest.raises(InvalidPathHom, match=f"^{re.escape(message)}$"):
-            DeferredHom(loop, toeplitz, vmap, emap).realize()
+            PathHom(loop, toeplitz, vmap, emap)
 
     def test_malformed_f_fails_h3(self):
-        f = DeferredHom(rp2, toeplitz, dict(phi.vmap), {"s": {}, "r": ["f"], "t": ["e", "f"]})
-        inst = PullbackInstance(loop_in_rp2, loop_in_toeplitz, f, loop_square, 4)
+        with pytest.raises(InvalidPathHom) as broken:
+            PathHom(rp2, toeplitz, dict(phi.vmap), {"s": {}, "r": ["f"], "t": ["e", "f"]})
+        inst = PullbackInstance(loop_in_rp2, loop_in_toeplitz, broken.value, loop_square, 4)
         h3 = check_hypotheses(inst).hypothesis("H3")
         assert h3.verdict == "fail"
         assert h3.witness == {"error": "edge 's' has a malformed image {}"}
@@ -138,11 +140,6 @@ class TestInstanceValidation:
         inst = rp2q()
         assert inst.with_bound(8).length_bound == 8
         assert inst.length_bound == 6
-
-    def test_realize_is_cached(self):
-        inst = rp2q()
-        assert inst.realize_f() is inst.realize_f()
-        assert inst.realize_f() == phi
 
 
 class TestBundledInstance:
@@ -254,11 +251,9 @@ class TestMutations:
             assert (h2.verdict, h2.witness) == ("pass" if expected is None else "fail", expected)
 
     def test_non_realizing_f_fails_h3(self):
-        broken = DeferredHom(
-            rp2, toeplitz, {"v": "v", "w": "w"},
-            {"s": ["e", "e"], "r": ["f"], "t": ["f", "f"]},
-        )
-        inst = PullbackInstance(loop_in_rp2, loop_in_toeplitz, broken, loop_square, 4)
+        with pytest.raises(InvalidPathHom) as broken:
+            PathHom(rp2, toeplitz, {"v": "v", "w": "w"}, {"s": ["e", "e"], "r": ["f"], "t": ["f", "f"]})
+        inst = PullbackInstance(loop_in_rp2, loop_in_toeplitz, broken.value, loop_square, 4)
         report = check_hypotheses(inst)
         assert report.overall == "FAIL"
         assert report.first_failure == "H3"
@@ -592,9 +587,9 @@ class TestCommutativityFailures:
         ]
 
     def test_non_realizing_maps_are_an_error(self):
-        broken = DeferredHom(rp2, toeplitz, {"v": "v", "w": "w"},
-                             {"s": ["e", "e"], "r": ["f"], "t": ["f", "f"]})
-        inst = PullbackInstance(loop_in_rp2, loop_in_toeplitz, broken, loop_square, 4)
+        with pytest.raises(InvalidPathHom) as broken:
+            PathHom(rp2, toeplitz, {"v": "v", "w": "w"}, {"s": ["e", "e"], "r": ["f"], "t": ["f", "f"]})
+        inst = PullbackInstance(loop_in_rp2, loop_in_toeplitz, broken.value, loop_square, 4)
         with pytest.raises(HypothesisNotMet):
             check_commutativity(inst)
 
