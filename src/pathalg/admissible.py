@@ -273,10 +273,6 @@ class KernelGenerators(NamedTuple):
     vertex_projections: tuple[str, ...]
     breaking_corrections: tuple[tuple[str, tuple[str, ...]], ...]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertex_projections and not self.breaking_corrections
-
     def to_json_data(self) -> dict:
         return {
             "vertex_projections": list(self.vertex_projections),

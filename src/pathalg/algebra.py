@@ -367,20 +367,20 @@ _INDUCED = {
 }
 
 
-def _induced_codomain(f: PathHom, a: AlgebraElement, mode: str) -> AlgebraContext:
-    """Check that f induces a ``mode`` map defined on a, and return the
-    codomain context of that map.
+def _induced_codomain(f: PathHom, context: AlgebraContext, mode: str) -> AlgebraContext:
+    """Check that f induces a ``mode`` map defined on the elements of
+    context, and return the codomain context of that map.
 
     Both contexts are built on the first successful call and kept on f;
-    an element of the kept domain context skips the checks.  Otherwise they
-    run in order: the element's graph, its context, the classification of
-    f, then the class flags the mode needs.
+    the kept domain context skips the checks.  Otherwise they run in order:
+    the context's graph, its mode, the classification of f, then the class
+    flags the mode needs.
     """
     contexts = (f._induced or {}).get(mode)
-    if contexts is not None and a.context == contexts[0]:
+    if contexts is not None and context == contexts[0]:
         return contexts[1]
     algebra, make_context, name, category = _INDUCED[mode]
-    if a.context.graph != f.dom or a.context != make_context(f.dom):
+    if context.graph != f.dom or context != make_context(f.dom):
         raise ContextMismatch(f"element does not live in the {algebra} of the domain")
     verdict = classify(f)
     for flag in _CLASS_FLAGS[category]:
@@ -390,7 +390,7 @@ def _induced_codomain(f: PathHom, a: AlgebraElement, mode: str) -> AlgebraContex
                 witness=verdict.witnesses.get(flag),
             )
     target = make_context(f.cod)
-    f._induced = {**(f._induced or {}), mode: (a.context, target)}
+    f._induced = {**(f._induced or {}), mode: (context, target)}
     return target
 
 
@@ -409,17 +409,17 @@ def _push(target: AlgebraContext, a: AlgebraElement, image: Callable) -> Algebra
 def induce_path(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a path-algebra element along f (needs vertex-injectivity, which
     is what keeps non-composable products at zero in the image)."""
-    return _push(_induced_codomain(f, a, "path"), a, f.apply)
+    return _push(_induced_codomain(f, a.context, "path"), a, f.apply)
 
 
 def induce_cohn(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a Cohn-algebra element along f; defined for MIPG morphisms."""
-    return _push(_induced_codomain(f, a, "cohn"), a, f.apply)
+    return _push(_induced_codomain(f, a.context, "cohn"), a, f.apply)
 
 
 def induce_leavitt(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a Leavitt-algebra element along f; defined for RMIPG morphisms."""
-    return _push(_induced_codomain(f, a, "leavitt"), a, f.apply)
+    return _push(_induced_codomain(f, a.context, "leavitt"), a, f.apply)
 
 
 def induce(f: PathHom, a: AlgebraElement) -> AlgebraElement:
@@ -435,42 +435,48 @@ def induce(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     )
 
 
-def quotient_map(inc: GraphInclusion, a: AlgebraElement) -> AlgebraElement:
-    """The surjection L(amb) -> L(sub) of an admissible inclusion: generators
-    over the image survive (renamed into the subgraph), everything else dies.
+def _quotient(inc: GraphInclusion, context: AlgebraContext) -> tuple[AlgebraContext, Callable]:
+    """The target context of inc's quotient map on the elements of context,
+    and the map on paths it pushes them through: a path over the image is
+    renamed into the subgraph, any other path goes to None.
 
-    Its data (source context, target context, vertex inverse, edge inverse)
-    is built on the first successful call and kept on the inclusion; an
-    element of the kept source context skips the checks.  Otherwise they run
-    in order: admissibility, the source context, the element's context, the
-    target context.
+    Both are built on the first successful call and kept on the inclusion,
+    with the source context; the kept source context skips the checks.
+    Otherwise they run in order: admissibility, the source context,
+    context itself, the target context.
     """
     data = inc._quotient
-    if data is None or a.context != data[0]:
+    if data is None or context != data[0]:
         _require_admissible(inc)
         source = AlgebraContext.leavitt(inc.amb)
-        if a.context != source:
+        if context != source:
             raise ContextMismatch(
                 "element does not live in the Leavitt algebra of the ambient graph"
             )
-        data = inc._quotient = (
-            source,
-            AlgebraContext.leavitt(inc.sub),
-            {v: u for u, v in inc.vmap.items()},
-            {e: x for x, e in inc.emap.items()},
-        )
-    _, target, vinv, einv = data
+        sub = inc.sub
+        target = AlgebraContext.leavitt(sub)
+        vinv = {v: u for u, v in inc.vmap.items()}
+        einv = {e: x for x, e in inc.emap.items()}
 
-    def pull(p: Path) -> Optional[Path]:
-        if p.is_vertex:
-            u = vinv.get(p.vertex)
-            return None if u is None else Path.at(inc.sub, u)
-        try:
-            edges = tuple(einv[e] for e in p.edges)
-        except KeyError:
-            return None
-        return Path.of(inc.sub, edges)
+        def pull(p: Path) -> Optional[Path]:
+            if p.is_vertex:
+                u = vinv.get(p.vertex)
+                return None if u is None else Path.at(sub, u)
+            try:
+                edges = tuple(einv[e] for e in p.edges)
+            except KeyError:
+                return None
+            return Path.of(sub, edges)
 
+        data = inc._quotient = (source, target, pull)
+    return data[1], data[2]
+
+
+def quotient_map(inc: GraphInclusion, a: AlgebraElement) -> AlgebraElement:
+    """The surjection L(amb) -> L(sub) of an admissible inclusion: generators
+    over the image survive (renamed into the subgraph), everything else dies.
+    ``_quotient`` checks the preconditions and keeps the map's data."""
+    target, pull = _quotient(inc, a.context)
     return _push(target, a, pull)
 
 

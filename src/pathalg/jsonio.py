@@ -60,19 +60,30 @@ def _key(k) -> str:
 
 
 def _write(x, out: list, newline: str) -> None:
-    """Append the text of ``x`` at the indent that ``newline`` ends in."""
-    if isinstance(x, str):
-        out.append(_escape(x))
-    elif isinstance(x, dict):
+    """Append the text of ``x`` at the indent that ``newline`` ends in.
+
+    A child that is exactly a str, a bool or None is written with its key
+    or joint, with no call; every other child (a subclass, a tuple, a
+    number) goes through ``_write`` again."""
+    if isinstance(x, dict):
         if not x:
             out.append("{}")
             return
         inner = newline + "  "
         joint = "{" + inner
         for k, v in x.items():
-            out.append(joint + _key(k) + ": ")
+            head = joint + (_escape(k) if type(k) is str else _key(k)) + ": "
             joint = "," + inner
-            _write(v, out, inner)
+            t = type(v)
+            if t is str:
+                out.append(head + _escape(v))
+            elif t is bool:
+                out.append(head + ("true" if v else "false"))
+            elif v is None:
+                out.append(head + "null")
+            else:
+                out.append(head)
+                _write(v, out, inner)
         out.append(newline + "}")
     elif isinstance(x, (list, tuple)):
         if not x:
@@ -81,10 +92,20 @@ def _write(x, out: list, newline: str) -> None:
         inner = newline + "  "
         joint = "[" + inner
         for v in x:
-            out.append(joint)
+            t = type(v)
+            if t is str:
+                out.append(joint + _escape(v))
+            elif t is bool:
+                out.append(joint + ("true" if v else "false"))
+            elif v is None:
+                out.append(joint + "null")
+            else:
+                out.append(joint)
+                _write(v, out, inner)
             joint = "," + inner
-            _write(v, out, inner)
         out.append(newline + "]")
+    elif isinstance(x, str):
+        out.append(_escape(x))
     elif x is None or isinstance(x, (int, float)):
         out.append(_scalar(x))
     else:

@@ -27,7 +27,14 @@ from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple, Optional
 
 from .admissible import GraphInclusion, breaking_vertices, is_admissible
-from .algebra import AlgebraContext, AlgebraElement, induce_leavitt, quotient_map
+from .algebra import (
+    AlgebraContext,
+    _induced_codomain,
+    _push,
+    _quotient,
+    induce_leavitt,
+    quotient_map,
+)
 from .errors import (
     AmbiguousInfiniteEmitter,
     DomainMismatch,
@@ -493,9 +500,6 @@ class CommutativityReport(NamedTuple):
     def all_ok(self) -> bool:
         return all(e.ok for e in self.entries)
 
-    def mismatches(self) -> tuple[CommutativityEntry, ...]:
-        return tuple(e for e in self.entries if not e.ok)
-
     def to_json_data(self) -> dict:
         return {"all_ok": self.all_ok, "entries": [e.to_json_data() for e in self.entries]}
 
@@ -600,12 +604,29 @@ class KernelReport(NamedTuple):
         return "\n".join(lines)
 
 
+class _PathMemo(dict):
+    """``image`` on paths, each value computed on first use and kept."""
+
+    __slots__ = ("image",)
+
+    def __init__(self, image):
+        self.image = image
+
+    def __missing__(self, p: Path):
+        q = self[p] = self.image(p)
+        return q
+
+
 def check_kernel_inclusion(
     inst: PullbackInstance, hypotheses: Optional[HypothesisReport] = None
 ) -> KernelReport:
     """Every spanning element of the second quotient's kernel (two paths of
     bounded length meeting outside the second image) must come from an
-    element of the first quotient's kernel under the induced map of f."""
+    element of the first quotient's kernel under the induced map of f.
+
+    Each pair's element goes through both maps; each pool path's preimage,
+    JSON data and images are found once per call, so entries share one
+    data dict per path."""
     for g in (inst.amb1, inst.amb2, inst.sub1, inst.sub2):
         if g.infinite_emitters:
             raise HypothesisNotMet(
@@ -623,35 +644,49 @@ def check_kernel_inclusion(
 
     _, pool = _paths_outside(inst, bound)
     found = _first_preimages(f, pool)
+    # a pair is two pool paths with one target, in pool order on both sides
+    by_target: dict[str, list[Path]] = {}
+    for p in pool:
+        by_target.setdefault(p.target, []).append(p)
+    # each path's preimage and the JSON data of both, in the order the pairs
+    # first meet them, so the first path without a preimage is the one named
+    sides = {}
+    for group in by_target.values():
+        for p in group:
+            q = found.get(p)
+            if q is None:
+                raise PreimageNotFound(
+                    "no domain path maps onto a kernel path; "
+                    "the hypothesis report's certificate does not cover it",
+                    path=p,
+                )
+            sides[p] = (q, _path_data(p), _path_data(q))
+    if not pool:  # no pair applies either map, so neither is checked
+        return KernelReport((), bound)
 
-    def preimage(p: Path) -> Path:
-        q = found.get(p)
-        if q is None:
-            raise PreimageNotFound(
-                "no domain path maps onto a kernel path; "
-                "the hypothesis report's certificate does not cover it",
-                path=p,
-            )
-        return q
+    # quotient_map(pi1, .) and induce_leavitt(f, .) on ctx1, their
+    # preconditions checked once; the path maps they push through are kept
+    # per path for this call and filled on first use, because a tail-reduced
+    # pair element can hold paths that are no pool path's preimage
+    sub1_ctx, pull = _quotient(inst.pi1, ctx1)
+    amb2_ctx = _induced_codomain(f, ctx1, "leavitt")
+    pull = _PathMemo(pull).__getitem__
+    apply = _PathMemo(f.apply).__getitem__
 
     entries = []
     for alpha in pool:
-        for beta in pool:
-            if alpha.target != beta.target:
-                continue
-            # the first pair is a vertex with itself, where induce_leavitt
-            # refuses any f that is not vertex-injective; so f is, and the
-            # two preimages end where alpha and beta do
-            at, bt = preimage(alpha), preimage(beta)
+        # induce_leavitt refuses any f that is not vertex-injective, so f
+        # is, and the two preimages end where alpha and beta do
+        at, alpha_data, at_data = sides[alpha]
+        for beta in by_target[alpha.target]:
+            bt, beta_data, bt_data = sides[beta]
             elem = ctx1.pair_element(at, bt)
-            killed = quotient_map(inst.pi1, elem).is_zero
-            back = induce_leavitt(f, elem) == ctx2.pair_element(alpha, beta)
             entries.append(
                 KernelEntry(
-                    target_pair={"left": _path_data(alpha), "right": _path_data(beta)},
-                    preimage_pair={"left": _path_data(at), "right": _path_data(bt)},
-                    killed_by_first_quotient=killed,
-                    maps_back_exactly=back,
+                    {"left": alpha_data, "right": beta_data},
+                    {"left": at_data, "right": bt_data},
+                    _push(sub1_ctx, elem, pull).is_zero,
+                    _push(amb2_ctx, elem, apply) == ctx2.pair_element(alpha, beta),
                 )
             )
     return KernelReport(tuple(entries), bound)

@@ -18,16 +18,22 @@ from pathalg import (
     AlgebraContext,
     Graph,
     GraphInclusion,
+    KernelReport,
     Path,
     PathHom,
     PullbackInstance,
+    canonical_dumps,
+    check_kernel_inclusion,
+    induce_leavitt,
     multiply,
     paths_up_to,
     prefix_leq,
+    quotient_map,
     reg0_vertices,
     regular_vertices,
 )
 from pathalg.algebra import AlgebraElement, _accumulate_pair
+from pathalg.pullback import KernelEntry
 from pathalg.registry import GRAPHS
 
 
@@ -280,6 +286,51 @@ def first_preimage_table(f: PathHom, limit: int) -> dict[Path, Path]:
     for q in paths_up_to(f.dom, limit):
         table.setdefault(f.apply(q), q)
     return table
+
+
+def _path_data(p: Path) -> dict:
+    return {"vertex": p.vertex} if p.is_vertex else {"edges": list(p.edges)}
+
+
+def reference_kernel_entries(inst: PullbackInstance) -> tuple[KernelEntry, ...]:
+    """Reference for ``check_kernel_inclusion``, pair by pair: for every two
+    amb2 paths of length <= the bound that end at one vertex outside the
+    second image, in ``paths_up_to`` order on both sides, the public
+    ``pair_element``, ``quotient_map`` and ``induce_leavitt`` on the pair of
+    their first preimages.  f must send every edge to a path of positive
+    length, so that no first preimage is longer than its target."""
+    f, bound = inst.realize_f(), inst.length_bound
+    assert all(len(image) for image in f.emap.values())
+    ctx1, ctx2 = AlgebraContext.leavitt(inst.amb1), AlgebraContext.leavitt(inst.amb2)
+    outside = set(inst.pi2.complement())
+    pool = [p for p in paths_up_to(inst.amb2, bound) if p.target in outside]
+    preimage = first_preimage_table(f, bound)
+    entries = []
+    for alpha in pool:
+        for beta in pool:
+            if alpha.target != beta.target:
+                continue
+            at, bt = preimage[alpha], preimage[beta]
+            elem = ctx1.pair_element(at, bt)
+            entries.append(
+                KernelEntry(
+                    {"left": _path_data(alpha), "right": _path_data(beta)},
+                    {"left": _path_data(at), "right": _path_data(bt)},
+                    quotient_map(inst.pi1, elem).is_zero,
+                    induce_leavitt(f, elem) == ctx2.pair_element(alpha, beta),
+                )
+            )
+    return tuple(entries)
+
+
+def assert_kernel_check_matches_reference(inst: PullbackInstance) -> KernelReport:
+    """The kernel check's entries and JSON bytes equal the reference's;
+    returns the check's report."""
+    report = check_kernel_inclusion(inst)
+    reference = KernelReport(reference_kernel_entries(inst), inst.length_bound)
+    assert report.entries == reference.entries
+    assert canonical_dumps(report.to_json_data()) == canonical_dumps(reference.to_json_data())
+    return report
 
 
 def zero_chain_map() -> PathHom:

@@ -815,3 +815,32 @@ def test_pullback_command_loads_the_verifier():
     modules = _modules_loaded("pullback", "rp2q")
     assert "pathalg.pullback" in modules
     assert "dataclasses" not in modules
+
+
+# -- the benchmark's pinned CLI outputs ----------------------------------------------
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_CLI_GOLDENS = os.path.join(_ROOT, "perfbench", "goldens", "cli")
+
+
+@pytest.fixture(scope="module")
+def cli_commands():
+    """``perfbench/workloads.CLI_COMMANDS``, imported without leaving
+    bytecode in ``perfbench/`` or its directory on sys.path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        mp.syspath_prepend(os.path.join(_ROOT, "perfbench"))
+        import workloads
+    return workloads.CLI_COMMANDS
+
+
+@pytest.mark.parametrize("golden", sorted(os.listdir(_CLI_GOLDENS)))
+def test_cli_matches_the_benchmark_golden(golden, cli_commands, capsys, monkeypatch):
+    # NN-subcommand.out holds the stdout of command NN, run from the repo root
+    argv = list(cli_commands[int(golden[:2])])
+    assert golden == f"{int(golden[:2]):02d}-{argv[0]}.out"
+    monkeypatch.chdir(_ROOT)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    with open(os.path.join(_CLI_GOLDENS, golden), "rb") as fh:
+        assert out.encode("utf-8") == fh.read()

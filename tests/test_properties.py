@@ -10,9 +10,11 @@ squares; and the canonical JSON writer against ``json.dumps``.
 Runs are derandomized and keep no example database, so every run draws the
 same examples (``conftest.py`` keeps Hypothesis' other files out of the tree).
 """
+import enum
 import json
 import math
 import random
+from collections import OrderedDict
 from fractions import Fraction
 from importlib import resources
 
@@ -28,7 +30,6 @@ from pathalg import (
     canonical_dumps,
     check_commutativity,
     check_hypotheses,
-    check_kernel_inclusion,
     classify,
     compose,
     enumerate_path_homs,
@@ -45,6 +46,7 @@ from pathalg.registry import INCLUSIONS, MORPHISMS
 from helpers import (
     GeneratorWord,
     Letter,
+    assert_kernel_check_matches_reference,
     complete_prefix_code,
     crossed_loops_map,
     first_preimage_table,
@@ -579,7 +581,7 @@ def test_prefix_code_squares_satisfy_the_theorem(k, branchings, seed, exits, bou
     assert report.overall == "PASS_UP_TO_BOUND"
     assert len(report.hypothesis("H8").witness["certificate"]) ** 2 == pairs
     assert check_commutativity(inst).all_ok
-    kernel = check_kernel_inclusion(inst, report)
+    kernel = assert_kernel_check_matches_reference(inst)
     assert kernel.all_ok and len(kernel.entries) == pairs
 
 
@@ -601,22 +603,65 @@ def _text(max_size: int):
     return st.lists(_characters, max_size=max_size).map("".join)
 
 
+# subclasses of the JSON types, which the writer's exact-type fast path
+# must hand to its general path; json.dumps ignores their own str and repr
+class _Spelled:
+    def __str__(self):
+        return "spelled"
+
+    __repr__ = __str__
+
+
+class _Str(_Spelled, str):
+    pass
+
+
+class _Int(_Spelled, int):
+    pass
+
+
+class _Float(_Spelled, float):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = -7
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
 _scalars = st.one_of(
     _text(8),
+    _text(8).map(_Str),
     st.integers(),
     st.integers(-(2**70), 2**70),
+    st.integers().map(_Int),
+    st.sampled_from(_Level),
     st.booleans(),
     st.none(),
     st.floats(),
+    st.floats().map(_Float),
     st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324]),
 )
-_keys = st.one_of(_text(6), st.integers(), st.booleans(), st.none(), st.floats())
+_keys = st.one_of(
+    _text(6), _text(6).map(_Str), st.integers(), st.booleans(), st.none(), st.floats()
+)
 _json_data = st.recursive(
     _scalars,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4).map(_List),
         st.dictionaries(_keys, inner, max_size=4),
+        st.dictionaries(_keys, inner, max_size=4).map(OrderedDict),
+        st.dictionaries(_keys, inner, max_size=4).map(_Dict),
     ),
     max_leaves=24,
 )

@@ -11,12 +11,14 @@ import pytest
 import pathalg.admissible
 import pathalg.morphisms
 from pathalg import (
+    AlgebraContext,
     DomainMismatch,
     Graph,
     GraphInclusion,
     HypothesisNotMet,
     InvalidPathHom,
     NotVertexInjective,
+    Path,
     PathHom,
     PreimageNotFound,
     PullbackInstance,
@@ -26,10 +28,16 @@ from pathalg import (
     instance_to_data,
     save_json,
 )
+from pathalg.algebra import Monomial
 from pathalg.cli import main
 from pathalg.registry import GRAPHS, INCLUSIONS, INSTANCES, MORPHISMS
 
-from helpers import first_exitless_cycle, random_graph, zero_chain_map
+from helpers import (
+    assert_kernel_check_matches_reference,
+    first_exitless_cycle,
+    random_graph,
+    zero_chain_map,
+)
 
 loop = GRAPHS["loop"]
 rp2 = GRAPHS["rp2"]
@@ -184,7 +192,7 @@ class TestBundledInstance:
     def test_commutativity(self):
         report = check_commutativity(rp2q())
         assert report.all_ok
-        assert report.mismatches() == ()
+        assert all(e.ok for e in report.entries)
         by_gen = {tuple(e.generator.items()): e for e in report.entries}
         s_entry = by_gen[(("edge", "s"),)]
         assert s_entry.through_amb == "e e" == s_entry.through_sub
@@ -568,7 +576,7 @@ class TestCommutativityFailures:
         inst = PullbackInstance(loop_in_rp2, loop_in_toeplitz, phi, ident_res, 4)
         report = check_commutativity(inst)
         assert not report.all_ok
-        bad = report.mismatches()
+        bad = [e for e in report.entries if not e.ok]
         assert len(bad) == 1
         assert bad[0].generator == {"edge": "s"}
         assert bad[0].through_amb == "e e"
@@ -650,6 +658,52 @@ class TestKernelFailures:
         inst = PullbackInstance(pi1, loop_in_toeplitz, f, PathHom.identity(loop), 4)
         with pytest.raises(NotVertexInjective):
             check_kernel_inclusion(inst, hypotheses=check_hypotheses(rp2q(4)))
+
+
+class TestKernelCheckAgainstReference:
+    """The kernel check maps each pool path once per call; the reference in
+    tests/helpers.py calls the public maps on every pair."""
+
+    @pytest.mark.parametrize("bound", range(6))
+    def test_rp2q(self, bound):
+        assert assert_kernel_check_matches_reference(rp2q(bound)).all_ok
+
+    @pytest.mark.parametrize(
+        "vertices, edges, bound, pairs, reduced, off_pool",
+        [
+            # the special edge g of w closes nine pairs ending at u; their
+            # pair elements hold pool paths only
+            ("vwu", [("e", "v", "v"), ("f", "v", "w"), ("g", "w", "u")], 3, 32, 9, 0),
+            # the exit f is v's special edge: the four pairs ending in f
+            # reduce to paths ending at v, which are not in the pool
+            ("vw", [("f", "v", "w"), ("e", "v", "v")], 2, 9, 4, 3),
+        ],
+        ids=["special-exit-at-w", "special-exit-at-v"],
+    )
+    def test_tail_reduction_inside_the_check(
+        self, vertices, edges, bound, pairs, reduced, off_pool
+    ):
+        amb = Graph(list(vertices), edges)
+        sub = Graph(["v"], [("e", "v", "v")])
+        pi = GraphInclusion(sub, amb, {"v": "v"}, {"e": "e"})
+        inst = PullbackInstance(pi, pi, PathHom.identity(amb), PathHom.identity(sub), bound)
+        assert check_hypotheses(inst).overall == "PASS_UP_TO_BOUND"
+        report = assert_kernel_check_matches_reference(inst)
+        assert report.all_ok and len(report.entries) == pairs
+
+        def path(data):
+            return Path.at(amb, data["vertex"]) if "vertex" in data else Path.of(amb, data["edges"])
+
+        ctx = AlgebraContext.leavitt(amb)
+        pool, held, changed = set(), set(), 0
+        for e in report.entries:
+            left, right = path(e.preimage_pair["left"]), path(e.preimage_pair["right"])
+            terms = ctx.pair_element(left, right).terms
+            changed += terms != {Monomial(left, right): 1}
+            pool.update((left, right))
+            held.update(p for mono in terms for p in mono)
+        assert changed == reduced
+        assert len(held - pool) == off_pool
 
 
 class TestChecksRunOncePerMap:
