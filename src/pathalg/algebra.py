@@ -184,7 +184,7 @@ class AlgebraContext:
             raise ValueError("pair monomial needs matching targets")
         acc: dict[Monomial, Fraction] = {}
         _accumulate_pair(self, left, right, Fraction(1), acc)
-        return AlgebraElement(self, acc)
+        return AlgebraElement._owned(self, acc)
 
 
 def _accumulate_pair(
@@ -220,6 +220,17 @@ class AlgebraElement:
         self.context = context
         self.terms = {m: c for m, c in terms.items() if c}
 
+    @classmethod
+    def _owned(cls, context: AlgebraContext, terms: dict) -> "AlgebraElement":
+        """An element that takes over terms, a dict no one else holds: its
+        zero coefficients are deleted in place instead of copying it."""
+        for m in [m for m, c in terms.items() if not c]:
+            del terms[m]
+        element = cls.__new__(cls)
+        element.context = context
+        element.terms = terms
+        return element
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -241,7 +252,7 @@ class AlgebraElement:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, _ZERO) + c
-        return AlgebraElement(self.context, terms)
+        return AlgebraElement._owned(self.context, terms)
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -249,11 +260,11 @@ class AlgebraElement:
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement(self.context, {m: -c for m, c in self.terms.items()})
+        return AlgebraElement._owned(self.context, {m: -c for m, c in self.terms.items()})
 
     def scale(self, scalar) -> "AlgebraElement":
         scalar = Fraction(scalar)
-        return AlgebraElement(self.context, {m: scalar * c for m, c in self.terms.items()})
+        return AlgebraElement._owned(self.context, {m: scalar * c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -271,7 +282,7 @@ class AlgebraElement:
         if self.context.is_path_mode:
             raise StarInPathMode("the path algebra carries no star involution here")
         # (left, right) -> (right, left); tail-normality is symmetric
-        return AlgebraElement(
+        return AlgebraElement._owned(
             self.context, {Monomial(m.right, m.left): c for m, c in self.terms.items()}
         )
 
@@ -346,7 +357,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         for k in range(n):
             for m2, c2 in exact.get((source, edges[:k]), ()):
                 _accumulate_pair(ctx, alpha, _append(m2.right, edges[k:]), c1 * c2, acc)
-    return AlgebraElement(ctx, acc)
+    return AlgebraElement._owned(ctx, acc)
 
 
 # -- induced homomorphisms and quotient maps ------------------------------------
@@ -403,7 +414,7 @@ def _push(target: AlgebraContext, a: AlgebraElement, image: Callable) -> Algebra
         right = None if left is None else image(mono.right)
         if right is not None:
             _accumulate_pair(target, left, right, coeff, acc)
-    return AlgebraElement(target, acc)
+    return AlgebraElement._owned(target, acc)
 
 
 def induce_path(f: PathHom, a: AlgebraElement) -> AlgebraElement:

@@ -22,22 +22,20 @@ pair once, at the end of the run; only a parenthesized factor goes through
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .algebra import _ZERO, AlgebraContext, AlgebraElement, _accumulate_pair, multiply
 from .errors import ParseError, StarInPathMode, UnknownIdentifier
 from .graphs import Path
 
+# A token is a plain (kind, text, pos) tuple: kind is "number", "ident", one
+# of + - * / ( ) or _END, and pos the 1-based column of its first character.
+_END = "end"
 
-class _Token(NamedTuple):
-    kind: str   # "number" | "ident" | one of + - * / ( )
-    text: str
-    pos: int    # 1-based column of the first character
-
-
-_PUNCT = set("+-*/()")
+_PUNCT = frozenset("+-*/()")
 
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 # run states besides a triple: no generator read yet, and a run that is 0
 _EMPTY = object()
@@ -48,102 +46,100 @@ _ZERO_RUN = object()
 _MAX_NESTING = 100
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of text, closed by one end token at len(text) + 1."""
     tokens = []
+    append = tokens.append
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
         if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, i + 1))
+            append((ch, ch, i + 1))
             i += 1
-            continue
+        elif ch.isspace():
+            i += 1
         # isdecimal, not isdigit: it accepts exactly the digits int() reads
-        if ch.isdecimal():
-            j = i
+        elif ch.isdecimal():
+            j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("number", text[i:j], i + 1))
+            append(("number", text[i:j], i + 1))
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("ident", text[i:j], i + 1))
+            append(("ident", text[i:j], i + 1))
             i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", position=i + 1)
+        else:
+            raise ParseError(f"unexpected character {ch!r}", position=i + 1)
+    append((_END, "", n + 1))
     return tokens
 
 
 class _Parser:
     def __init__(self, ctx: AlgebraContext, text: str):
+        g = ctx.graph
         self.ctx = ctx
+        self.vertices, self.src, self.tgt = g._vindex, g._src, g._tgt
         self.tokens = _tokenize(text)
         self.i = 0
-        self.end = len(text) + 1
         self.depth = 0
+        self.scalars: dict[tuple[int, int], Fraction] = {}
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", position=self.end)
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {kind!r}, found end of expression", position=self.end)
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", position=tok.pos)
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        if tok[0] != kind:
+            found = "end of expression" if tok[0] == _END else repr(tok[1])
+            raise ParseError(f"expected {kind!r}, found {found}", position=tok[2])
         self.i += 1
         return tok
 
     def parse(self) -> AlgebraElement:
         value = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok.text!r}", position=tok.pos)
+        kind, text, pos = self.tokens[self.i]
+        if kind != _END:
+            raise ParseError(f"unexpected {text!r}", position=pos)
         return value
 
     def expr(self) -> AlgebraElement:
         # one running sum for all terms: linear in their number
         acc: dict = {}
         sign = 1
+        tokens = self.tokens
         while True:
             self.term(sign, acc)
-            tok = self.peek()
-            if tok is None or tok.kind not in "+-":
-                return AlgebraElement(self.ctx, acc)
-            self.take()
-            sign = 1 if tok.kind == "+" else -1
+            kind = tokens[self.i][0]
+            if kind != "+" and kind != "-":
+                return AlgebraElement._owned(self.ctx, acc)
+            self.i += 1
+            sign = 1 if kind == "+" else -1
 
     def term(self, sign: int, acc: dict) -> None:
         """Parse one term and add it, times sign, to acc."""
-        scalar = _ONE
-        tok = self.peek()
-        if tok is not None and tok.kind == "number":
-            scalar = self.rational()
-            tok = self.peek()
-            if tok is not None and tok.kind == "*":
-                self.take()
-        if sign < 0:
-            scalar = -scalar
+        tokens = self.tokens
+        if tokens[self.i][0] == "number":
+            scalar = self.rational(sign)
+            if tokens[self.i][0] == "*":
+                self.i += 1
+        else:
+            scalar = _ONE if sign > 0 else _MINUS_ONE
         value = None  # the product of the factors before the open run
         run = _EMPTY  # the open run of generators: _EMPTY, _ZERO_RUN or a triple
         while True:
-            tok = self.take()
-            if tok.kind == "(":
+            kind, text, pos = tokens[self.i]
+            self.i += 1
+            if kind == "ident":
+                # a '*' after an ident is always the postfix star; the scalar
+                # multiplication sign only ever follows a rational
+                starred = tokens[self.i][0] == "*"
+                if starred:
+                    self.i += 1
+                run = self.generator(run, text, pos, starred)
+            elif kind == "(":
                 if self.depth == _MAX_NESTING:
                     raise ParseError(
-                        f"parentheses nest deeper than {_MAX_NESTING}", position=tok.pos
+                        f"parentheses nest deeper than {_MAX_NESTING}", position=pos
                     )
                 self.depth += 1
                 inner = self.expr()
@@ -152,20 +148,11 @@ class _Parser:
                 value = self.close(value, run)
                 value = inner if value is None else multiply(value, inner)
                 run = _EMPTY
-            elif tok.kind == "ident":
-                # a '*' after an ident is always the postfix star; the scalar
-                # multiplication sign only ever follows a rational
-                nxt = self.peek()
-                starred = nxt is not None and nxt.kind == "*"
-                if starred:
-                    self.i += 1
-                run = self.generator(run, tok, starred)
+            elif kind == _END:
+                raise ParseError("unexpected end of expression", position=pos)
             else:
-                raise ParseError(
-                    f"expected identifier or '(', found {tok.text!r}", position=tok.pos
-                )
-            tok = self.peek()
-            if tok is None or tok.kind not in ("ident", "("):
+                raise ParseError(f"expected identifier or '(', found {text!r}", position=pos)
+            if tokens[self.i][0] not in ("ident", "("):
                 break
         if value is None:
             if run is not _ZERO_RUN:
@@ -174,49 +161,51 @@ class _Parser:
         for m, c in self.close(value, run).terms.items():
             acc[m] = acc.get(m, _ZERO) + scalar * c
 
-    def rational(self) -> Fraction:
-        num_tok = self.expect("number")
-        num = self.integer(num_tok)
-        tok = self.peek()
-        if tok is not None and tok.kind == "/":
-            self.take()
+    def rational(self, sign: int) -> Fraction:
+        """sign times the rational at the cursor; one Fraction per distinct
+        value in a parse."""
+        num = self.integer(self.expect("number"))
+        den = 1
+        if self.tokens[self.i][0] == "/":
+            self.i += 1
             den_tok = self.expect("number")
             den = self.integer(den_tok)
             if den == 0:
-                raise ParseError("zero denominator", position=den_tok.pos)
-            return Fraction(num, den)
-        return Fraction(num)
+                raise ParseError("zero denominator", position=den_tok[2])
+        key = (sign * num, den)
+        scalar = self.scalars.get(key)
+        if scalar is None:
+            scalar = self.scalars[key] = Fraction(*key)
+        return scalar
 
     @staticmethod
-    def integer(tok: _Token) -> int:
+    def integer(tok: tuple[str, str, int]) -> int:
         try:
-            return int(tok.text)
+            return int(tok[1])
         except ValueError:  # more digits than the interpreter converts
             raise ParseError(
-                f"number too long ({len(tok.text)} digits)", position=tok.pos
+                f"number too long ({len(tok[1])} digits)", position=tok[2]
             ) from None
 
-    def generator(self, run, tok: _Token, starred: bool):
-        """The run followed by the generator tok names, by (CK1): a vertex x
-        keeps S_a S_b* iff s(b) = x; an edge e cancels the first edge of b if
-        that is e, extends a if b is a vertex at s(e), and kills the run
-        otherwise; e* prepends e to b iff t(e) = s(b).  The identifier is
-        resolved even when the run is already 0, so errors are raised at the
-        token where they occur."""
-        g = self.ctx.graph
-        name = tok.text
-        is_vertex = g.has_vertex(name)
-        is_edge = g.has_edge(name)
-        if is_vertex and is_edge:
-            raise ParseError(
-                f"identifier {name!r} names both a vertex and an edge", position=tok.pos
-            )
-        if not (is_vertex or is_edge):
+    def generator(self, run, name: str, pos: int, starred: bool):
+        """The run followed by the generator name, read at pos, by (CK1): a
+        vertex x keeps S_a S_b* iff s(b) = x; an edge e cancels the first
+        edge of b if that is e, extends a if b is a vertex at s(e), and kills
+        the run otherwise; e* prepends e to b iff t(e) = s(b).  The
+        identifier is resolved even when the run is already 0, so errors are
+        raised at the token where they occur."""
+        is_vertex = name in self.vertices
+        if name in self.src:
+            if is_vertex:
+                raise ParseError(
+                    f"identifier {name!r} names both a vertex and an edge", position=pos
+                )
+            if starred and self.ctx.is_path_mode:
+                raise StarInPathMode("starred generators only exist in the quotient modes")
+        elif not is_vertex:
             raise UnknownIdentifier(
                 f"{name!r} is neither a vertex nor an edge of the context graph"
             )
-        if starred and is_edge and self.ctx.is_path_mode:
-            raise StarInPathMode("starred generators only exist in the quotient modes")
         if run is _ZERO_RUN:
             return run
         if is_vertex:  # a starred projection is itself
@@ -225,22 +214,22 @@ class _Parser:
             return run if run[2] == name else _ZERO_RUN
         if starred:
             if run is _EMPTY:
-                return ((), (name,), g.src(name))
+                return ((), (name,), self.src[name])
             alpha, beta, v = run
-            return (alpha, (name,) + beta, g.src(name)) if g.tgt(name) == v else _ZERO_RUN
+            return (alpha, (name,) + beta, self.src[name]) if self.tgt[name] == v else _ZERO_RUN
         if run is _EMPTY:
-            return ((name,), (), g.tgt(name))
+            return ((name,), (), self.tgt[name])
         alpha, beta, v = run
         if beta:
-            return (alpha, beta[1:], g.tgt(name)) if beta[0] == name else _ZERO_RUN
-        return (alpha + (name,), (), g.tgt(name)) if g.src(name) == v else _ZERO_RUN
+            return (alpha, beta[1:], self.tgt[name]) if beta[0] == name else _ZERO_RUN
+        return (alpha + (name,), (), self.tgt[name]) if self.src[name] == v else _ZERO_RUN
 
     def pair(self, run) -> tuple[Path, Path]:
         """The paths (a, b) of a nonzero run S_a S_b*, given as the triple
-        (a's edges, b's edges, s(b))."""
+        (a's edges, b's edges, s(b)); s(b) is t(a) when b is a vertex."""
         g = self.ctx.graph
         alpha, beta, v = run
-        t = g.tgt(alpha[-1]) if alpha else g.tgt(beta[-1]) if beta else v
+        t = self.tgt[beta[-1]] if beta else v
         return (
             Path._trusted(g, None, alpha) if alpha else Path._trusted(g, t, ()),
             Path._trusted(g, None, beta) if beta else Path._trusted(g, t, ()),
@@ -253,7 +242,7 @@ class _Parser:
         acc: dict = {}
         if run is not _ZERO_RUN:
             _accumulate_pair(self.ctx, *self.pair(run), _ONE, acc)
-        element = AlgebraElement(self.ctx, acc)
+        element = AlgebraElement._owned(self.ctx, acc)
         return element if value is None else multiply(value, element)
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
+
+from hypothesis import strategies as st
 
 from pathalg import (
     AlgebraContext,
@@ -32,7 +34,8 @@ from pathalg import (
     reg0_vertices,
     regular_vertices,
 )
-from pathalg.algebra import AlgebraElement, _accumulate_pair
+from pathalg.algebra import _ZERO, AlgebraElement, _accumulate_pair
+from pathalg.errors import ParseError, PathalgError, StarInPathMode, UnknownIdentifier
 from pathalg.pullback import KernelEntry
 from pathalg.registry import GRAPHS
 
@@ -273,6 +276,281 @@ def random_fold(ctx: AlgebraContext, word: GeneratorWord, rng: random.Random):
         i = rng.randrange(len(factors) - 1)
         factors[i : i + 2] = [factors[i] * factors[i + 1]]
     return factors[0].scale(word.scalar)
+
+
+# -- expression parser reference ------------------------------------------------
+#
+# The tokenizer and parser of ``pathalg.expressions`` as they were before
+# tokens became plain tuples closed by an end token: NamedTuple tokens, a
+# ``peek`` that returns None past the last one, and the end position kept
+# apart.  The differential tests hold the parser to this copy's values,
+# messages and positions.
+
+
+class _RefToken(NamedTuple):
+    kind: str   # "number" | "ident" | one of + - * / ( )
+    text: str
+    pos: int    # 1-based column of the first character
+
+
+_PUNCT = set("+-*/()")
+
+_ONE = Fraction(1)
+
+# run states besides a triple: no generator read yet, and a run that is 0
+_EMPTY = object()
+_ZERO_RUN = object()
+
+# Each level of parentheses costs two stack frames (expr, term), so
+# this keeps the parser well inside the interpreter's recursion limit.
+_MAX_NESTING = 100
+
+
+def reference_tokenize(text: str) -> list[_RefToken]:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _PUNCT:
+            tokens.append(_RefToken(ch, ch, i + 1))
+            i += 1
+            continue
+        # isdecimal, not isdigit: it accepts exactly the digits int() reads
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(_RefToken("number", text[i:j], i + 1))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_RefToken("ident", text[i:j], i + 1))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", position=i + 1)
+    return tokens
+
+
+class ReferenceParser:
+    """The parser as it was before its tokens became plain tuples."""
+
+    def __init__(self, ctx: AlgebraContext, text: str):
+        self.ctx = ctx
+        self.tokens = reference_tokenize(text)
+        self.i = 0
+        self.end = len(text) + 1
+        self.depth = 0
+
+    def peek(self) -> Optional[_RefToken]:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self) -> _RefToken:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of expression", position=self.end)
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str) -> _RefToken:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(f"expected {kind!r}, found end of expression", position=self.end)
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text!r}", position=tok.pos)
+        self.i += 1
+        return tok
+
+    def parse(self) -> AlgebraElement:
+        value = self.expr()
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"unexpected {tok.text!r}", position=tok.pos)
+        return value
+
+    def expr(self) -> AlgebraElement:
+        # one running sum for all terms: linear in their number
+        acc: dict = {}
+        sign = 1
+        while True:
+            self.term(sign, acc)
+            tok = self.peek()
+            if tok is None or tok.kind not in "+-":
+                return AlgebraElement(self.ctx, acc)
+            self.take()
+            sign = 1 if tok.kind == "+" else -1
+
+    def term(self, sign: int, acc: dict) -> None:
+        """Parse one term and add it, times sign, to acc."""
+        scalar = _ONE
+        tok = self.peek()
+        if tok is not None and tok.kind == "number":
+            scalar = self.rational()
+            tok = self.peek()
+            if tok is not None and tok.kind == "*":
+                self.take()
+        if sign < 0:
+            scalar = -scalar
+        value = None  # the product of the factors before the open run
+        run = _EMPTY  # the open run of generators: _EMPTY, _ZERO_RUN or a triple
+        while True:
+            tok = self.take()
+            if tok.kind == "(":
+                if self.depth == _MAX_NESTING:
+                    raise ParseError(
+                        f"parentheses nest deeper than {_MAX_NESTING}", position=tok.pos
+                    )
+                self.depth += 1
+                inner = self.expr()
+                self.expect(")")
+                self.depth -= 1
+                value = self.close(value, run)
+                value = inner if value is None else multiply(value, inner)
+                run = _EMPTY
+            elif tok.kind == "ident":
+                # a '*' after an ident is always the postfix star; the scalar
+                # multiplication sign only ever follows a rational
+                nxt = self.peek()
+                starred = nxt is not None and nxt.kind == "*"
+                if starred:
+                    self.i += 1
+                run = self.generator(run, tok, starred)
+            else:
+                raise ParseError(
+                    f"expected identifier or '(', found {tok.text!r}", position=tok.pos
+                )
+            tok = self.peek()
+            if tok is None or tok.kind not in ("ident", "("):
+                break
+        if value is None:
+            if run is not _ZERO_RUN:
+                _accumulate_pair(self.ctx, *self.pair(run), scalar, acc)
+            return
+        for m, c in self.close(value, run).terms.items():
+            acc[m] = acc.get(m, _ZERO) + scalar * c
+
+    def rational(self) -> Fraction:
+        num_tok = self.expect("number")
+        num = self.integer(num_tok)
+        tok = self.peek()
+        if tok is not None and tok.kind == "/":
+            self.take()
+            den_tok = self.expect("number")
+            den = self.integer(den_tok)
+            if den == 0:
+                raise ParseError("zero denominator", position=den_tok.pos)
+            return Fraction(num, den)
+        return Fraction(num)
+
+    @staticmethod
+    def integer(tok: _RefToken) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError(
+                f"number too long ({len(tok.text)} digits)", position=tok.pos
+            ) from None
+
+    def generator(self, run, tok: _RefToken, starred: bool):
+        """The run followed by the generator tok names, by (CK1): a vertex x
+        keeps S_a S_b* iff s(b) = x; an edge e cancels the first edge of b if
+        that is e, extends a if b is a vertex at s(e), and kills the run
+        otherwise; e* prepends e to b iff t(e) = s(b).  The identifier is
+        resolved even when the run is already 0, so errors are raised at the
+        token where they occur."""
+        g = self.ctx.graph
+        name = tok.text
+        is_vertex = g.has_vertex(name)
+        is_edge = g.has_edge(name)
+        if is_vertex and is_edge:
+            raise ParseError(
+                f"identifier {name!r} names both a vertex and an edge", position=tok.pos
+            )
+        if not (is_vertex or is_edge):
+            raise UnknownIdentifier(
+                f"{name!r} is neither a vertex nor an edge of the context graph"
+            )
+        if starred and is_edge and self.ctx.is_path_mode:
+            raise StarInPathMode("starred generators only exist in the quotient modes")
+        if run is _ZERO_RUN:
+            return run
+        if is_vertex:  # a starred projection is itself
+            if run is _EMPTY:
+                return ((), (), name)
+            return run if run[2] == name else _ZERO_RUN
+        if starred:
+            if run is _EMPTY:
+                return ((), (name,), g.src(name))
+            alpha, beta, v = run
+            return (alpha, (name,) + beta, g.src(name)) if g.tgt(name) == v else _ZERO_RUN
+        if run is _EMPTY:
+            return ((name,), (), g.tgt(name))
+        alpha, beta, v = run
+        if beta:
+            return (alpha, beta[1:], g.tgt(name)) if beta[0] == name else _ZERO_RUN
+        return (alpha + (name,), (), g.tgt(name)) if g.src(name) == v else _ZERO_RUN
+
+    def pair(self, run) -> tuple[Path, Path]:
+        """The paths (a, b) of a nonzero run S_a S_b*, given as the triple
+        (a's edges, b's edges, s(b))."""
+        g = self.ctx.graph
+        alpha, beta, v = run
+        t = g.tgt(alpha[-1]) if alpha else g.tgt(beta[-1]) if beta else v
+        return (
+            Path._trusted(g, None, alpha) if alpha else Path._trusted(g, t, ()),
+            Path._trusted(g, None, beta) if beta else Path._trusted(g, t, ()),
+        )
+
+    def close(self, value: Optional[AlgebraElement], run) -> Optional[AlgebraElement]:
+        """value times the run, or value when the run is empty."""
+        if run is _EMPTY:
+            return value
+        acc: dict = {}
+        if run is not _ZERO_RUN:
+            _accumulate_pair(self.ctx, *self.pair(run), _ONE, acc)
+        element = AlgebraElement(self.ctx, acc)
+        return element if value is None else multiply(value, element)
+
+
+def reference_parse_expression(ctx: AlgebraContext, text: str) -> AlgebraElement:
+    if not text.strip():
+        raise ParseError("empty expression", position=1)
+    return ReferenceParser(ctx, text).parse()
+
+
+def parse_outcome(parse, ctx: AlgebraContext, text: str):
+    """parse(ctx, text), or the class, message and position of the library
+    error it raises."""
+    try:
+        return parse(ctx, text)
+    except PathalgError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+_expression_tokens = st.one_of(
+    st.sampled_from(
+        ["v", "w", "s", "r", "t", "v*", "s*", "r*", "t*", "zz", "+", "-", "*", "/",
+         "(", ")", "((", "))", "0", "1", "2", "1/2", "5/3", "1/0", "-v", "--json"]
+    ),
+    st.integers(0, 10**6).map(str),
+    # digit runs near and past the interpreter's int-to-str limit
+    st.tuples(st.sampled_from("19\u0669"), st.integers(2000, 5000)).map(lambda dn: dn[0] * dn[1]),
+    st.sampled_from(["\u00e9", "\u00b2", "\u0661", "\u00a0", "\u2028", "\ufeff", "\U0001f600"]),
+    st.integers(0, 0x10FFFF).map(chr),  # lone surrogates included
+)
+
+
+@st.composite
+def expressions(draw) -> str:
+    """Runs of grammar tokens over the names of ``rp2``, long digit runs,
+    unbalanced parentheses and non-ASCII text."""
+    tokens = draw(st.lists(_expression_tokens, max_size=12))
+    return "".join(token + draw(st.sampled_from(["", " ", " "])) for token in tokens)
 
 
 # -- first preimages -------------------------------------------------------------

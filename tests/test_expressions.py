@@ -12,6 +12,8 @@ L_toe = AlgebraContext.leavitt(GRAPHS["toeplitz"])
 L_loop = AlgebraContext.leavitt(GRAPHS["loop"])
 P_loop = AlgebraContext.path(GRAPHS["loop"])
 C_loop = AlgebraContext.cohn(GRAPHS["loop"])
+# q names both a vertex and an edge
+_AMBIGUOUS = Graph(["v", "q"], [("q", "v", "v"), ("e", "v", "q")])
 
 
 def s(ctx, text):
@@ -139,3 +141,51 @@ class TestErrors:
         with pytest.raises(ParseError) as info:
             parse_expression(L_toe, "(" * 101 + "e" + ")" * 101)
         assert "position 101" in str(info.value)
+
+
+# Every raise site of the parser, with its exact text and position: the end
+# of input is reported at len(text) + 1, a token at its first column.
+_ERRORS = [
+    (L_toe, "   ", ParseError, "empty expression (at position 1)", 1),
+    (L_toe, "e + \u00b2 e", ParseError, "unexpected character '\u00b2' (at position 5)", 5),
+    (L_toe, "(e", ParseError, "expected ')', found end of expression (at position 3)", 3),
+    (L_toe, "(e f", ParseError, "expected ')', found end of expression (at position 5)", 5),
+    (L_toe, "3 *", ParseError, "unexpected end of expression (at position 4)", 4),
+    (L_toe, "e + ", ParseError, "unexpected end of expression (at position 5)", 5),
+    (L_toe, "e**", ParseError, "unexpected '*' (at position 3)", 3),
+    (L_toe, "e (f)*", ParseError, "unexpected '*' (at position 6)", 6),
+    (L_toe, "e )", ParseError, "unexpected ')' (at position 3)", 3),
+    (L_toe, "1/ e", ParseError, "expected 'number', found 'e' (at position 4)", 4),
+    (L_toe, "1/", ParseError, "expected 'number', found end of expression (at position 3)", 3),
+    (L_toe, "e f 2 e", ParseError, "unexpected '2' (at position 5)", 5),
+    (L_toe, "e + )", ParseError, "expected identifier or '(', found ')' (at position 5)", 5),
+    (L_toe, "-v", ParseError, "expected identifier or '(', found '-' (at position 1)", 1),
+    (L_toe, "3 * * e", ParseError, "expected identifier or '(', found '*' (at position 5)", 5),
+    (L_toe, "1/0 v", ParseError, "zero denominator (at position 3)", 3),
+    (L_toe, "(" * 101 + "e" + ")" * 101, ParseError,
+     "parentheses nest deeper than 100 (at position 101)", 101),
+    (L_toe, "e zz", UnknownIdentifier,
+     "'zz' is neither a vertex nor an edge of the context graph", None),
+    (P_loop, "e*", StarInPathMode, "starred generators only exist in the quotient modes", None),
+    (AlgebraContext.leavitt(_AMBIGUOUS), "e q", ParseError,
+     "identifier 'q' names both a vertex and an edge (at position 3)", 3),
+    # the ambiguity is found before the star is refused ...
+    (AlgebraContext.path(_AMBIGUOUS), "q*", ParseError,
+     "identifier 'q' names both a vertex and an edge (at position 1)", 1),
+    # ... and an unknown identifier before either
+    (P_loop, "zz*", UnknownIdentifier,
+     "'zz' is neither a vertex nor an edge of the context graph", None),
+    # a run that is already 0 still resolves its identifiers
+    (L_toe, "f e zz", UnknownIdentifier,
+     "'zz' is neither a vertex nor an edge of the context graph", None),
+]
+
+
+@pytest.mark.parametrize("ctx,text,error,message,position", _ERRORS,
+                         ids=[repr(c[1]) if len(c[1]) < 20 else "101 nested" for c in _ERRORS])
+def test_error_text_and_position(ctx, text, error, message, position):
+    with pytest.raises(error) as info:
+        parse_expression(ctx, text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert getattr(info.value, "position", None) == position

@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from pathalg.cli import main
 from pathalg.registry import EXAMPLES
 
+from helpers import expressions
+
 FIXTURES = resources.files("pathalg") / "fixtures"
 
 
@@ -127,23 +129,6 @@ def test_loaders_keep_the_exit_code_contract(kind, tmp_path_factory):
 # -- expression strings ----------------------------------------------------------
 
 _EVAL_CONTEXTS = ("P(rp2)", "C(rp2)", "C[v](rp2)", "L(rp2)")
-_expression_tokens = st.one_of(
-    st.sampled_from(
-        ["v", "w", "s", "r", "t", "v*", "s*", "r*", "t*", "zz", "+", "-", "*", "/",
-         "(", ")", "((", "))", "0", "1", "2", "1/2", "5/3", "1/0", "-v", "--json"]
-    ),
-    st.integers(0, 10**6).map(str),
-    # digit runs near and past the interpreter's int-to-str limit
-    st.tuples(st.sampled_from("19\u0669"), st.integers(2000, 5000)).map(lambda dn: dn[0] * dn[1]),
-    st.sampled_from(["\u00e9", "\u00b2", "\u0661", "\u00a0", "\u2028", "\ufeff", "\U0001f600"]),
-    st.integers(0, 0x10FFFF).map(chr),  # lone surrogates included
-)
-
-
-@st.composite
-def expressions(draw) -> str:
-    tokens = draw(st.lists(_expression_tokens, max_size=12))
-    return "".join(token + draw(st.sampled_from(["", " ", " "])) for token in tokens)
 
 
 def _check_zero_or_two(argv: list) -> None:

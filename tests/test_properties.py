@@ -41,7 +41,7 @@ from pathalg.algebra import Monomial, induce_cohn, induce_leavitt, induce_path, 
 from pathalg.cli import main
 from pathalg.expressions import parse_expression
 from pathalg.pullback import _first_preimages
-from pathalg.registry import INCLUSIONS, MORPHISMS
+from pathalg.registry import GRAPHS, INCLUSIONS, MORPHISMS
 
 from helpers import (
     GeneratorWord,
@@ -51,10 +51,15 @@ from helpers import (
     crossed_loops_map,
     first_preimage_table,
     kernel_pairs,
+    expressions,
     normal_form,
+    parse_outcome,
     prefix_code_square,
+    random_graph,
+    random_word,
     reference_monomial_key,
     reference_multiply,
+    reference_parse_expression,
     reference_render,
     reference_verdict,
     zero_chain_map,
@@ -321,6 +326,79 @@ def test_render_matches_reference(make_context, data):
     x = data.draw(elements(ctx, max_terms=6, coefficients=_fractions))
     assert str(x) == reference_render(x)
     assert x.monomials() == tuple(sorted(x.terms, key=reference_monomial_key))
+
+
+# -- the parser against its reference copy --------------------------------------
+
+# rp2 in every mode, and a graph where v names both a vertex and an edge
+_AMBIGUOUS = Graph(["v", "w"], [("v", "v", "w"), ("s", "w", "w"), ("r", "w", "v")])
+_TEXT_CONTEXTS = (
+    AlgebraContext.path(GRAPHS["rp2"]),
+    AlgebraContext.cohn(GRAPHS["rp2"]),
+    AlgebraContext.relative_cohn(GRAPHS["rp2"], ["v"]),
+    AlgebraContext.leavitt(GRAPHS["rp2"]),
+    AlgebraContext.path(_AMBIGUOUS),
+    AlgebraContext.leavitt(_AMBIGUOUS),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(ctx=st.sampled_from(_TEXT_CONTEXTS), text=expressions())
+def test_parser_matches_reference_on_drawn_texts(ctx, text):
+    """Any text parses to the reference copy's value, or raises its error
+    class with its message and position."""
+    assert parse_outcome(parse_expression, ctx, text) == parse_outcome(
+        reference_parse_expression, ctx, text
+    )
+
+
+_POOL_COEFFICIENTS = ("", "2 ", "3 ", "7 ", "1/2 ", "5/3 ", "3/4 ")
+
+
+@st.composite
+def pool_sums(draw, ctx: AlgebraContext):
+    """A sum in the style of the benchmark's Leavitt pool: terms
+    c S_alpha S_beta* with alpha and beta ending at one vertex, joined by
+    + and -."""
+    g = ctx.graph
+    terms = []
+    for _ in range(draw(st.integers(1, 12))):
+        _, alpha, v = draw(walks(g))
+        beta = _walk(draw, g, v, forward=False)
+        letters = list(alpha) + [e + "*" for e in reversed(beta)]
+        terms.append(draw(st.sampled_from(_POOL_COEFFICIENTS)) + (" ".join(letters) or v))
+    return _join(terms, draw(signs(len(terms) - 1)))
+
+
+@pytest.mark.parametrize("kind", ["cohn", "leavitt", "relative_cohn"])
+@_settings
+@given(data=st.data())
+def test_parser_matches_reference_on_pool_sums(kind, data):
+    ctx = data.draw(CONTEXTS[kind](data.draw(graphs())))
+    text = data.draw(pool_sums(ctx))
+    value = parse_expression(ctx, text)
+    assert value == reference_parse_expression(ctx, text)
+    assert str(value) == str(reference_parse_expression(ctx, text))
+
+
+# -- the star involution ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("make_context", MODES[1:], ids=["cohn", "leavitt"])
+@_settings
+@given(seed=st.integers(0, 2**32 - 1))
+def test_star_is_antimultiplicative_on_drawn_graphs(make_context, seed):
+    """(ab)* = b* a* and a** = a for sums of random words over a random
+    graph."""
+    rng = random.Random(seed)
+    ctx = make_context(random_graph(rng, 4, 6))
+    a, b = (
+        sum((normal_form(ctx, random_word(ctx, rng, 4)) for _ in range(rng.randint(1, 3))),
+            ctx.zero())
+        for _ in range(2)
+    )
+    assert multiply(a, b).star() == multiply(b.star(), a.star())
+    assert a.star().star() == a
 
 
 def _assert_valid(p: Path) -> None:
