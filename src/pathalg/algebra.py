@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedInfiniteEmitter,
 )
 from .graphs import Graph, Path, regular_vertices
-from .morphisms import _CLASS_FLAGS, _FLAGS as _FLAG_LABELS, PathHom, classify
+from .morphisms import _CLASS_FLAGS, _FLAGS, PathHom, classify
 
 PATH = "path"
 RELATIVE_COHN = "relative_cohn"
@@ -203,7 +203,7 @@ def _accumulate_pair(
             if e == gamma:
                 continue
             # sum terms end in a non-special edge: already tail-normal
-            mono = Monomial(left.extend(e), right.extend(e))
+            mono = Monomial(_append(left, (e,)), _append(right, (e,)))
             old = acc.get(mono)
             acc[mono] = -coeff if old is None else old - coeff
     mono = Monomial(left, right)
@@ -363,7 +363,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 # -- induced homomorphisms and quotient maps ------------------------------------
 
 # The error an induced map raises when a flag of its class is off.
-_FLAGS = {
+_FLAG_ERRORS = {
     "vertex_injective": NotVertexInjective,
     "monotone": NotMonotone,
     "regular": NotRegular,
@@ -396,8 +396,8 @@ def _induced_codomain(f: PathHom, context: AlgebraContext, mode: str) -> Algebra
     verdict = classify(f)
     for flag in _CLASS_FLAGS[category]:
         if not getattr(verdict, flag):
-            raise _FLAGS[flag](
-                f"induced {name} map needs a {_FLAG_LABELS[flag]} morphism",
+            raise _FLAG_ERRORS[flag](
+                f"induced {name} map needs a {_FLAGS[flag]} morphism",
                 witness=verdict.witnesses.get(flag),
             )
     target = make_context(f.cod)

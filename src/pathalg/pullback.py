@@ -27,19 +27,14 @@ from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple, Optional
 
 from .admissible import GraphInclusion, breaking_vertices, is_admissible
-from .algebra import (
-    AlgebraContext,
-    _induced_codomain,
-    _push,
-    _quotient,
-    induce_leavitt,
-    quotient_map,
-)
+from .algebra import AlgebraContext, _induced_codomain, _push, _quotient
 from .errors import (
+    AlgebraError,
     AmbiguousInfiniteEmitter,
     DomainMismatch,
     HypothesisNotMet,
     InvalidPathHom,
+    NotAdmissible,
     PreimageNotFound,
     UnsupportedInfiniteEmitter,
 )
@@ -272,11 +267,9 @@ class _Realized(NamedTuple):
     refusal: Optional[tuple]
 
 
-def _realized(realize, unrealized: str) -> _Realized:
-    try:
-        hom = realize()
-    except InvalidPathHom as exc:
-        return _Realized(None, None, ("fail", {"error": str(exc)}, unrealized))
+def _realized(hom: PathHom | InvalidPathHom, unrealized: str) -> _Realized:
+    if isinstance(hom, InvalidPathHom):
+        return _Realized(None, None, ("fail", {"error": str(hom)}, unrealized))
     try:
         return _Realized(hom, classify(hom), None)
     except UnsupportedInfiniteEmitter as exc:
@@ -297,10 +290,8 @@ class _Facts(NamedTuple):
 
 
 def _facts(inst: PullbackInstance) -> _Facts:
-    f = _realized(inst.realize_f, "the morphism data does not define a path homomorphism")
-    f_res = _realized(
-        inst.realize_f_res, "the restriction data does not define a path homomorphism"
-    )
+    f = _realized(inst.f, "the morphism data does not define a path homomorphism")
+    f_res = _realized(inst.f_res, "the restriction data does not define a path homomorphism")
     try:
         B1 = set(breaking_vertices(inst.amb1, inst.pi1.complement()))
         B2 = set(breaking_vertices(inst.amb2, inst.pi2.complement()))
@@ -522,33 +513,28 @@ def check_commutativity(inst: PullbackInstance) -> CommutativityReport:
     first ambient graph's Leavitt algebra.
 
     Preconditions are existence-level: the four maps must induce algebra
-    maps (admissible inclusions, RMIPG morphisms); whether the routes agree
-    is exactly what is being measured, so a correctly-typed but wrong f_res
-    yields mismatch entries, not an error.
+    maps (admissible inclusions, RMIPG morphisms, no flagged graph); whether
+    the routes agree is exactly what is being measured, so a correctly-typed
+    but wrong f_res yields mismatch entries, not an error.  Each map is
+    prepared once, through the checks of the map itself, and a refusal is a
+    HypothesisNotMet whose cause is the map's own error.
     """
     try:
-        f = inst.realize_f()
-        f_res = inst.realize_f_res()
-    except InvalidPathHom as exc:
-        raise HypothesisNotMet(f"the square's morphisms do not realize: {exc}")
-    for name, inc in (("pi1", inst.pi1), ("pi2", inst.pi2)):
-        if not is_admissible(inc).ok:
-            raise HypothesisNotMet(f"{name} is not admissible")
-    try:
-        if not classify(f).in_rmipg:
-            raise HypothesisNotMet("f is not in RMIPG, so no induced map exists")
-        if not classify(f_res).in_rmipg:
-            raise HypothesisNotMet("f_res is not in RMIPG, so no induced map exists")
+        f, f_res = inst.realize_f(), inst.realize_f_res()
         ctx1 = AlgebraContext.leavitt(inst.amb1)
-    except UnsupportedInfiniteEmitter as exc:
-        raise HypothesisNotMet(str(exc))
+        sub1_ctx, pull1 = _quotient(inst.pi1, ctx1)
+        amb2_ctx = _induced_codomain(f, ctx1, "leavitt")
+        sub2_ctx, pull2 = _quotient(inst.pi2, amb2_ctx)
+        res_ctx = _induced_codomain(f_res, sub1_ctx, "leavitt")
+    except (InvalidPathHom, NotAdmissible, AlgebraError, UnsupportedInfiniteEmitter) as exc:
+        raise HypothesisNotMet(f"the square's maps are not all defined: {exc}") from exc
 
     entries = []
     gens = [({"vertex": v}, ctx1.vertex(v)) for v in inst.amb1.vertices]
     gens += [({"edge": e}, ctx1.edge(e)) for e in inst.amb1.edges]
     for label, elem in gens:
-        via_amb = quotient_map(inst.pi2, induce_leavitt(f, elem))
-        via_sub = induce_leavitt(f_res, quotient_map(inst.pi1, elem))
+        via_amb = _push(sub2_ctx, _push(amb2_ctx, elem, f.apply), pull2)
+        via_sub = _push(res_ctx, _push(sub1_ctx, elem, pull1), f_res.apply)
         entries.append(
             CommutativityEntry(label, str(via_amb), str(via_sub), via_amb == via_sub)
         )
@@ -640,7 +626,6 @@ def check_kernel_inclusion(
     f = inst.realize_f()
     bound = inst.length_bound
     ctx1 = AlgebraContext.leavitt(inst.amb1)
-    ctx2 = AlgebraContext.leavitt(inst.amb2)
 
     _, pool = _paths_outside(inst, bound)
     found = _first_preimages(f, pool)
@@ -686,7 +671,7 @@ def check_kernel_inclusion(
                     {"left": alpha_data, "right": beta_data},
                     {"left": at_data, "right": bt_data},
                     _push(sub1_ctx, elem, pull).is_zero,
-                    _push(amb2_ctx, elem, apply) == ctx2.pair_element(alpha, beta),
+                    _push(amb2_ctx, elem, apply) == amb2_ctx.pair_element(alpha, beta),
                 )
             )
     return KernelReport(tuple(entries), bound)

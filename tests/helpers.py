@@ -36,7 +36,7 @@ from pathalg import (
 )
 from pathalg.algebra import _ZERO, AlgebraElement, _accumulate_pair
 from pathalg.errors import ParseError, PathalgError, StarInPathMode, UnknownIdentifier
-from pathalg.pullback import KernelEntry
+from pathalg.pullback import CommutativityEntry, KernelEntry
 from pathalg.registry import GRAPHS
 
 
@@ -568,6 +568,22 @@ def first_preimage_table(f: PathHom, limit: int) -> dict[Path, Path]:
 
 def _path_data(p: Path) -> dict:
     return {"vertex": p.vertex} if p.is_vertex else {"edges": list(p.edges)}
+
+
+def reference_commutativity_entries(inst: PullbackInstance) -> tuple[CommutativityEntry, ...]:
+    """Reference for ``check_commutativity``, generator by generator: both
+    routes around the square through the public ``quotient_map`` and
+    ``induce_leavitt``, which check their preconditions on every call."""
+    f, f_res = inst.realize_f(), inst.realize_f_res()
+    ctx1 = AlgebraContext.leavitt(inst.amb1)
+    gens = [({"vertex": v}, ctx1.vertex(v)) for v in inst.amb1.vertices]
+    gens += [({"edge": e}, ctx1.edge(e)) for e in inst.amb1.edges]
+    entries = []
+    for label, g in gens:
+        via_amb = quotient_map(inst.pi2, induce_leavitt(f, g))
+        via_sub = induce_leavitt(f_res, quotient_map(inst.pi1, g))
+        entries.append(CommutativityEntry(label, str(via_amb), str(via_sub), via_amb == via_sub))
+    return tuple(entries)
 
 
 def reference_kernel_entries(inst: PullbackInstance) -> tuple[KernelEntry, ...]:

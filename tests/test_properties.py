@@ -57,6 +57,7 @@ from helpers import (
     prefix_code_square,
     random_graph,
     random_word,
+    reference_commutativity_entries,
     reference_monomial_key,
     reference_multiply,
     reference_parse_expression,
@@ -658,7 +659,9 @@ def test_prefix_code_squares_satisfy_the_theorem(k, branchings, seed, exits, bou
     report = check_hypotheses(inst)
     assert report.overall == "PASS_UP_TO_BOUND"
     assert len(report.hypothesis("H8").witness["certificate"]) ** 2 == pairs
-    assert check_commutativity(inst).all_ok
+    commutativity = check_commutativity(inst)
+    assert commutativity.all_ok
+    assert commutativity.entries == reference_commutativity_entries(inst)
     kernel = assert_kernel_check_matches_reference(inst)
     assert kernel.all_ok and len(kernel.entries) == pairs
 

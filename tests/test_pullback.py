@@ -17,11 +17,14 @@ from pathalg import (
     GraphInclusion,
     HypothesisNotMet,
     InvalidPathHom,
+    NotAdmissible,
+    NotRegular,
     NotVertexInjective,
     Path,
     PathHom,
     PreimageNotFound,
     PullbackInstance,
+    UnsupportedInfiniteEmitter,
     check_commutativity,
     check_hypotheses,
     check_kernel_inclusion,
@@ -36,6 +39,7 @@ from helpers import (
     assert_kernel_check_matches_reference,
     first_exitless_cycle,
     random_graph,
+    reference_commutativity_entries,
     zero_chain_map,
 )
 
@@ -53,19 +57,37 @@ def rp2q(bound=6):
     return INSTANCES["rp2q"](bound)
 
 
-def _h2(amb1: Graph):
-    """H2 on a square whose first ambient graph is ``amb1`` and whose other
-    maps are as small as possible."""
+def _h2_square(amb1: Graph, bound: int = 0) -> PullbackInstance:
+    """A square whose first ambient graph is ``amb1`` and whose other maps
+    are as small as possible."""
     empty = Graph()
     f = PathHom(amb1, pt, {v: "v" for v in amb1.vertices}, {e: () for e in amb1.edges})
-    inst = PullbackInstance(
+    return PullbackInstance(
         GraphInclusion(empty, amb1, {}, {}),
         GraphInclusion(empty, pt, {}, {}),
         f,
         PathHom(empty, empty, {}, {}),
-        0,
+        bound,
     )
-    return check_hypotheses(inst).hypothesis("H2")
+
+
+def _h2(amb1: Graph):
+    """H2 on ``_h2_square(amb1)``."""
+    return check_hypotheses(_h2_square(amb1)).hypothesis("H2")
+
+
+def _loop_square_in(amb: Graph, bound: int) -> PullbackInstance:
+    """The square of identities over the inclusion of the loop e at v."""
+    pi = GraphInclusion(loop, amb, {"v": "v"}, {"e": "e"})
+    return PullbackInstance(pi, pi, PathHom.identity(amb), PathHom.identity(loop), bound)
+
+
+# the special edge g of w closes nine pairs ending at u; their pair elements
+# hold pool paths only
+_exit_at_w = Graph(list("vwu"), [("e", "v", "v"), ("f", "v", "w"), ("g", "w", "u")])
+# the exit f is v's special edge: the four pairs ending in f reduce to paths
+# ending at v, which are not in the pool
+_exit_at_v = Graph(list("vw"), [("f", "v", "w"), ("e", "v", "v")])
 
 
 _MALFORMED = [
@@ -570,6 +592,87 @@ def test_h8_detail_forms(make, verdict, witness, detail, overall):
     ]
 
 
+def _broken(dom: Graph, cod: Graph, vmap: dict, emap: dict) -> InvalidPathHom:
+    with pytest.raises(InvalidPathHom) as broken:
+        PathHom(dom, cod, vmap, emap)
+    return broken.value
+
+
+def _square_over_loop(pi1: GraphInclusion, pi2: GraphInclusion, f_res: PathHom):
+    return PullbackInstance(pi1, pi2, PathHom.identity(loop), f_res, 2)
+
+
+# loop's vertex without its loop edge: (A2) fails, the edge lies over the image
+_vertex_in_loop = GraphInclusion(pt, loop, {"v": "v"}, {})
+_flagged = Graph(["v"], [("e", "v", "v")], infinite_emitters=["v"])
+# both sinks of amb1 go to w, so f is not vertex-injective
+_amb1_two_sinks = Graph(["v", "w1", "w2"], [("s", "v", "v"), ("r", "v", "w2")])
+
+# one square per refusal of check_commutativity, with the map's own error
+# and its message
+_REFUSED_SQUARES = {
+    "broken-f": (
+        PullbackInstance(
+            loop_in_rp2, loop_in_toeplitz,
+            _broken(rp2, toeplitz, {"v": "v", "w": "w"},
+                    {"s": ["e", "e"], "r": ["f"], "t": ["f", "f"]}),
+            loop_square, 4,
+        ),
+        InvalidPathHom,
+        "the image of edge 't' is not a path: edge 'f' ends at 'w' but edge 'f' starts at 'v'",
+    ),
+    "broken-f_res": (
+        PullbackInstance(
+            loop_in_rp2, loop_in_toeplitz, phi, _broken(loop, loop, {"v": "v"}, {"e": ["zz"]}), 4
+        ),
+        InvalidPathHom,
+        "edge 'e' maps through an unknown edge 'zz'",
+    ),
+    "inadmissible-pi1": (
+        _square_over_loop(
+            _vertex_in_loop, GraphInclusion.identity(loop), PathHom(pt, loop, {"v": "v"}, {})
+        ),
+        NotAdmissible,
+        "the inclusion is not admissible",
+    ),
+    "inadmissible-pi2": (
+        _square_over_loop(
+            GraphInclusion.identity(loop), _vertex_in_loop, PathHom(loop, pt, {"v": "v"}, {"e": ()})
+        ),
+        NotAdmissible,
+        "the inclusion is not admissible",
+    ),
+    "non-rmipg-f": (
+        PullbackInstance(
+            GraphInclusion(loop, _amb1_two_sinks, {"v": "v"}, {"e": "s"}),
+            loop_in_toeplitz,
+            PathHom(_amb1_two_sinks, toeplitz, {"v": "v", "w1": "w", "w2": "w"},
+                    {"s": ("e",), "r": ("f",)}),
+            PathHom.identity(loop), 4,
+        ),
+        NotVertexInjective,
+        "induced Leavitt map needs a vertex-injective morphism",
+    ),
+    "non-rmipg-f_res": (
+        PullbackInstance(
+            loop_in_rp2, GraphInclusion.identity(toeplitz), phi,
+            PathHom(loop, toeplitz, {"v": "v"}, {"e": ("e", "e")}), 4,
+        ),
+        NotRegular,
+        "induced Leavitt map needs a regular morphism",
+    ),
+    "flagged-amb1": (
+        PullbackInstance(
+            GraphInclusion.identity(_flagged), GraphInclusion.identity(_flagged),
+            PathHom.identity(_flagged), PathHom.identity(_flagged), 2,
+        ),
+        UnsupportedInfiniteEmitter,
+        "regular_vertices: vertex 'v' is flagged as an infinite emitter, "
+        "so the listed edges are incomplete",
+    ),
+}
+
+
 class TestCommutativityFailures:
     def test_corrupt_restriction_yields_mismatch_entries(self):
         ident_res = PathHom.identity(loop)
@@ -606,6 +709,14 @@ class TestCommutativityFailures:
         inst = PullbackInstance(loop_in_rp2, GraphInclusion.identity(toeplitz), phi, f_res, 4)
         with pytest.raises(HypothesisNotMet):
             check_commutativity(inst)
+
+    @pytest.mark.parametrize("case", list(_REFUSED_SQUARES))
+    def test_each_refusal_is_the_maps_own_error(self, case):
+        inst, cause, message = _REFUSED_SQUARES[case]
+        with pytest.raises(HypothesisNotMet) as info:
+            check_commutativity(inst)
+        assert str(info.value) == "the square's maps are not all defined: " + message
+        assert type(info.value.__cause__) is cause
 
 
 class TestKernelFailures:
@@ -669,24 +780,12 @@ class TestKernelCheckAgainstReference:
         assert assert_kernel_check_matches_reference(rp2q(bound)).all_ok
 
     @pytest.mark.parametrize(
-        "vertices, edges, bound, pairs, reduced, off_pool",
-        [
-            # the special edge g of w closes nine pairs ending at u; their
-            # pair elements hold pool paths only
-            ("vwu", [("e", "v", "v"), ("f", "v", "w"), ("g", "w", "u")], 3, 32, 9, 0),
-            # the exit f is v's special edge: the four pairs ending in f
-            # reduce to paths ending at v, which are not in the pool
-            ("vw", [("f", "v", "w"), ("e", "v", "v")], 2, 9, 4, 3),
-        ],
+        "amb, bound, pairs, reduced, off_pool",
+        [(_exit_at_w, 3, 32, 9, 0), (_exit_at_v, 2, 9, 4, 3)],
         ids=["special-exit-at-w", "special-exit-at-v"],
     )
-    def test_tail_reduction_inside_the_check(
-        self, vertices, edges, bound, pairs, reduced, off_pool
-    ):
-        amb = Graph(list(vertices), edges)
-        sub = Graph(["v"], [("e", "v", "v")])
-        pi = GraphInclusion(sub, amb, {"v": "v"}, {"e": "e"})
-        inst = PullbackInstance(pi, pi, PathHom.identity(amb), PathHom.identity(sub), bound)
+    def test_tail_reduction_inside_the_check(self, amb, bound, pairs, reduced, off_pool):
+        inst = _loop_square_in(amb, bound)
         assert check_hypotheses(inst).overall == "PASS_UP_TO_BOUND"
         report = assert_kernel_check_matches_reference(inst)
         assert report.all_ok and len(report.entries) == pairs
@@ -704,6 +803,39 @@ class TestKernelCheckAgainstReference:
             held.update(p for mono in terms for p in mono)
         assert changed == reduced
         assert len(held - pool) == off_pool
+
+
+class TestCommutativityAgainstReference:
+    """The commutativity check prepares its four maps once; the reference in
+    tests/helpers.py calls the public maps on every generator.  A square whose
+    hypotheses do not fail passes both conclusion checks' preconditions, so
+    the CLI, which runs them only then, never prints their refusals."""
+
+    @pytest.mark.parametrize(
+        "inst",
+        [*(rp2q(b) for b in range(6)),
+         _loop_square_in(_exit_at_w, 3),
+         _loop_square_in(_exit_at_v, 2),
+         _h2_square(loop, 3)],
+        ids=[*(f"rp2q-{b}" for b in range(6)),
+             "special-exit-at-w", "special-exit-at-v", "h2-only"],
+    )
+    def test_entries(self, inst):
+        report = check_commutativity(inst)
+        assert report.entries == reference_commutativity_entries(inst)
+        if check_hypotheses(inst).overall != "FAIL":
+            check_kernel_inclusion(inst)
+
+    def test_h2_only_square_commutes_through_zero(self):
+        # f = loop_to_pt; both routes kill every generator
+        inst = _h2_square(loop, 3)
+        assert inst.f == MORPHISMS["loop_to_pt"]
+        assert check_hypotheses(inst).first_failure == "H2"
+        assert check_commutativity(inst).render_text().splitlines() == [
+            "  P_v: 0  vs  0  [ok]",
+            "  S_e: 0  vs  0  [ok]",
+            "  => commutes on all generators",
+        ]
 
 
 class TestChecksRunOncePerMap:
