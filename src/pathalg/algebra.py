@@ -9,8 +9,11 @@ A context fixes the graph and the relation set:
                      (CK1)  S_e* S_f = delta_{e,f} P_{t(e)}   always, and
                      (CK2)  sum_{s(e)=v} S_e S_e* = P_v       for v in X
 
-with Cohn = X empty and Leavitt = X all regular vertices.  Scalars are
-rationals, so the star involution fixes coefficients.
+with Cohn = X empty and Leavitt = X all regular vertices.  On a graph with
+no regular vertex the two coincide, and a context keeps the one it was built
+as: it describes itself by it, induced maps dispatch on it, and it is part
+of the context's equality.  Scalars are rationals, so the star involution
+fixes coefficients.
 
 One basis serves every mode: monomials S_alpha S_beta* with t(alpha) =
 t(beta) (in path mode beta is the vertex t(alpha); that mode refuses stars),
@@ -44,6 +47,7 @@ PATH = "path"
 RELATIVE_COHN = "relative_cohn"
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class Monomial(NamedTuple):
@@ -61,7 +65,7 @@ class Monomial(NamedTuple):
 class AlgebraContext:
     """A graph together with a relation mode; builds elements and words."""
 
-    __slots__ = ("graph", "mode", "relation_vertices", "special_edge")
+    __slots__ = ("graph", "mode", "relation_vertices", "special_edge", "_leavitt")
 
     def __init__(self, graph: Graph, mode: str, relation_vertices: Iterable[str] = ()):
         if graph.infinite_emitters:
@@ -82,6 +86,9 @@ class AlgebraContext:
         # declaration order, for deterministic relation enumeration
         self.relation_vertices = tuple(v for v in graph.vertices if v in relation_vertices)
         self.special_edge = {v: graph.out_edges(v)[0] for v in self.relation_vertices}
+        # relations at every regular vertex make the Leavitt algebra; on a
+        # graph with none, only ``leavitt`` tells it from the Cohn algebra
+        self._leavitt = bool(reg) and reg.issubset(relation_vertices)
 
     @classmethod
     def path(cls, graph: Graph) -> "AlgebraContext":
@@ -97,7 +104,9 @@ class AlgebraContext:
 
     @classmethod
     def leavitt(cls, graph: Graph) -> "AlgebraContext":
-        return cls(graph, RELATIVE_COHN, regular_vertices(graph))
+        context = cls(graph, RELATIVE_COHN, regular_vertices(graph))
+        context._leavitt = True
+        return context
 
     @property
     def is_path_mode(self) -> bool:
@@ -105,13 +114,11 @@ class AlgebraContext:
 
     @property
     def is_cohn(self) -> bool:
-        return self.mode == RELATIVE_COHN and not self.relation_vertices
+        return self.mode == RELATIVE_COHN and not self.relation_vertices and not self._leavitt
 
     @property
     def is_leavitt(self) -> bool:
-        return self.mode == RELATIVE_COHN and set(self.relation_vertices) == set(
-            regular_vertices(self.graph)
-        )
+        return self._leavitt
 
     def describe(self) -> str:
         if self.is_path_mode:
@@ -123,12 +130,15 @@ class AlgebraContext:
         return f"relative Cohn algebra at {list(self.relation_vertices)}"
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, AlgebraContext):
             return NotImplemented
         return (
             self.graph == other.graph
             and self.mode == other.mode
             and self.relation_vertices == other.relation_vertices
+            and self._leavitt == other._leavitt
         )
 
     def __hash__(self):
@@ -182,9 +192,15 @@ class AlgebraContext:
             raise ContextMismatch("paths live in a different graph")
         if left.target != right.target:
             raise ValueError("pair monomial needs matching targets")
-        acc: dict[Monomial, Fraction] = {}
-        _accumulate_pair(self, left, right, Fraction(1), acc)
-        return AlgebraElement._owned(self, acc)
+        return _pair(self, left, right)
+
+
+def _pair(ctx: AlgebraContext, left: Path, right: Path) -> "AlgebraElement":
+    """S_left S_right* in normal form, for paths of ctx's graph that end at
+    one vertex, with no checks (``pair_element`` makes them)."""
+    acc: dict[Monomial, Fraction] = {}
+    _accumulate_pair(ctx, left, right, _ONE, acc)
+    return AlgebraElement._owned(ctx, acc)
 
 
 def _accumulate_pair(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import _ZERO, AlgebraContext, AlgebraElement, _accumulate_pair, multiply
+from .algebra import _ONE, _ZERO, AlgebraContext, AlgebraElement, _accumulate_pair, multiply
 from .errors import ParseError, StarInPathMode, UnknownIdentifier
 from .graphs import Path
 
@@ -34,7 +34,6 @@ _END = "end"
 
 _PUNCT = frozenset("+-*/()")
 
-_ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
 # run states besides a triple: no generator read yet, and a run that is 0

@@ -220,11 +220,13 @@ class Path:
 
     @property
     def source(self) -> str:
-        return self.vertex if self.is_vertex else self.graph.src(self.edges[0])
+        edges = self.edges
+        return self.graph._src[edges[0]] if edges else self.vertex
 
     @property
     def target(self) -> str:
-        return self.vertex if self.is_vertex else self.graph.tgt(self.edges[-1])
+        edges = self.edges
+        return self.graph._tgt[edges[-1]] if edges else self.vertex
 
     def __len__(self) -> int:
         return len(self.edges)

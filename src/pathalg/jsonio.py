@@ -25,9 +25,12 @@ _escape = json.encoder.encode_basestring_ascii
 
 def canonical_dumps(data) -> str:
     """Exactly ``json.dumps(data, indent=2) + "\\n"``, written directly:
-    CPython serves an indented dump with its pure-Python encoder."""
+    CPython serves an indented dump with its pure-Python encoder.
+
+    A plain dict that occurs more than once in ``data`` (reports share one
+    dict per path) is written once per indent and its text reused."""
     out: list[str] = []
-    _write(data, out, "\n")
+    _write(data, out, "\n", {})
     out.append("\n")
     return "".join(out)
 
@@ -59,12 +62,13 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _write(x, out: list, newline: str) -> None:
+def _write(x, out: list, newline: str, memo: dict) -> None:
     """Append the text of ``x`` at the indent that ``newline`` ends in.
 
     A child that is exactly a str, a bool or None is written with its key
-    or joint, with no call; every other child (a subclass, a tuple, a
-    number) goes through ``_write`` again."""
+    or joint, with no call; a child that is exactly a nonempty dict comes
+    from ``_dict_text``; every other child (a subclass, a tuple, a number)
+    goes through ``_write`` again."""
     if isinstance(x, dict):
         if not x:
             out.append("{}")
@@ -81,9 +85,11 @@ def _write(x, out: list, newline: str) -> None:
                 out.append(head + ("true" if v else "false"))
             elif v is None:
                 out.append(head + "null")
+            elif t is dict and v:
+                out.append(head + _dict_text(v, inner, memo))
             else:
                 out.append(head)
-                _write(v, out, inner)
+                _write(v, out, inner, memo)
         out.append(newline + "}")
     elif isinstance(x, (list, tuple)):
         if not x:
@@ -99,9 +105,11 @@ def _write(x, out: list, newline: str) -> None:
                 out.append(joint + ("true" if v else "false"))
             elif v is None:
                 out.append(joint + "null")
+            elif t is dict and v:
+                out.append(joint + _dict_text(v, inner, memo))
             else:
                 out.append(joint)
-                _write(v, out, inner)
+                _write(v, out, inner, memo)
             joint = "," + inner
         out.append(newline + "]")
     elif isinstance(x, str):
@@ -110,6 +118,20 @@ def _write(x, out: list, newline: str) -> None:
         out.append(_scalar(x))
     else:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _dict_text(x: dict, newline: str, memo: dict) -> str:
+    """The text of the dict ``x`` at the indent that ``newline`` ends in,
+    written on its first use in one dump.  The text is keyed by ``id(x)``
+    and the indent, and the memo holds ``x`` so that its id stays taken
+    until the dump ends."""
+    key = (id(x), newline)
+    kept = memo.get(key)
+    if kept is None:
+        out: list[str] = []
+        _write(x, out, newline, memo)
+        kept = memo[key] = ("".join(out), x)
+    return kept[0]
 
 
 def _require_dict(data, what: str) -> dict:

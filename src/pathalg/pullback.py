@@ -27,7 +27,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple, Optional
 
 from .admissible import GraphInclusion, breaking_vertices, is_admissible
-from .algebra import AlgebraContext, _induced_codomain, _push, _quotient
+from .algebra import AlgebraContext, _induced_codomain, _pair, _push, _quotient
 from .errors import (
     AlgebraError,
     AmbiguousInfiniteEmitter,
@@ -661,17 +661,18 @@ def check_kernel_inclusion(
     entries = []
     for alpha in pool:
         # induce_leavitt refuses any f that is not vertex-injective, so f
-        # is, and the two preimages end where alpha and beta do
+        # is, and the two preimages end where alpha and beta do; both pairs
+        # are built with no checks
         at, alpha_data, at_data = sides[alpha]
         for beta in by_target[alpha.target]:
             bt, beta_data, bt_data = sides[beta]
-            elem = ctx1.pair_element(at, bt)
+            elem = _pair(ctx1, at, bt)
             entries.append(
                 KernelEntry(
                     {"left": alpha_data, "right": beta_data},
                     {"left": at_data, "right": bt_data},
                     _push(sub1_ctx, elem, pull).is_zero,
-                    _push(amb2_ctx, elem, apply) == amb2_ctx.pair_element(alpha, beta),
+                    _push(amb2_ctx, elem, apply) == _pair(amb2_ctx, alpha, beta),
                 )
             )
     return KernelReport(tuple(entries), bound)

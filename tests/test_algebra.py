@@ -66,6 +66,22 @@ class TestContexts:
         partial = AlgebraContext.relative_cohn(line3, ["b"])
         assert not partial.is_cohn and not partial.is_leavitt
         assert partial.relation_vertices == ("b",)
+        everywhere = AlgebraContext.relative_cohn(line3, ["a", "b"])
+        assert everywhere.is_leavitt and everywhere == AlgebraContext.leavitt(line3)
+        assert everywhere.describe() == "Leavitt algebra"
+
+    def test_leavitt_without_regular_vertices(self):
+        # no regular vertex: the Leavitt and Cohn algebras have one relation
+        # set (CK1 alone), and the context records which one it was built as
+        pt = GRAPHS["pt"]
+        L_pt, C_pt = AlgebraContext.leavitt(pt), AlgebraContext.cohn(pt)
+        assert L_pt.relation_vertices == C_pt.relation_vertices == ()
+        assert L_pt.is_leavitt and not L_pt.is_cohn
+        assert C_pt.is_cohn and not C_pt.is_leavitt
+        assert L_pt.describe() == "Leavitt algebra"
+        assert C_pt.describe() == "Cohn algebra"
+        assert L_pt != C_pt
+        assert AlgebraContext.relative_cohn(pt, []) == C_pt
 
     def test_leavitt_relation_vertices(self):
         assert AlgebraContext.leavitt(line3).relation_vertices == ("a", "b")
@@ -356,6 +372,15 @@ class TestInducedMaps:
         partial = AlgebraContext.relative_cohn(line3, ["b"])
         with pytest.raises(ContextMismatch):
             induce(MORPHISMS["line3_to_cycle3"], partial.vertex("a"))
+
+    def test_induce_dispatch_on_a_leavitt_context_without_regular_vertices(self):
+        pt = GRAPHS["pt"]
+        f = PathHom(pt, loop, {"v": "v"}, {})
+        elem = AlgebraContext.leavitt(pt).vertex("v")
+        image = induce(f, elem)
+        assert image == induce_leavitt(f, elem)
+        assert image.context == L_loop
+        assert induce(f, AlgebraContext.cohn(pt).vertex("v")).context == C_loop
 
     def test_wrong_source_context(self):
         with pytest.raises(ContextMismatch):

@@ -169,6 +169,19 @@ class TestEval:
         assert data["value"] == "0"
         assert data["zero"] is True
 
+    def test_leavitt_image_on_a_graph_without_regular_vertices(self, capsys):
+        argv = ("eval", "L(loop)", "e", "--apply", "loop_to_pt")
+        assert run(capsys, *argv) == (0, "e\nimage in Leavitt algebra: v\n", "")
+        argv = ("eval", "C(loop)", "e", "--apply", "loop_to_pt")
+        assert run(capsys, *argv) == (0, "e\nimage in Cohn algebra: v\n", "")
+
+    def test_leavitt_context_on_a_graph_without_regular_vertices(self, capsys):
+        code, out, _ = run(capsys, "eval", "L(pt)", "v", "--json")
+        assert code == 0
+        assert json.loads(out)["context"] == "Leavitt algebra"
+        code, out, _ = run(capsys, "eval", "C(pt)", "v", "--json")
+        assert json.loads(out)["context"] == "Cohn algebra"
+
     def test_relative_cohn_context(self, capsys):
         code, out, _ = run(capsys, "eval", "C[v](toeplitz)", "e* e", "--json")
         assert code == 0

@@ -734,6 +734,20 @@ _scalars = st.one_of(
 _keys = st.one_of(
     _text(6), _text(6).map(_Str), st.integers(), st.booleans(), st.none(), st.floats()
 )
+
+
+def _shared(inner):
+    """One dict object in three places of a tree, as reports share one dict
+    per path: as a dict value, as a list item one level deeper and as a dict
+    value two levels deeper.  The object is a nonempty plain dict, a
+    ``_Dict`` or an empty plain dict."""
+    return st.one_of(
+        st.dictionaries(_keys, inner, min_size=1, max_size=3),
+        st.dictionaries(_keys, inner, max_size=3).map(_Dict),
+        st.builds(dict),
+    ).map(lambda d: {"once": d, "again": [d, {"deeper": d}]})
+
+
 _json_data = st.recursive(
     _scalars,
     lambda inner: st.one_of(
@@ -743,16 +757,28 @@ _json_data = st.recursive(
         st.dictionaries(_keys, inner, max_size=4),
         st.dictionaries(_keys, inner, max_size=4).map(OrderedDict),
         st.dictionaries(_keys, inner, max_size=4).map(_Dict),
+        _shared(inner),
     ),
     max_leaves=24,
 )
+
+_PATH = {"edges": ["e", "f"]}
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(data=_json_data)
 @example(data={"nan": float("nan"), float("nan"): [float("inf"), -math.inf, -0.0]})
+@example(data={"left": _PATH, "pair": {"right": _PATH}})  # one dict at indents 2 and 4
 def test_canonical_dumps_is_json_dumps_indent_2(data):
     assert canonical_dumps(data) == reference_dumps(data)
+
+
+def test_canonical_dumps_keeps_no_text_between_calls():
+    path = {"edges": ["e"]}
+    pair = {"left": path, "right": [path]}
+    canonical_dumps(pair)
+    path["edges"].append("f")
+    assert canonical_dumps(pair) == reference_dumps(pair)
 
 
 @pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 2), [Fraction(1)], {"a": {3}}, {(1,): 2}])

@@ -25,6 +25,7 @@ from pathalg import (
     PreimageNotFound,
     PullbackInstance,
     UnsupportedInfiniteEmitter,
+    canonical_dumps,
     check_commutativity,
     check_hypotheses,
     check_kernel_inclusion,
@@ -42,6 +43,7 @@ from helpers import (
     reference_commutativity_entries,
     zero_chain_map,
 )
+from test_properties import reference_dumps
 
 loop = GRAPHS["loop"]
 rp2 = GRAPHS["rp2"]
@@ -803,6 +805,18 @@ class TestKernelCheckAgainstReference:
             held.update(p for mono in terms for p in mono)
         assert changed == reduced
         assert len(held - pool) == off_pool
+
+    @pytest.mark.parametrize(
+        "inst", [_loop_square_in(_exit_at_v, 2), rp2q(5)], ids=["special-exit-at-v", "rp2q-5"]
+    )
+    def test_live_report_dumps_as_json_dumps(self, inst):
+        # the entries share one data dict per path, which the writer writes
+        # once per indent; json.dumps writes every occurrence
+        data = check_kernel_inclusion(inst).to_json_data()
+        paths = [e[side][end] for e in data["entries"]
+                 for side in ("target_pair", "preimage_pair") for end in ("left", "right")]
+        assert len({id(p) for p in paths}) < len(paths)
+        assert canonical_dumps(data) == reference_dumps(data)
 
 
 class TestCommutativityAgainstReference:
