@@ -25,11 +25,16 @@ reduction
 
 whose sum terms are already tail-normal; only the shorter core recurses, so
 rewriting terminates.
+
+An element keys its terms by the plain tuple (alpha's edges, beta's edges,
+t), t the common target, and so does the expression parser; ``Monomial``
+pairs of ``Path``s exist only at the public boundary (``terms``,
+``monomials``, ``coefficient`` and the constructor).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple
 
 from .admissible import GraphInclusion, _require_admissible
 from .errors import (
@@ -58,8 +63,30 @@ class Monomial(NamedTuple):
     left: Path
     right: Path
 
-    def sort_key(self):
-        return (self.left.sort_key(), self.right.sort_key())
+
+def _key(mono: Monomial) -> tuple:
+    return (mono.left.edges, mono.right.edges, mono.left.target)
+
+
+def _monomial(graph: Graph, key: tuple) -> Monomial:
+    left, right, t = key
+    return Monomial(
+        Path._trusted(graph, None if left else t, left),
+        Path._trusted(graph, None if right else t, right),
+    )
+
+
+def _sorted(graph: Graph, keys) -> list:
+    """keys in the order of their monomials: by left path, then by right
+    path, each length-major and then lexicographic in edge declaration
+    order, a vertex by its index.  Equal nonempty left paths end at one t,
+    so t, right after the left edges, only orders left vertices."""
+    edge, vertex = graph._eindex.__getitem__, graph._vindex
+    return sorted(
+        keys,
+        key=lambda k: (len(k[0]), tuple(map(edge, k[0])), vertex[k[2]],
+                       len(k[1]), tuple(map(edge, k[1]))),
+    )
 
 
 class AlgebraContext:
@@ -154,19 +181,12 @@ class AlgebraContext:
 
     def unit(self) -> "AlgebraElement":
         # sum of all vertex projections; the empty graph's algebra is 0
-        terms = {}
-        for v in self.graph.vertices:
-            terms[self._vertex_monomial(v)] = Fraction(1)
-        return AlgebraElement(self, terms)
-
-    def _vertex_monomial(self, v: str) -> Monomial:
-        p = Path.at(self.graph, v)
-        return Monomial(p, p)
+        return AlgebraElement._owned(self, {((), (), v): _ONE for v in self.graph.vertices})
 
     def vertex(self, v: str) -> "AlgebraElement":
         if not self.graph.has_vertex(v):
             raise KeyError(v)
-        return AlgebraElement(self, {self._vertex_monomial(v): Fraction(1)})
+        return AlgebraElement._owned(self, {((), (), v): _ONE})
 
     def edge(self, e: str) -> "AlgebraElement":
         return self.path_element(Path.of(self.graph, (e,)))
@@ -175,14 +195,12 @@ class AlgebraContext:
         if self.is_path_mode:
             raise StarInPathMode("starred generators only exist in the quotient modes")
         p = Path.of(self.graph, (e,))
-        mono = Monomial(Path.at(self.graph, p.target), p)
-        return AlgebraElement(self, {mono: Fraction(1)})
+        return AlgebraElement._owned(self, {((), p.edges, p.target): _ONE})
 
     def path_element(self, p: Path) -> "AlgebraElement":
         if p.graph != self.graph:
             raise ContextMismatch("path lives in a different graph")
-        mono = Monomial(p, Path.at(self.graph, p.target))
-        return AlgebraElement(self, {mono: Fraction(1)})
+        return AlgebraElement._owned(self, {(p.edges, (), p.target): _ONE})
 
     def pair_element(self, left: Path, right: Path) -> "AlgebraElement":
         """S_left S_right*, renormalized."""
@@ -198,64 +216,77 @@ class AlgebraContext:
 def _pair(ctx: AlgebraContext, left: Path, right: Path) -> "AlgebraElement":
     """S_left S_right* in normal form, for paths of ctx's graph that end at
     one vertex, with no checks (``pair_element`` makes them)."""
-    acc: dict[Monomial, Fraction] = {}
-    _accumulate_pair(ctx, left, right, _ONE, acc)
+    acc: dict = {}
+    _accumulate_pair(ctx, (left.edges, right.edges, left.target), _ONE, acc)
     return AlgebraElement._owned(ctx, acc)
 
 
-def _accumulate_pair(
-    ctx: AlgebraContext, left: Path, right: Path, coeff: Fraction, acc: dict
-) -> None:
-    """Add coeff * S_left S_right* to acc in normal form (tail reduction)."""
+def _accumulate_pair(ctx: AlgebraContext, key: tuple, coeff: Fraction, acc: dict) -> None:
+    """Add coeff * S_left S_right* to acc in normal form (tail reduction),
+    for key = (left's edges, right's edges, their common target)."""
+    left, right, t = key
     special = ctx.special_edge
-    while left.edges and right.edges and left.edges[-1] == right.edges[-1]:
-        gamma = left.edges[-1]
+    while left and right and left[-1] == right[-1]:
+        gamma = left[-1]
         v = ctx.graph.src(gamma)
         if special.get(v) != gamma:
             break
-        left = left.drop_last()
-        right = right.drop_last()
+        left, right, t = left[:-1], right[:-1], v
         for e in ctx.graph.out_edges(v):
             if e == gamma:
                 continue
             # sum terms end in a non-special edge: already tail-normal
-            mono = Monomial(_append(left, (e,)), _append(right, (e,)))
+            mono = (left + (e,), right + (e,), ctx.graph.tgt(e))
             old = acc.get(mono)
             acc[mono] = -coeff if old is None else old - coeff
-    mono = Monomial(left, right)
-    old = acc.get(mono)
-    acc[mono] = coeff if old is None else old + coeff
+    key = (left, right, t)
+    old = acc.get(key)
+    acc[key] = coeff if old is None else old + coeff
 
 
 class AlgebraElement:
-    """A finite rational combination of basis monomials, kept normalized."""
+    """A finite rational combination of basis monomials, kept normalized.
 
-    __slots__ = ("context", "terms")
+    ``terms`` maps each ``Monomial`` to its coefficient, built afresh on
+    each access; the element itself keeps ``_terms``, keyed by plain
+    monomial keys."""
+
+    __slots__ = ("context", "_terms")
 
     def __init__(self, context: AlgebraContext, terms: Mapping[Monomial, Fraction]):
         self.context = context
-        self.terms = {m: c for m, c in terms.items() if c}
+        self._terms = {_key(m): c for m, c in terms.items() if c}
 
     @classmethod
     def _owned(cls, context: AlgebraContext, terms: dict) -> "AlgebraElement":
-        """An element that takes over terms, a dict no one else holds: its
-        zero coefficients are deleted in place instead of copying it."""
+        """An element that takes over terms, a dict of monomial keys no one
+        else holds: its zero coefficients are deleted in place instead of
+        copying it."""
         for m in [m for m, c in terms.items() if not c]:
             del terms[m]
         element = cls.__new__(cls)
         element.context = context
-        element.terms = terms
+        element._terms = terms
         return element
 
     @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        g = self.context.graph
+        return {_monomial(g, k): c for k, c in self._terms.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def monomials(self) -> tuple[Monomial, ...]:
-        return tuple(sorted(self.terms, key=Monomial.sort_key))
+        g = self.context.graph
+        return tuple(_monomial(g, k) for k in _sorted(g, self._terms))
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, _ZERO)
+        g = self.context.graph
+        if mono.left.graph != g or mono.right.graph != g:
+            return _ZERO  # a monomial of another graph's algebra
+        return self._terms.get(_key(mono), _ZERO)
 
     def _check_context(self, other: "AlgebraElement") -> None:
         if self.context != other.context:
@@ -265,8 +296,8 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_context(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
+        terms = dict(self._terms)
+        for m, c in other._terms.items():
             terms[m] = terms.get(m, _ZERO) + c
         return AlgebraElement._owned(self.context, terms)
 
@@ -276,11 +307,11 @@ class AlgebraElement:
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement._owned(self.context, {m: -c for m, c in self.terms.items()})
+        return AlgebraElement._owned(self.context, {m: -c for m, c in self._terms.items()})
 
     def scale(self, scalar) -> "AlgebraElement":
         scalar = Fraction(scalar)
-        return AlgebraElement._owned(self.context, {m: scalar * c for m, c in self.terms.items()})
+        return AlgebraElement._owned(self.context, {m: scalar * c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -299,30 +330,32 @@ class AlgebraElement:
             raise StarInPathMode("the path algebra carries no star involution here")
         # (left, right) -> (right, left); tail-normality is symmetric
         return AlgebraElement._owned(
-            self.context, {Monomial(m.right, m.left): c for m, c in self.terms.items()}
+            self.context, {(right, left, t): c for (left, right, t), c in self._terms.items()}
         )
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.context == other.context and self.terms == other.terms
+        return self.context == other.context and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.context, frozenset(self.terms.items())))
+        return hash((self.context, frozenset(self._terms.items())))
 
     def __str__(self):
-        if not self.terms:
+        terms = self._terms
+        if not terms:
             return "0"
         # sign and magnitude from the reduced numerator and denominator,
         # spelled as str(Fraction) spells them
         parts = []
-        terms = self.terms
-        for mono in self.monomials():
-            coeff = terms[mono]
+        for key in _sorted(self.context.graph, terms):
+            coeff = terms[key]
             num, den = coeff.numerator, coeff.denominator
             parts.append(" - " if num < 0 else " + ")
             num = abs(num)
-            body = _render_monomial(mono)
+            left, right, t = key
+            letters = list(left) + [e + "*" for e in reversed(right)]
+            body = " ".join(letters) if letters else t
             if den != 1:
                 body = f"{num}/{den} {body}"
             elif num != 1:
@@ -335,44 +368,32 @@ class AlgebraElement:
         return f"<{self} :: {self.context.describe()}>"
 
 
-def _render_monomial(mono: Monomial) -> str:
-    letters = list(mono.left.edges) + [e + "*" for e in reversed(mono.right.edges)]
-    return " ".join(letters) if letters else mono.left.vertex
-
-
-def _append(p: Path, rest: tuple) -> Path:
-    """p followed by the edges rest, which start at t(p)."""
-    if not rest:
-        return p
-    return Path._trusted(p.graph, None, p.edges + rest)
-
-
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     a._check_context(b)
     ctx = a.context
+    src = ctx.graph._src
     # S_beta* S_gamma collapses along the prefix order or dies, so index b's
     # monomials by (source, edges) of every prefix of gamma, gamma included
     # (the gamma >= beta bucket), and of gamma alone (to find gamma < beta)
     extending: dict[tuple, list] = {}
     exact: dict[tuple, list] = {}
-    for m2, c2 in b.terms.items():
-        gamma = m2.left
-        source, edges = gamma.source, gamma.edges
-        for k in range(len(edges) + 1):
-            extending.setdefault((source, edges[:k]), []).append((m2, c2))
-        exact.setdefault((source, edges), []).append((m2, c2))
-    acc: dict[Monomial, Fraction] = {}
-    for m1, c1 in a.terms.items():
-        alpha, beta = m1
-        source, edges = beta.source, beta.edges
-        n = len(edges)
+    for m2, c2 in b._terms.items():
+        gamma, _, t = m2
+        source = src[gamma[0]] if gamma else t
+        for k in range(len(gamma) + 1):
+            extending.setdefault((source, gamma[:k]), []).append((m2, c2))
+        exact.setdefault((source, gamma), []).append((m2, c2))
+    acc: dict = {}
+    for (alpha, beta, t), c1 in a._terms.items():
+        source = src[beta[0]] if beta else t
+        n = len(beta)
         # gamma = beta rest: the product is S_(alpha rest) S_delta*
-        for m2, c2 in extending.get((source, edges), ()):
-            _accumulate_pair(ctx, _append(alpha, m2.left.edges[n:]), m2.right, c1 * c2, acc)
+        for (gamma, delta, t2), c2 in extending.get((source, beta), ()):
+            _accumulate_pair(ctx, (alpha + gamma[n:], delta, t2), c1 * c2, acc)
         # beta = gamma rest, gamma strictly shorter: S_alpha S_(delta rest)*
         for k in range(n):
-            for m2, c2 in exact.get((source, edges[:k]), ()):
-                _accumulate_pair(ctx, alpha, _append(m2.right, edges[k:]), c1 * c2, acc)
+            for (_, delta, _), c2 in exact.get((source, beta[:k]), ()):
+                _accumulate_pair(ctx, (alpha, delta + beta[k:], t), c1 * c2, acc)
     return AlgebraElement._owned(ctx, acc)
 
 
@@ -394,18 +415,19 @@ _INDUCED = {
 }
 
 
-def _induced_codomain(f: PathHom, context: AlgebraContext, mode: str) -> AlgebraContext:
+def _induced_codomain(f: PathHom, context: AlgebraContext, mode: str) -> tuple:
     """Check that f induces a ``mode`` map defined on the elements of
-    context, and return the codomain context of that map.
+    context, and return what ``_push`` sends them through: the codomain
+    context, f's vertex map and its edge images as edge tuples.
 
-    Both contexts are built on the first successful call and kept on f;
-    the kept domain context skips the checks.  Otherwise they run in order:
-    the context's graph, its mode, the classification of f, then the class
-    flags the mode needs.
+    These are built on the first successful call and kept on f with the
+    domain context; the kept domain context skips the checks.  Otherwise
+    they run in order: the context's graph, its mode, the classification
+    of f, then the class flags the mode needs.
     """
-    contexts = (f._induced or {}).get(mode)
-    if contexts is not None and context == contexts[0]:
-        return contexts[1]
+    kept = (f._induced or {}).get(mode)
+    if kept is not None and context == kept[0]:
+        return kept[1]
     algebra, make_context, name, category = _INDUCED[mode]
     if context.graph != f.dom or context != make_context(f.dom):
         raise ContextMismatch(f"element does not live in the {algebra} of the domain")
@@ -416,37 +438,42 @@ def _induced_codomain(f: PathHom, context: AlgebraContext, mode: str) -> Algebra
                 f"induced {name} map needs a {_FLAGS[flag]} morphism",
                 witness=verdict.witnesses.get(flag),
             )
-    target = make_context(f.cod)
-    f._induced = {**(f._induced or {}), mode: (context, target)}
-    return target
+    data = (make_context(f.cod), f.vmap, {e: p.edges for e, p in f.emap.items()})
+    f._induced = {**(f._induced or {}), mode: (context, data)}
+    return data
 
 
-def _push(target: AlgebraContext, a: AlgebraElement, image: Callable) -> AlgebraElement:
-    """Send both paths of each monomial of a through image and renormalize
-    in target; a None image kills the monomial."""
-    acc: dict[Monomial, Fraction] = {}
-    for mono, coeff in a.terms.items():
-        left = image(mono.left)
-        right = None if left is None else image(mono.right)
-        if right is not None:
-            _accumulate_pair(target, left, right, coeff, acc)
+def _push(
+    target: AlgebraContext, vertex_map: dict, edge_map: dict, a: AlgebraElement
+) -> AlgebraElement:
+    """Send each monomial of a through vertex_map (vertex -> vertex) and
+    edge_map (edge -> edge tuple) and renormalize in target; a missing key
+    kills the monomial."""
+    acc: dict = {}
+    image = edge_map.__getitem__
+    for (left, right, t), coeff in a._terms.items():
+        try:
+            key = (sum(map(image, left), ()), sum(map(image, right), ()), vertex_map[t])
+        except KeyError:
+            continue
+        _accumulate_pair(target, key, coeff, acc)
     return AlgebraElement._owned(target, acc)
 
 
 def induce_path(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a path-algebra element along f (needs vertex-injectivity, which
     is what keeps non-composable products at zero in the image)."""
-    return _push(_induced_codomain(f, a.context, "path"), a, f.apply)
+    return _push(*_induced_codomain(f, a.context, "path"), a)
 
 
 def induce_cohn(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a Cohn-algebra element along f; defined for MIPG morphisms."""
-    return _push(_induced_codomain(f, a.context, "cohn"), a, f.apply)
+    return _push(*_induced_codomain(f, a.context, "cohn"), a)
 
 
 def induce_leavitt(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a Leavitt-algebra element along f; defined for RMIPG morphisms."""
-    return _push(_induced_codomain(f, a.context, "leavitt"), a, f.apply)
+    return _push(*_induced_codomain(f, a.context, "leavitt"), a)
 
 
 def induce(f: PathHom, a: AlgebraElement) -> AlgebraElement:
@@ -462,49 +489,38 @@ def induce(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     )
 
 
-def _quotient(inc: GraphInclusion, context: AlgebraContext) -> tuple[AlgebraContext, Callable]:
-    """The target context of inc's quotient map on the elements of context,
-    and the map on paths it pushes them through: a path over the image is
-    renamed into the subgraph, any other path goes to None.
+def _quotient(inc: GraphInclusion, context: AlgebraContext) -> tuple:
+    """What inc's quotient map sends the elements of context through: the
+    target context, and vertex and edge maps that rename what lies over the
+    image into the subgraph and miss everything else.
 
-    Both are built on the first successful call and kept on the inclusion,
+    These are built on the first successful call and kept on the inclusion
     with the source context; the kept source context skips the checks.
     Otherwise they run in order: admissibility, the source context,
     context itself, the target context.
     """
-    data = inc._quotient
-    if data is None or context != data[0]:
+    kept = inc._quotient
+    if kept is None or context != kept[0]:
         _require_admissible(inc)
         source = AlgebraContext.leavitt(inc.amb)
         if context != source:
             raise ContextMismatch(
                 "element does not live in the Leavitt algebra of the ambient graph"
             )
-        sub = inc.sub
-        target = AlgebraContext.leavitt(sub)
-        vinv = {v: u for u, v in inc.vmap.items()}
-        einv = {e: x for x, e in inc.emap.items()}
-
-        def pull(p: Path) -> Optional[Path]:
-            if p.is_vertex:
-                u = vinv.get(p.vertex)
-                return None if u is None else Path.at(sub, u)
-            try:
-                edges = tuple(einv[e] for e in p.edges)
-            except KeyError:
-                return None
-            return Path.of(sub, edges)
-
-        data = inc._quotient = (source, target, pull)
-    return data[1], data[2]
+        data = (
+            AlgebraContext.leavitt(inc.sub),
+            {v: u for u, v in inc.vmap.items()},
+            {e: (x,) for x, e in inc.emap.items()},
+        )
+        kept = inc._quotient = (source, data)
+    return kept[1]
 
 
 def quotient_map(inc: GraphInclusion, a: AlgebraElement) -> AlgebraElement:
     """The surjection L(amb) -> L(sub) of an admissible inclusion: generators
     over the image survive (renamed into the subgraph), everything else dies.
     ``_quotient`` checks the preconditions and keeps the map's data."""
-    target, pull = _quotient(inc, a.context)
-    return _push(target, a, pull)
+    return _push(*_quotient(inc, a.context), a)
 
 
 # -- relation preservation -----------------------------------------------------

@@ -26,7 +26,6 @@ from typing import Optional
 
 from .algebra import _ONE, _ZERO, AlgebraContext, AlgebraElement, _accumulate_pair, multiply
 from .errors import ParseError, StarInPathMode, UnknownIdentifier
-from .graphs import Path
 
 # A token is a plain (kind, text, pos) tuple: kind is "number", "ident", one
 # of + - * / ( ) or _END, and pos the 1-based column of its first character.
@@ -155,9 +154,9 @@ class _Parser:
                 break
         if value is None:
             if run is not _ZERO_RUN:
-                _accumulate_pair(self.ctx, *self.pair(run), scalar, acc)
+                _accumulate_pair(self.ctx, self.pair(run), scalar, acc)
             return
-        for m, c in self.close(value, run).terms.items():
+        for m, c in self.close(value, run)._terms.items():
             acc[m] = acc.get(m, _ZERO) + scalar * c
 
     def rational(self, sign: int) -> Fraction:
@@ -223,16 +222,12 @@ class _Parser:
             return (alpha, beta[1:], self.tgt[name]) if beta[0] == name else _ZERO_RUN
         return (alpha + (name,), (), self.tgt[name]) if self.src[name] == v else _ZERO_RUN
 
-    def pair(self, run) -> tuple[Path, Path]:
-        """The paths (a, b) of a nonzero run S_a S_b*, given as the triple
-        (a's edges, b's edges, s(b)); s(b) is t(a) when b is a vertex."""
-        g = self.ctx.graph
+    def pair(self, run) -> tuple:
+        """The monomial key (a's edges, b's edges, t(b)) of a nonzero run
+        S_a S_b*, given as the triple (a's edges, b's edges, s(b)); s(b) is
+        t(a) when b is a vertex."""
         alpha, beta, v = run
-        t = self.tgt[beta[-1]] if beta else v
-        return (
-            Path._trusted(g, None, alpha) if alpha else Path._trusted(g, t, ()),
-            Path._trusted(g, None, beta) if beta else Path._trusted(g, t, ()),
-        )
+        return (alpha, beta, self.tgt[beta[-1]]) if beta else run
 
     def close(self, value: Optional[AlgebraElement], run) -> Optional[AlgebraElement]:
         """value times the run, or value when the run is empty."""
@@ -240,7 +235,7 @@ class _Parser:
             return value
         acc: dict = {}
         if run is not _ZERO_RUN:
-            _accumulate_pair(self.ctx, *self.pair(run), _ONE, acc)
+            _accumulate_pair(self.ctx, self.pair(run), _ONE, acc)
         element = AlgebraElement._owned(self.ctx, acc)
         return element if value is None else multiply(value, element)
 

@@ -26,7 +26,6 @@ from .graphs import (
     CheckResult,
     Graph,
     Path,
-    _require_unflagged,
     extended_graph,
     paths_up_to,
     star_letter,
@@ -105,8 +104,9 @@ class PathHom:
     ``apply`` well defined.
 
     A PathHom is treated as immutable: ``_verdict`` keeps the result of
-    ``classify`` and ``_induced`` the contexts of the induced algebra maps
-    (mode -> domain and codomain context), both filled on first use.
+    ``classify`` and ``_induced`` the data of the induced algebra maps
+    (mode -> domain context and what ``algebra._push`` sends its elements
+    through), both filled on first use.
     """
 
     __slots__ = ("dom", "cod", "vmap", "emap", "_key", "_verdict", "_induced")
@@ -362,15 +362,15 @@ def _expansion_failure(cod: Graph, root: str, paths: list, prefix: list) -> Opti
 
 
 def is_regular(f: PathHom) -> CheckResult:
-    """Regularity of f; a False verdict carries the first offending vertex
-    together with the specific clause that broke."""
-    witness = _regularity_witness(f)
-    return CheckResult(witness is None, witness)
+    """Regularity of f as ``classify`` decides it; a False verdict carries
+    the first offending vertex together with the specific clause that
+    broke."""
+    verdict = classify(f)
+    return CheckResult(verdict.regular, verdict.witnesses.get("regular"))
 
 
 def _regularity_witness(f: PathHom) -> Optional[dict]:
     dom = f.dom
-    _require_unflagged(dom, "reg0_vertices")
     for v in dom.vertices:
         star = dom.out_edges(v)
         if not star:

@@ -522,10 +522,10 @@ def check_commutativity(inst: PullbackInstance) -> CommutativityReport:
     try:
         f, f_res = inst.realize_f(), inst.realize_f_res()
         ctx1 = AlgebraContext.leavitt(inst.amb1)
-        sub1_ctx, pull1 = _quotient(inst.pi1, ctx1)
-        amb2_ctx = _induced_codomain(f, ctx1, "leavitt")
-        sub2_ctx, pull2 = _quotient(inst.pi2, amb2_ctx)
-        res_ctx = _induced_codomain(f_res, sub1_ctx, "leavitt")
+        pi1 = _quotient(inst.pi1, ctx1)
+        f_map = _induced_codomain(f, ctx1, "leavitt")
+        pi2 = _quotient(inst.pi2, f_map[0])
+        res_map = _induced_codomain(f_res, pi1[0], "leavitt")
     except (InvalidPathHom, NotAdmissible, AlgebraError, UnsupportedInfiniteEmitter) as exc:
         raise HypothesisNotMet(f"the square's maps are not all defined: {exc}") from exc
 
@@ -533,8 +533,8 @@ def check_commutativity(inst: PullbackInstance) -> CommutativityReport:
     gens = [({"vertex": v}, ctx1.vertex(v)) for v in inst.amb1.vertices]
     gens += [({"edge": e}, ctx1.edge(e)) for e in inst.amb1.edges]
     for label, elem in gens:
-        via_amb = _push(sub2_ctx, _push(amb2_ctx, elem, f.apply), pull2)
-        via_sub = _push(res_ctx, _push(sub1_ctx, elem, pull1), f_res.apply)
+        via_amb = _push(*pi2, _push(*f_map, elem))
+        via_sub = _push(*res_map, _push(*pi1, elem))
         entries.append(
             CommutativityEntry(label, str(via_amb), str(via_sub), via_amb == via_sub)
         )
@@ -590,19 +590,6 @@ class KernelReport(NamedTuple):
         return "\n".join(lines)
 
 
-class _PathMemo(dict):
-    """``image`` on paths, each value computed on first use and kept."""
-
-    __slots__ = ("image",)
-
-    def __init__(self, image):
-        self.image = image
-
-    def __missing__(self, p: Path):
-        q = self[p] = self.image(p)
-        return q
-
-
 def check_kernel_inclusion(
     inst: PullbackInstance, hypotheses: Optional[HypothesisReport] = None
 ) -> KernelReport:
@@ -650,13 +637,9 @@ def check_kernel_inclusion(
         return KernelReport((), bound)
 
     # quotient_map(pi1, .) and induce_leavitt(f, .) on ctx1, their
-    # preconditions checked once; the path maps they push through are kept
-    # per path for this call and filled on first use, because a tail-reduced
-    # pair element can hold paths that are no pool path's preimage
-    sub1_ctx, pull = _quotient(inst.pi1, ctx1)
-    amb2_ctx = _induced_codomain(f, ctx1, "leavitt")
-    pull = _PathMemo(pull).__getitem__
-    apply = _PathMemo(f.apply).__getitem__
+    # preconditions checked once
+    pi1 = _quotient(inst.pi1, ctx1)
+    f_map = _induced_codomain(f, ctx1, "leavitt")
 
     entries = []
     for alpha in pool:
@@ -671,8 +654,8 @@ def check_kernel_inclusion(
                 KernelEntry(
                     {"left": alpha_data, "right": beta_data},
                     {"left": at_data, "right": bt_data},
-                    _push(sub1_ctx, elem, pull).is_zero,
-                    _push(amb2_ctx, elem, apply) == _pair(amb2_ctx, alpha, beta),
+                    _push(*pi1, elem).is_zero,
+                    _push(*f_map, elem) == _pair(f_map[0], alpha, beta),
                 )
             )
     return KernelReport(tuple(entries), bound)

@@ -34,7 +34,7 @@ from pathalg import (
     reg0_vertices,
     regular_vertices,
 )
-from pathalg.algebra import _ZERO, AlgebraElement, _accumulate_pair
+from pathalg.algebra import AlgebraElement, Monomial
 from pathalg.errors import ParseError, PathalgError, StarInPathMode, UnknownIdentifier
 from pathalg.pullback import CommutativityEntry, KernelEntry
 from pathalg.registry import GRAPHS
@@ -162,22 +162,37 @@ def _followed_by(p: Path, rest: tuple) -> Path:
     return p.concat(Path.of(p.graph, rest)) if rest else p
 
 
+def pair_sum(ctx: AlgebraContext, pairs: dict) -> AlgebraElement:
+    """The sum of c S_left S_right* over a dict Monomial(left, right) -> c,
+    in normal form: ``pair_element`` renormalizes each pair in the quotient
+    modes, and a path-mode pair (p, t(p)) is already normal."""
+    if ctx.is_path_mode:
+        return AlgebraElement(ctx, pairs)
+    acc: dict = {}
+    for (left, right), c in pairs.items():
+        for m, d in ctx.pair_element(left, right).terms.items():
+            acc[m] = acc.get(m, 0) + c * d
+    return AlgebraElement(ctx, acc)
+
+
 def reference_multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The product by the defining rule, pair by pair: S_beta* S_gamma is
     S_rest when gamma = beta rest, S_rest* when beta = gamma rest (gamma
     strictly shorter), and 0 when neither path is a prefix of the other."""
-    ctx = a.context
-    acc: dict = {}
+    pairs: dict = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             beta, gamma = m1.right, m2.left
             if prefix_leq(beta, gamma):
                 rest = gamma.edges[len(beta.edges):]
-                _accumulate_pair(ctx, _followed_by(m1.left, rest), m2.right, c1 * c2, acc)
+                mono = Monomial(_followed_by(m1.left, rest), m2.right)
             elif prefix_leq(gamma, beta):
                 rest = beta.edges[len(gamma.edges):]
-                _accumulate_pair(ctx, m1.left, _followed_by(m2.right, rest), c1 * c2, acc)
-    return AlgebraElement(ctx, acc)
+                mono = Monomial(m1.left, _followed_by(m2.right, rest))
+            else:
+                continue
+            pairs[mono] = pairs.get(mono, 0) + c1 * c2
+    return pair_sum(a.context, pairs)
 
 
 # -- rendering ------------------------------------------------------------------
@@ -381,7 +396,7 @@ class ReferenceParser:
             self.term(sign, acc)
             tok = self.peek()
             if tok is None or tok.kind not in "+-":
-                return AlgebraElement(self.ctx, acc)
+                return pair_sum(self.ctx, acc)
             self.take()
             sign = 1 if tok.kind == "+" else -1
 
@@ -429,10 +444,11 @@ class ReferenceParser:
                 break
         if value is None:
             if run is not _ZERO_RUN:
-                _accumulate_pair(self.ctx, *self.pair(run), scalar, acc)
+                mono = self.pair(run)
+                acc[mono] = acc.get(mono, 0) + scalar
             return
         for m, c in self.close(value, run).terms.items():
-            acc[m] = acc.get(m, _ZERO) + scalar * c
+            acc[m] = acc.get(m, 0) + scalar * c
 
     def rational(self) -> Fraction:
         num_tok = self.expect("number")
@@ -495,25 +511,23 @@ class ReferenceParser:
             return (alpha, beta[1:], g.tgt(name)) if beta[0] == name else _ZERO_RUN
         return (alpha + (name,), (), g.tgt(name)) if g.src(name) == v else _ZERO_RUN
 
-    def pair(self, run) -> tuple[Path, Path]:
-        """The paths (a, b) of a nonzero run S_a S_b*, given as the triple
+    def pair(self, run) -> Monomial:
+        """The monomial (a, b) of a nonzero run S_a S_b*, given as the triple
         (a's edges, b's edges, s(b))."""
         g = self.ctx.graph
         alpha, beta, v = run
         t = g.tgt(alpha[-1]) if alpha else g.tgt(beta[-1]) if beta else v
-        return (
-            Path._trusted(g, None, alpha) if alpha else Path._trusted(g, t, ()),
-            Path._trusted(g, None, beta) if beta else Path._trusted(g, t, ()),
+        return Monomial(
+            Path.of(g, alpha) if alpha else Path.at(g, t),
+            Path.of(g, beta) if beta else Path.at(g, t),
         )
 
     def close(self, value: Optional[AlgebraElement], run) -> Optional[AlgebraElement]:
         """value times the run, or value when the run is empty."""
         if run is _EMPTY:
             return value
-        acc: dict = {}
-        if run is not _ZERO_RUN:
-            _accumulate_pair(self.ctx, *self.pair(run), _ONE, acc)
-        element = AlgebraElement(self.ctx, acc)
+        pairs = {} if run is _ZERO_RUN else {self.pair(run): _ONE}
+        element = pair_sum(self.ctx, pairs)
         return element if value is None else multiply(value, element)
 
 

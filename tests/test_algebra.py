@@ -22,6 +22,7 @@ from pathalg import (
     induce_path,
     verify_relations_preserved,
 )
+from pathalg.algebra import Monomial
 from pathalg.graphs import Graph
 from pathalg.registry import GRAPHS, MORPHISMS
 
@@ -228,6 +229,14 @@ class TestProducts:
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
             L_loop.vertex("v") * C_loop.vertex("v")
+
+    def test_coefficient_of_a_monomial_of_another_graph(self):
+        # the same ids in another graph name no monomial of this algebra
+        x = AlgebraContext.leavitt(rp2).edge("s")
+        other = Graph(["v", "w"], [("s", "v", "v")])
+        foreign = Monomial(Path.of(other, ("s",)), Path.at(other, "v"))
+        assert x.coefficient(x.monomials()[0]) == 1
+        assert x.coefficient(foreign) == 0
 
     def test_integer_and_fraction_scalars(self):
         x = L_toe.edge("e")

@@ -228,10 +228,19 @@ class TestClassification:
         f = PathHom(g, loop, {"v": "v", "w": "v"}, {"e": ("e",)})
         with pytest.raises(UnsupportedInfiniteEmitter) as err:
             is_regular(f)
-        assert str(err.value) == (
-            "reg0_vertices: vertex 'w' is flagged as an infinite emitter, so the "
-            "listed edges are incomplete"
-        )
+        assert str(err.value) == "classification is defined over fully listed graphs only"
+
+    def test_is_regular_refuses_a_flagged_codomain(self):
+        # the loop onto the loop at a flagged vertex: classify refuses it,
+        # so is_regular does too
+        g = Graph(["v"], [("e", "v", "v")], infinite_emitters=["v"])
+        f = PathHom(loop, g, {"v": "v"}, {"e": ("e",)})
+        with pytest.raises(UnsupportedInfiniteEmitter) as err:
+            classify(f)
+        assert str(err.value) == "classification is defined over fully listed graphs only"
+        with pytest.raises(UnsupportedInfiniteEmitter) as err:
+            is_regular(f)
+        assert str(err.value) == "classification is defined over fully listed graphs only"
 
     def test_satisfies_names(self):
         verdict = classify(phi)

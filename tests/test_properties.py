@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from pathalg import (
     AlgebraContext,
+    AlgebraElement,
     Graph,
     Path,
     PathHom,
@@ -327,6 +328,26 @@ def test_render_matches_reference(make_context, data):
     x = data.draw(elements(ctx, max_terms=6, coefficients=_fractions))
     assert str(x) == reference_render(x)
     assert x.monomials() == tuple(sorted(x.terms, key=reference_monomial_key))
+
+
+@pytest.mark.parametrize("make_context", MODES, ids=["path", "cohn", "leavitt"])
+@_settings
+@given(data=st.data())
+def test_public_terms_round_trip(make_context, data):
+    """terms, monomials() and coefficient() speak Monomial pairs of paths of
+    the context's graph, and the public constructor takes terms back to the
+    same element; terms is a fresh dict on each access."""
+    ctx = make_context(data.draw(graphs()))
+    x = data.draw(elements(ctx, max_terms=6, coefficients=_fractions))
+    terms = x.terms
+    assert AlgebraElement(x.context, terms) == x
+    assert set(x.monomials()) == set(terms)
+    for m in terms:
+        assert isinstance(m, Monomial) and m.left.graph == m.right.graph == ctx.graph
+        assert x.coefficient(m) == terms[m]
+    text = str(x)
+    terms.clear()
+    assert x.terms is not x.terms and str(x) == text
 
 
 # -- the parser against its reference copy --------------------------------------
