@@ -64,8 +64,13 @@ class Monomial(NamedTuple):
     right: Path
 
 
-def _key(mono: Monomial) -> tuple:
-    return (mono.left.edges, mono.right.edges, mono.left.target)
+def _key(graph: Graph, mono) -> tuple | None:
+    """The plain key of a (left, right) pair of Paths; None unless both are
+    paths of graph that end at one vertex."""
+    left, right = mono
+    if left.graph != graph or right.graph != graph or left.target != right.target:
+        return None
+    return (left.edges, right.edges, left.target)
 
 
 def _monomial(graph: Graph, key: tuple) -> Monomial:
@@ -255,7 +260,9 @@ class AlgebraElement:
 
     def __init__(self, context: AlgebraContext, terms: Mapping[Monomial, Fraction]):
         self.context = context
-        self._terms = {_key(m): c for m, c in terms.items() if c}
+        self._terms = {_key(context.graph, m): c for m, c in terms.items() if c}
+        if None in self._terms:
+            raise ValueError("a monomial needs two paths of the context's graph with one target")
 
     @classmethod
     def _owned(cls, context: AlgebraContext, terms: dict) -> "AlgebraElement":
@@ -283,10 +290,8 @@ class AlgebraElement:
         return tuple(_monomial(g, k) for k in _sorted(g, self._terms))
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        g = self.context.graph
-        if mono.left.graph != g or mono.right.graph != g:
-            return _ZERO  # a monomial of another graph's algebra
-        return self._terms.get(_key(mono), _ZERO)
+        # a pair that is no monomial of this graph keys None, which is absent
+        return self._terms.get(_key(self.context.graph, mono), _ZERO)
 
     def _check_context(self, other: "AlgebraElement") -> None:
         if self.context != other.context:
@@ -415,7 +420,13 @@ _INDUCED = {
 }
 
 
-def _induced_codomain(f: PathHom, context: AlgebraContext, mode: str) -> tuple:
+class _Map(NamedTuple):  # what _push sends an element through
+    target: AlgebraContext
+    vertex_map: dict
+    edge_map: dict
+
+
+def _induced_map(f: PathHom, context: AlgebraContext, mode: str) -> tuple:
     """Check that f induces a ``mode`` map defined on the elements of
     context, and return what ``_push`` sends them through: the codomain
     context, f's vertex map and its edge images as edge tuples.
@@ -438,7 +449,7 @@ def _induced_codomain(f: PathHom, context: AlgebraContext, mode: str) -> tuple:
                 f"induced {name} map needs a {_FLAGS[flag]} morphism",
                 witness=verdict.witnesses.get(flag),
             )
-    data = (make_context(f.cod), f.vmap, {e: p.edges for e, p in f.emap.items()})
+    data = _Map(make_context(f.cod), f.vmap, {e: p.edges for e, p in f.emap.items()})
     f._induced = {**(f._induced or {}), mode: (context, data)}
     return data
 
@@ -463,17 +474,17 @@ def _push(
 def induce_path(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a path-algebra element along f (needs vertex-injectivity, which
     is what keeps non-composable products at zero in the image)."""
-    return _push(*_induced_codomain(f, a.context, "path"), a)
+    return _push(*_induced_map(f, a.context, "path"), a)
 
 
 def induce_cohn(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a Cohn-algebra element along f; defined for MIPG morphisms."""
-    return _push(*_induced_codomain(f, a.context, "cohn"), a)
+    return _push(*_induced_map(f, a.context, "cohn"), a)
 
 
 def induce_leavitt(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a Leavitt-algebra element along f; defined for RMIPG morphisms."""
-    return _push(*_induced_codomain(f, a.context, "leavitt"), a)
+    return _push(*_induced_map(f, a.context, "leavitt"), a)
 
 
 def induce(f: PathHom, a: AlgebraElement) -> AlgebraElement:
@@ -507,7 +518,7 @@ def _quotient(inc: GraphInclusion, context: AlgebraContext) -> tuple:
             raise ContextMismatch(
                 "element does not live in the Leavitt algebra of the ambient graph"
             )
-        data = (
+        data = _Map(
             AlgebraContext.leavitt(inc.sub),
             {v: u for u, v in inc.vmap.items()},
             {e: (x,) for x, e in inc.emap.items()},

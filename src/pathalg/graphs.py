@@ -256,13 +256,6 @@ class Path:
             return Path._trusted(self.graph, self.graph.src(self.edges[0]), ())
         return Path._trusted(self.graph, None, self.edges[:-1])
 
-    def sort_key(self) -> tuple:
-        """Length-major, then lexicographic in edge declaration order."""
-        edges = self.edges
-        if not edges:
-            return (0, (self.graph._vindex[self.vertex],))
-        return (len(edges), tuple(map(self.graph._eindex.__getitem__, edges)))
-
     def __eq__(self, other):
         if not isinstance(other, Path):
             return NotImplemented

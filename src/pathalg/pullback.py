@@ -27,7 +27,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple, Optional
 
 from .admissible import GraphInclusion, breaking_vertices, is_admissible
-from .algebra import AlgebraContext, _induced_codomain, _pair, _push, _quotient
+from .algebra import AlgebraContext, _induced_map, _pair, _push, _quotient
 from .errors import (
     AlgebraError,
     AmbiguousInfiniteEmitter,
@@ -523,9 +523,9 @@ def check_commutativity(inst: PullbackInstance) -> CommutativityReport:
         f, f_res = inst.realize_f(), inst.realize_f_res()
         ctx1 = AlgebraContext.leavitt(inst.amb1)
         pi1 = _quotient(inst.pi1, ctx1)
-        f_map = _induced_codomain(f, ctx1, "leavitt")
-        pi2 = _quotient(inst.pi2, f_map[0])
-        res_map = _induced_codomain(f_res, pi1[0], "leavitt")
+        f_map = _induced_map(f, ctx1, "leavitt")
+        pi2 = _quotient(inst.pi2, f_map.target)
+        res_map = _induced_map(f_res, pi1.target, "leavitt")
     except (InvalidPathHom, NotAdmissible, AlgebraError, UnsupportedInfiniteEmitter) as exc:
         raise HypothesisNotMet(f"the square's maps are not all defined: {exc}") from exc
 
@@ -639,7 +639,7 @@ def check_kernel_inclusion(
     # quotient_map(pi1, .) and induce_leavitt(f, .) on ctx1, their
     # preconditions checked once
     pi1 = _quotient(inst.pi1, ctx1)
-    f_map = _induced_codomain(f, ctx1, "leavitt")
+    f_map = _induced_map(f, ctx1, "leavitt")
 
     entries = []
     for alpha in pool:
@@ -655,7 +655,7 @@ def check_kernel_inclusion(
                     {"left": alpha_data, "right": beta_data},
                     {"left": at_data, "right": bt_data},
                     _push(*pi1, elem).is_zero,
-                    _push(*f_map, elem) == _pair(f_map[0], alpha, beta),
+                    _push(*f_map, elem) == _pair(f_map.target, alpha, beta),
                 )
             )
     return KernelReport(tuple(entries), bound)

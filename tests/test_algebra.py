@@ -22,7 +22,7 @@ from pathalg import (
     induce_path,
     verify_relations_preserved,
 )
-from pathalg.algebra import Monomial
+from pathalg.algebra import AlgebraElement, Monomial
 from pathalg.graphs import Graph
 from pathalg.registry import GRAPHS, MORPHISMS
 
@@ -237,6 +237,24 @@ class TestProducts:
         foreign = Monomial(Path.of(other, ("s",)), Path.at(other, "v"))
         assert x.coefficient(x.monomials()[0]) == 1
         assert x.coefficient(foreign) == 0
+
+    def test_public_monomials_need_matching_targets_in_the_graph(self):
+        # r ends at w, so (r, v) names no monomial: it is refused, not
+        # re-targeted to (r, w)
+        ctx = AlgebraContext.leavitt(rp2)
+        r, v, w = Path.of(rp2, ("r",)), Path.at(rp2, "v"), Path.at(rp2, "w")
+        other = Graph(["v", "w"], [("s", "v", "v")])
+        for mono in (Monomial(r, v), Monomial(Path.of(other, ("s",)), Path.at(other, "v"))):
+            with pytest.raises(ValueError):
+                AlgebraElement(ctx, {mono: 1})
+        assert ctx.edge("r").coefficient(Monomial(r, v)) == 0
+        assert ctx.edge("r").coefficient(Monomial(r, w)) == 1
+
+    def test_public_monomials_may_be_plain_pairs(self):
+        ctx = AlgebraContext.leavitt(rp2)
+        r, w = Path.of(rp2, ("r",)), Path.at(rp2, "w")
+        assert AlgebraElement(ctx, {(r, w): 1}) == ctx.edge("r")
+        assert ctx.edge("r").coefficient((r, w)) == 1
 
     def test_integer_and_fraction_scalars(self):
         x = L_toe.edge("e")
