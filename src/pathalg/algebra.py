@@ -254,15 +254,24 @@ class AlgebraElement:
 
     ``terms`` maps each ``Monomial`` to its coefficient, built afresh on
     each access; the element itself keeps ``_terms``, keyed by plain
-    monomial keys."""
+    monomial keys.  The constructor takes such a dict, converts each
+    coefficient to a ``Fraction`` and renormalizes the sum."""
 
     __slots__ = ("context", "_terms")
 
     def __init__(self, context: AlgebraContext, terms: Mapping[Monomial, Fraction]):
+        acc: dict = {}
+        for m, c in terms.items():
+            key = _key(context.graph, m)
+            if key is None:
+                raise ValueError(
+                    "a monomial needs two paths of the context's graph with one target"
+                )
+            if key[1] and context.is_path_mode:
+                raise StarInPathMode("pair monomials only exist in the quotient modes")
+            _accumulate_pair(context, key, Fraction(c), acc)
         self.context = context
-        self._terms = {_key(context.graph, m): c for m, c in terms.items() if c}
-        if None in self._terms:
-            raise ValueError("a monomial needs two paths of the context's graph with one target")
+        self._terms = {k: c for k, c in acc.items() if c}
 
     @classmethod
     def _owned(cls, context: AlgebraContext, terms: dict) -> "AlgebraElement":

@@ -76,13 +76,15 @@ class PullbackInstance:
             f_res.dom != pi1.sub or f_res.cod != pi2.sub
         ):
             raise DomainMismatch("f_res must run between the two subgraphs")
+        if not isinstance(length_bound, int) or isinstance(length_bound, bool):
+            raise TypeError("length bound must be an int")
         if length_bound < 0:
             raise ValueError("length bound must be >= 0")
         self.pi1 = pi1
         self.pi2 = pi2
         self.f = f
         self.f_res = f_res
-        self.length_bound = int(length_bound)
+        self.length_bound = length_bound
 
     @property
     def amb1(self) -> Graph:
@@ -218,9 +220,9 @@ def _finite_family_max_length(g: Graph, targets: set) -> Optional[int]:
     return best
 
 
-def _first_preimages(f: PathHom, targets) -> dict[Path, Path]:
+def _first_preimages(f: PathHom, targets: list[Path]) -> list[Optional[Path]]:
     """The first domain path, in ``paths_up_to`` order, that f maps onto
-    each target that has a preimage at all.
+    each target, aligned with ``targets``; None where there is none.
 
     Every prefix of a first preimage is the first path to reach its state
     (endpoint, image): an earlier path to that state, followed by the rest,
@@ -231,10 +233,10 @@ def _first_preimages(f: PathHom, targets) -> dict[Path, Path]:
     target it misses has no preimage at any length."""
     dom, vmap, emap = f.dom, f.vmap, f.emap
     # an image is keyed by its source vertex and its edges
-    wanted = {(p.source, p.edges): p for p in targets}
+    wanted = {(p.source, p.edges) for p in targets}
     prefixes = {(w, es[:i]) for w, es in wanted for i in range(len(es) + 1)}
     seen: set = set()
-    found: dict[Path, Path] = {}
+    found: dict[tuple, Path] = {}
 
     def keep(candidates) -> list:
         kept = []
@@ -242,8 +244,8 @@ def _first_preimages(f: PathHom, targets) -> dict[Path, Path]:
             if image in prefixes and (end, image) not in seen:
                 seen.add((end, image))
                 kept.append((edges, end, image))
-                if image in wanted and wanted[image] not in found:
-                    found[wanted[image]] = Path._trusted(dom, None if edges else end, edges)
+                if image in wanted and image not in found:
+                    found[image] = Path._trusted(dom, None if edges else end, edges)
         return kept
 
     keep(((), v, (vmap[v], ())) for v in dom.vertices)
@@ -255,7 +257,7 @@ def _first_preimages(f: PathHom, targets) -> dict[Path, Path]:
             for edges, end, (w, image) in level
             for e in dom.out_edges(end)
         )
-    return found
+    return [found.get((p.source, p.edges)) for p in targets]
 
 
 class _Realized(NamedTuple):
@@ -391,11 +393,13 @@ def _h7(facts: _Facts) -> tuple:
     )
 
 
-def _paths_outside(inst: PullbackInstance, bound: int) -> tuple[set, list[Path]]:
-    """The second inclusion's complement and the amb2 paths of length <=
-    bound ending in it."""
+def _pool(inst: PullbackInstance, f: PathHom) -> tuple[set, list[Path], list[Optional[Path]]]:
+    """The second inclusion's complement, the amb2 paths of length <= the
+    bound ending in it, and each one's first preimage under f (None for a
+    miss)."""
     outside = set(inst.pi2.complement())
-    return outside, [p for p in paths_up_to(inst.amb2, bound) if p.target in outside]
+    pool = [p for p in paths_up_to(inst.amb2, inst.length_bound) if p.target in outside]
+    return outside, pool, _first_preimages(f, pool)
 
 
 def _h8(facts: _Facts) -> tuple:
@@ -407,11 +411,9 @@ def _h8(facts: _Facts) -> tuple:
                 "flagged vertices make the path family symbolic; cannot enumerate")
 
     # breaking vertices are flagged, so none exist once the flags are refused
-    outside, targets = _paths_outside(inst, bound)
-    found = _first_preimages(f, targets)
+    outside, pool, preimages = _pool(inst, f)
     certificate = []
-    for p in targets:
-        q = found.get(p)
+    for p, q in zip(pool, preimages):
         if q is None:
             return "fail", {"path": _path_data(p)}, "no domain path maps onto the witness path"
         certificate.append({"target": _path_data(p), "preimage": _path_data(q)})
@@ -508,17 +510,11 @@ class CommutativityReport(NamedTuple):
         return "\n".join(lines)
 
 
-def check_commutativity(inst: PullbackInstance) -> CommutativityReport:
-    """Compare the two routes around the square on every generator of the
-    first ambient graph's Leavitt algebra.
-
-    Preconditions are existence-level: the four maps must induce algebra
-    maps (admissible inclusions, RMIPG morphisms, no flagged graph); whether
-    the routes agree is exactly what is being measured, so a correctly-typed
-    but wrong f_res yields mismatch entries, not an error.  Each map is
-    prepared once, through the checks of the map itself, and a refusal is a
-    HypothesisNotMet whose cause is the map's own error.
-    """
+def _square(inst: PullbackInstance) -> tuple:
+    """L(amb1) and what ``_push`` sends elements through along pi1, f, pi2
+    and f_res, each prepared once through the checks of the map itself
+    (admissible inclusions, RMIPG morphisms, no flagged graph).  A refusal
+    is a HypothesisNotMet whose cause is the map's own error."""
     try:
         f, f_res = inst.realize_f(), inst.realize_f_res()
         ctx1 = AlgebraContext.leavitt(inst.amb1)
@@ -528,7 +524,18 @@ def check_commutativity(inst: PullbackInstance) -> CommutativityReport:
         res_map = _induced_map(f_res, pi1.target, "leavitt")
     except (InvalidPathHom, NotAdmissible, AlgebraError, UnsupportedInfiniteEmitter) as exc:
         raise HypothesisNotMet(f"the square's maps are not all defined: {exc}") from exc
+    return ctx1, pi1, f_map, pi2, res_map
 
+
+def check_commutativity(inst: PullbackInstance) -> CommutativityReport:
+    """Compare the two routes around the square on every generator of the
+    first ambient graph's Leavitt algebra.
+
+    ``_square`` refuses a square whose maps are not defined; whether the
+    routes agree is exactly what is being measured, so a correctly-typed
+    but wrong f_res yields mismatch entries, not an error.
+    """
+    ctx1, pi1, f_map, pi2, res_map = _square(inst)
     entries = []
     gens = [({"vertex": v}, ctx1.vertex(v)) for v in inst.amb1.vertices]
     gens += [({"edge": e}, ctx1.edge(e)) for e in inst.amb1.edges]
@@ -597,58 +604,36 @@ def check_kernel_inclusion(
     bounded length meeting outside the second image) must come from an
     element of the first quotient's kernel under the induced map of f.
 
-    Each pair's element goes through both maps; each pool path's preimage,
-    JSON data and images are found once per call, so entries share one
-    data dict per path."""
-    for g in (inst.amb1, inst.amb2, inst.sub1, inst.sub2):
-        if g.infinite_emitters:
-            raise HypothesisNotMet(
-                "kernel checks need algebra contexts, which flagged graphs do not admit"
-            )
+    The hypotheses must not fail, and ``_square`` must define the maps.
+    Each pair's element goes through both maps; each pool path's preimage
+    and JSON data are found once per call, so entries share one data dict
+    per path."""
     report = hypotheses if hypotheses is not None else check_hypotheses(inst)
     if report.overall == FAIL:
         raise HypothesisNotMet(
             f"hypotheses are not verified (first failure: {report.first_failure})"
         )
-    f = inst.realize_f()
-    bound = inst.length_bound
-    ctx1 = AlgebraContext.leavitt(inst.amb1)
-
-    _, pool = _paths_outside(inst, bound)
-    found = _first_preimages(f, pool)
-    # a pair is two pool paths with one target, in pool order on both sides
-    by_target: dict[str, list[Path]] = {}
-    for p in pool:
-        by_target.setdefault(p.target, []).append(p)
-    # each path's preimage and the JSON data of both, in the order the pairs
-    # first meet them, so the first path without a preimage is the one named
-    sides = {}
-    for group in by_target.values():
-        for p in group:
-            q = found.get(p)
-            if q is None:
-                raise PreimageNotFound(
-                    "no domain path maps onto a kernel path; "
-                    "the hypothesis report's certificate does not cover it",
-                    path=p,
-                )
-            sides[p] = (q, _path_data(p), _path_data(q))
-    if not pool:  # no pair applies either map, so neither is checked
-        return KernelReport((), bound)
-
-    # quotient_map(pi1, .) and induce_leavitt(f, .) on ctx1, their
-    # preconditions checked once
-    pi1 = _quotient(inst.pi1, ctx1)
-    f_map = _induced_map(f, ctx1, "leavitt")
+    ctx1, pi1, f_map, _, _ = _square(inst)
+    _, pool, preimages = _pool(inst, inst.realize_f())
+    # one row per pool path: the path, its preimage and the data of both;
+    # a pair is two rows with one target, in pool order on both sides
+    rows = [(p, q, _path_data(p), None if q is None else _path_data(q))
+            for p, q in zip(pool, preimages)]
+    by_target: dict[str, list[tuple]] = {}
+    for row in rows:
+        by_target.setdefault(row[0].target, []).append(row)
+    # the first path the pairs meet without a preimage is the one named
+    missing = [p for group in by_target.values() for p, q, _, _ in group if q is None]
+    if missing:
+        raise PreimageNotFound("no domain path maps onto a kernel path; the hypothesis "
+                               "report's certificate does not cover it", path=missing[0])
 
     entries = []
-    for alpha in pool:
+    for alpha, at, alpha_data, at_data in rows:
         # induce_leavitt refuses any f that is not vertex-injective, so f
         # is, and the two preimages end where alpha and beta do; both pairs
         # are built with no checks
-        at, alpha_data, at_data = sides[alpha]
-        for beta in by_target[alpha.target]:
-            bt, beta_data, bt_data = sides[beta]
+        for beta, bt, beta_data, bt_data in by_target[alpha.target]:
             elem = _pair(ctx1, at, bt)
             entries.append(
                 KernelEntry(
@@ -658,4 +643,4 @@ def check_kernel_inclusion(
                     _push(*f_map, elem) == _pair(f_map.target, alpha, beta),
                 )
             )
-    return KernelReport(tuple(entries), bound)
+    return KernelReport(tuple(entries), inst.length_bound)

@@ -250,6 +250,34 @@ class TestProducts:
         assert ctx.edge("r").coefficient(Monomial(r, v)) == 0
         assert ctx.edge("r").coefficient(Monomial(r, w)) == 1
 
+    def test_public_constructor_renormalizes(self):
+        # (s, s) ends in the special edge at v, so it tail-reduces
+        ctx = AlgebraContext.leavitt(rp2)
+        s = Path.of(rp2, ("s",))
+        x = AlgebraElement(ctx, {Monomial(s, s): 1})
+        assert x == ctx.pair_element(s, s)
+        assert str(x) == "v - r r* - t t*"
+        assert x * ctx.unit() == x
+
+    def test_public_coefficients_become_fractions(self):
+        ctx = AlgebraContext.leavitt(rp2)
+        s, v = Path.of(rp2, ("s",)), Path.at(rp2, "v")
+        x = AlgebraElement(ctx, {Monomial(s, v): 0.5})
+        assert x.coefficient(Monomial(s, v)) == Fraction(1, 2)
+        assert str(x) == "1/2 s"
+
+    def test_public_coefficients_must_be_numbers(self):
+        ctx = AlgebraContext.leavitt(rp2)
+        s, v = Path.of(rp2, ("s",)), Path.at(rp2, "v")
+        with pytest.raises(ValueError):
+            AlgebraElement(ctx, {Monomial(s, v): "abc"})
+
+    def test_public_constructor_refuses_stars_in_path_mode(self):
+        s, v = Path.of(rp2, ("s",)), Path.at(rp2, "v")
+        with pytest.raises(StarInPathMode):
+            AlgebraElement(P_rp2, {Monomial(v, s): 1})
+        assert AlgebraElement(P_rp2, {Monomial(s, v): 1}) == P_rp2.path_element(s)
+
     def test_public_monomials_may_be_plain_pairs(self):
         ctx = AlgebraContext.leavitt(rp2)
         r, w = Path.of(rp2, ("r",)), Path.at(rp2, "w")

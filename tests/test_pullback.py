@@ -173,6 +173,14 @@ class TestInstanceValidation:
         assert inst.with_bound(8).length_bound == 8
         assert inst.length_bound == 6
 
+    @pytest.mark.parametrize("bound", [2.7, True])
+    def test_bound_must_be_an_int(self, bound):
+        # as instance files refuse them, and not truncated to 2 or read as 1
+        with pytest.raises(TypeError):
+            PullbackInstance(loop_in_rp2, loop_in_toeplitz, phi, loop_square, bound)
+        with pytest.raises(TypeError):
+            rp2q().with_bound(bound)
+
 
 class TestBundledInstance:
     @pytest.mark.parametrize("bound", [4, 6, 8])
@@ -610,8 +618,8 @@ _flagged = Graph(["v"], [("e", "v", "v")], infinite_emitters=["v"])
 # both sinks of amb1 go to w, so f is not vertex-injective
 _amb1_two_sinks = Graph(["v", "w1", "w2"], [("s", "v", "v"), ("r", "v", "w2")])
 
-# one square per refusal of check_commutativity, with the map's own error
-# and its message
+# one square per refusal of the square's maps, with the map's own error and
+# its message; both conclusion checks refuse each one alike
 _REFUSED_SQUARES = {
     "broken-f": (
         PullbackInstance(
@@ -762,15 +770,15 @@ class TestKernelFailures:
         assert info.value.path.is_vertex
         assert info.value.path.vertex == "u"
 
-    def test_forged_report_cannot_pass_a_non_injective_f(self):
-        # both sinks of amb1 map to w; the first kernel pair, (w, w), already
-        # needs the induced Leavitt map, which refuses f
-        amb1 = Graph(["v", "w1", "w2"], [("s", "v", "v"), ("r", "v", "w2")])
-        pi1 = GraphInclusion(loop, amb1, {"v": "v"}, {"e": "s"})
-        f = PathHom(amb1, toeplitz, {"v": "v", "w1": "w", "w2": "w"}, {"s": ("e",), "r": ("f",)})
-        inst = PullbackInstance(pi1, loop_in_toeplitz, f, PathHom.identity(loop), 4)
-        with pytest.raises(NotVertexInjective):
+    @pytest.mark.parametrize("case", list(_REFUSED_SQUARES))
+    def test_each_refusal_is_the_maps_own_error(self, case):
+        # a passing report from another square clears the report gate; the
+        # square's own maps then refuse it as check_commutativity does
+        inst, cause, message = _REFUSED_SQUARES[case]
+        with pytest.raises(HypothesisNotMet) as info:
             check_kernel_inclusion(inst, hypotheses=check_hypotheses(rp2q(4)))
+        assert str(info.value) == "the square's maps are not all defined: " + message
+        assert type(info.value.__cause__) is cause
 
 
 class TestKernelCheckAgainstReference:
