@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import AmbiguousInfiniteEmitter, InvalidInclusion, NotAdmissible
+from .errors import AmbiguousInfiniteEmitter, DanglingEndpoint, InvalidInclusion, NotAdmissible
 from .graphs import CheckResult, Graph
 
 
@@ -147,11 +147,11 @@ def is_hereditary(g: Graph, H: Iterable[str]) -> CheckResult:
 
 
 def _vertex_subset(g: Graph, H: Iterable[str]) -> frozenset:
-    Hs = frozenset(H)
-    for v in Hs:
+    H = tuple(H)
+    for v in H:
         if not g.has_vertex(v):
-            raise KeyError(f"unknown vertex {v!r}")
-    return Hs
+            raise DanglingEndpoint(f"unknown vertex {v!r}")
+    return frozenset(H)
 
 
 class AdmissibilityReport(NamedTuple):

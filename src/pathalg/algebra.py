@@ -34,11 +34,13 @@ pairs of ``Path``s exist only at the public boundary (``terms``,
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Number
 from typing import Iterable, Mapping, NamedTuple
 
 from .admissible import GraphInclusion, _require_admissible
 from .errors import (
     ContextMismatch,
+    DanglingEndpoint,
     NotMonotone,
     NotRegular,
     NotVertexInjective,
@@ -95,9 +97,10 @@ def _sorted(graph: Graph, keys) -> list:
 
 
 class AlgebraContext:
-    """A graph together with a relation mode; builds elements and words."""
+    """A graph together with a relation mode; builds elements and words.
+    ``_kind`` names the algebra: path, cohn, leavitt or relative_cohn."""
 
-    __slots__ = ("graph", "mode", "relation_vertices", "special_edge", "_leavitt")
+    __slots__ = ("graph", "relation_vertices", "special_edge", "_kind")
 
     def __init__(self, graph: Graph, mode: str, relation_vertices: Iterable[str] = ()):
         if graph.infinite_emitters:
@@ -110,7 +113,6 @@ class AlgebraContext:
         if mode == PATH and relation_vertices:
             raise ValueError("path mode carries no relation vertices")
         self.graph = graph
-        self.mode = mode
         reg = set(regular_vertices(graph))
         for v in relation_vertices:
             if v not in reg:
@@ -120,7 +122,12 @@ class AlgebraContext:
         self.special_edge = {v: graph.out_edges(v)[0] for v in self.relation_vertices}
         # relations at every regular vertex make the Leavitt algebra; on a
         # graph with none, only ``leavitt`` tells it from the Cohn algebra
-        self._leavitt = bool(reg) and reg.issubset(relation_vertices)
+        if mode == PATH:
+            self._kind = PATH
+        elif reg and reg.issubset(relation_vertices):
+            self._kind = "leavitt"
+        else:
+            self._kind = RELATIVE_COHN if self.relation_vertices else "cohn"
 
     @classmethod
     def path(cls, graph: Graph) -> "AlgebraContext":
@@ -137,29 +144,29 @@ class AlgebraContext:
     @classmethod
     def leavitt(cls, graph: Graph) -> "AlgebraContext":
         context = cls(graph, RELATIVE_COHN, regular_vertices(graph))
-        context._leavitt = True
+        context._kind = "leavitt"
         return context
 
     @property
+    def mode(self) -> str:
+        return PATH if self._kind == PATH else RELATIVE_COHN
+
+    @property
     def is_path_mode(self) -> bool:
-        return self.mode == PATH
+        return self._kind == PATH
 
     @property
     def is_cohn(self) -> bool:
-        return self.mode == RELATIVE_COHN and not self.relation_vertices and not self._leavitt
+        return self._kind == "cohn"
 
     @property
     def is_leavitt(self) -> bool:
-        return self._leavitt
+        return self._kind == "leavitt"
 
     def describe(self) -> str:
-        if self.is_path_mode:
-            return "path algebra"
-        if self.is_cohn:
-            return "Cohn algebra"
-        if self.is_leavitt:
-            return "Leavitt algebra"
-        return f"relative Cohn algebra at {list(self.relation_vertices)}"
+        if self._kind == RELATIVE_COHN:
+            return f"relative Cohn algebra at {list(self.relation_vertices)}"
+        return _INDUCED[self._kind][0]
 
     def __eq__(self, other):
         if self is other:
@@ -168,13 +175,12 @@ class AlgebraContext:
             return NotImplemented
         return (
             self.graph == other.graph
-            and self.mode == other.mode
+            and self._kind == other._kind
             and self.relation_vertices == other.relation_vertices
-            and self._leavitt == other._leavitt
         )
 
     def __hash__(self):
-        return hash((self.graph, self.mode, self.relation_vertices))
+        return hash((self.graph, self._kind, self.relation_vertices))
 
     def __repr__(self):
         return f"AlgebraContext({self.describe()}, {self.graph!r})"
@@ -190,7 +196,7 @@ class AlgebraContext:
 
     def vertex(self, v: str) -> "AlgebraElement":
         if not self.graph.has_vertex(v):
-            raise KeyError(v)
+            raise DanglingEndpoint(f"unknown vertex {v!r}")
         return AlgebraElement._owned(self, {((), (), v): _ONE})
 
     def edge(self, e: str) -> "AlgebraElement":
@@ -330,12 +336,12 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return multiply(self, other)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Number):
             return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Number):
             return self.scale(other)
         return NotImplemented
 
@@ -420,7 +426,7 @@ _FLAG_ERRORS = {
     "regular": NotRegular,
 }
 
-# mode -> (the algebra it acts on, its context constructor, the map's name in
+# kind -> (the algebra it acts on, its context constructor, the map's name in
 # precondition messages, the class of the tower it is defined on)
 _INDUCED = {
     "path": ("path algebra", AlgebraContext.path, "path-algebra", "ipg"),
@@ -435,31 +441,23 @@ class _Map(NamedTuple):  # what _push sends an element through
     edge_map: dict
 
 
-def _induced_map(f: PathHom, context: AlgebraContext, mode: str) -> tuple:
-    """Check that f induces a ``mode`` map defined on the elements of
-    context, and return what ``_push`` sends them through: the codomain
-    context, f's vertex map and its edge images as edge tuples.
-
-    These are built on the first successful call and kept on f with the
-    domain context; the kept domain context skips the checks.  Otherwise
-    they run in order: the context's graph, its mode, the classification
-    of f, then the class flags the mode needs.
-    """
-    kept = (f._induced or {}).get(mode)
-    if kept is not None and context == kept[0]:
-        return kept[1]
-    algebra, make_context, name, category = _INDUCED[mode]
-    if context.graph != f.dom or context != make_context(f.dom):
-        raise ContextMismatch(f"element does not live in the {algebra} of the domain")
-    verdict = classify(f)
-    for flag in _CLASS_FLAGS[category]:
-        if not getattr(verdict, flag):
-            raise _FLAG_ERRORS[flag](
-                f"induced {name} map needs a {_FLAGS[flag]} morphism",
-                witness=verdict.witnesses.get(flag),
-            )
-    data = _Map(make_context(f.cod), f.vmap, {e: p.edges for e, p in f.emap.items()})
-    f._induced = {**(f._induced or {}), mode: (context, data)}
+def _induced_map(f: PathHom, kind: str) -> _Map:
+    """Check that f induces a ``kind`` map (the classification of f, then
+    the class flags the kind needs) and return what ``_push`` sends the
+    elements of its domain algebra through: the codomain context, f's vertex
+    map and its edge images as edge tuples, built once and kept on f."""
+    data = (f._induced or {}).get(kind)
+    if data is None:
+        _, make_context, name, category = _INDUCED[kind]
+        verdict = classify(f)
+        for flag in _CLASS_FLAGS[category]:
+            if not getattr(verdict, flag):
+                raise _FLAG_ERRORS[flag](
+                    f"induced {name} map needs a {_FLAGS[flag]} morphism",
+                    witness=verdict.witnesses.get(flag),
+                )
+        data = _Map(make_context(f.cod), f.vmap, {e: p.edges for e, p in f.emap.items()})
+        f._induced = {**(f._induced or {}), kind: data}
     return data
 
 
@@ -480,67 +478,64 @@ def _push(
     return AlgebraElement._owned(target, acc)
 
 
+def _induce(f: PathHom, a: AlgebraElement, kind: str) -> AlgebraElement:
+    """Push a along the ``kind`` map induced by f, once a lives in the
+    ``kind`` algebra of f's domain."""
+    if a.context.graph != f.dom or a.context._kind != kind:
+        raise ContextMismatch(f"element does not live in the {_INDUCED[kind][0]} of the domain")
+    return _push(*_induced_map(f, kind), a)
+
+
 def induce_path(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a path-algebra element along f (needs vertex-injectivity, which
     is what keeps non-composable products at zero in the image)."""
-    return _push(*_induced_map(f, a.context, "path"), a)
+    return _induce(f, a, PATH)
 
 
 def induce_cohn(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a Cohn-algebra element along f; defined for MIPG morphisms."""
-    return _push(*_induced_map(f, a.context, "cohn"), a)
+    return _induce(f, a, "cohn")
 
 
 def induce_leavitt(f: PathHom, a: AlgebraElement) -> AlgebraElement:
     """Push a Leavitt-algebra element along f; defined for RMIPG morphisms."""
-    return _push(*_induced_map(f, a.context, "leavitt"), a)
+    return _induce(f, a, "leavitt")
 
 
 def induce(f: PathHom, a: AlgebraElement) -> AlgebraElement:
-    """Dispatch on the element's context mode."""
-    if a.context.is_path_mode:
-        return induce_path(f, a)
-    if a.context.is_cohn:
-        return induce_cohn(f, a)
-    if a.context.is_leavitt:
-        return induce_leavitt(f, a)
-    raise ContextMismatch(
-        "induced maps exist for the path, Cohn, and Leavitt contexts only"
-    )
+    """Dispatch on the algebra the element lives in."""
+    kind = a.context._kind
+    if kind not in _INDUCED:
+        raise ContextMismatch(
+            "induced maps exist for the path, Cohn, and Leavitt contexts only"
+        )
+    return _induce(f, a, kind)
 
 
-def _quotient(inc: GraphInclusion, context: AlgebraContext) -> tuple:
-    """What inc's quotient map sends the elements of context through: the
-    target context, and vertex and edge maps that rename what lies over the
-    image into the subgraph and miss everything else.
-
-    These are built on the first successful call and kept on the inclusion
-    with the source context; the kept source context skips the checks.
-    Otherwise they run in order: admissibility, the source context,
-    context itself, the target context.
-    """
-    kept = inc._quotient
-    if kept is None or context != kept[0]:
+def _quotient(inc: GraphInclusion) -> _Map:
+    """Check that inc is admissible and return what its quotient map sends
+    the elements of L(amb) through: the target context, and vertex and edge
+    maps that rename what lies over the image into the subgraph and miss
+    everything else, built once and kept on inc."""
+    data = inc._quotient
+    if data is None:
         _require_admissible(inc)
-        source = AlgebraContext.leavitt(inc.amb)
-        if context != source:
-            raise ContextMismatch(
-                "element does not live in the Leavitt algebra of the ambient graph"
-            )
-        data = _Map(
+        data = inc._quotient = _Map(
             AlgebraContext.leavitt(inc.sub),
             {v: u for u, v in inc.vmap.items()},
             {e: (x,) for x, e in inc.emap.items()},
         )
-        kept = inc._quotient = (source, data)
-    return kept[1]
+    return data
 
 
 def quotient_map(inc: GraphInclusion, a: AlgebraElement) -> AlgebraElement:
     """The surjection L(amb) -> L(sub) of an admissible inclusion: generators
     over the image survive (renamed into the subgraph), everything else dies.
-    ``_quotient`` checks the preconditions and keeps the map's data."""
-    return _push(*_quotient(inc, a.context), a)
+    ``_quotient`` checks the inclusion and keeps the map's data."""
+    data = _quotient(inc)
+    if a.context.graph != inc.amb or not a.context.is_leavitt:
+        raise ContextMismatch("element does not live in the Leavitt algebra of the ambient graph")
+    return _push(*data, a)
 
 
 # -- relation preservation -----------------------------------------------------

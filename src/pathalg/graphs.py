@@ -165,7 +165,7 @@ class Graph:
 class Path:
     """A length-0 path (a vertex) or a nonempty composable edge sequence."""
 
-    __slots__ = ("graph", "vertex", "edges", "_hash")
+    __slots__ = ("graph", "vertex", "edges")
 
     def __init__(self, graph: Graph, vertex: Optional[str] = None, edges: Sequence[str] = ()):
         edges = tuple(edges)
@@ -190,8 +190,6 @@ class Path:
         self.graph = graph
         self.vertex = vertex
         self.edges = edges
-        # by value alone: hash(None) would vary from process to process
-        self._hash = hash(edges or vertex)
 
     @classmethod
     def _trusted(cls, graph: Graph, vertex: Optional[str], edges: tuple) -> "Path":
@@ -201,7 +199,6 @@ class Path:
         p.graph = graph
         p.vertex = vertex
         p.edges = edges
-        p._hash = hash(edges or vertex)
         return p
 
     @classmethod
@@ -266,7 +263,8 @@ class Path:
         )
 
     def __hash__(self):
-        return self._hash
+        # by value alone: hash(None) would vary from process to process
+        return hash(self.edges or self.vertex)
 
     def __str__(self):
         return self.vertex if self.is_vertex else " ".join(self.edges)
@@ -316,16 +314,6 @@ def reg0_vertices(g: Graph) -> tuple[str, ...]:
         if len(es) == 1 and g.tgt(es[0]) == v:
             out.append(v)
     return tuple(out)
-
-
-def star_letter(base: Graph, letter: str) -> str:
-    """Involution on the letters of the doubled graph built from ``base``:
-    an original edge gains a trailing ``*``, a ghost edge loses it."""
-    if base.has_edge(letter):
-        return letter + "*"
-    if letter.endswith("*") and base.has_edge(letter[:-1]):
-        return letter[:-1]
-    raise DanglingEndpoint(f"{letter!r} is not a letter of the doubled graph")
 
 
 def extended_graph(g: Graph) -> Graph:

@@ -28,7 +28,6 @@ from .graphs import (
     Path,
     extended_graph,
     paths_up_to,
-    star_letter,
 )
 
 # Each flag of a verdict and its label, in report order.
@@ -105,11 +104,11 @@ class PathHom:
 
     A PathHom is treated as immutable: ``_verdict`` keeps the result of
     ``classify`` and ``_induced`` the data of the induced algebra maps
-    (mode -> domain context and what ``algebra._push`` sends its elements
-    through), both filled on first use.
+    (kind -> what ``algebra._push`` sends its elements through), both
+    filled on first use.
     """
 
-    __slots__ = ("dom", "cod", "vmap", "emap", "_key", "_verdict", "_induced")
+    __slots__ = ("dom", "cod", "vmap", "emap", "_verdict", "_induced")
 
     def __init__(self, dom: Graph, cod: Graph, vmap: Mapping[str, str], emap: Mapping[str, object]):
         images = {}
@@ -151,12 +150,6 @@ class PathHom:
         self.cod = cod
         self.vmap = vm
         self.emap = em
-        self._key = (
-            dom,
-            cod,
-            tuple(vm[v] for v in dom.vertices),
-            tuple(em[e] for e in dom.edges),
-        )
         self._verdict = None
         self._induced = None
 
@@ -171,7 +164,6 @@ class PathHom:
         h.cod = cod
         h.vmap = dict(zip(dom.vertices, choice))
         h.emap = dict(zip(dom.edges, images))
-        h._key = (dom, cod, choice, images)
         h._verdict = None
         h._induced = None
         return h
@@ -197,10 +189,13 @@ class PathHom:
     def __eq__(self, other):
         if not isinstance(other, PathHom):
             return NotImplemented
-        return self._key == other._key
+        return (self.dom, self.cod, self.vmap, self.emap) == (
+            other.dom, other.cod, other.vmap, other.emap
+        )
 
     def __hash__(self):
-        return hash(self._key)
+        # vmap and emap list the domain's vertices and edges in declaration order
+        return hash((self.dom, self.cod, tuple(self.vmap.values()), tuple(self.emap.values())))
 
     def __repr__(self):
         images = ", ".join(f"{e}->{self.emap[e]}" for e in self.dom.edges)
@@ -229,9 +224,7 @@ def extended_lift(f: PathHom) -> PathHom:
             emap[e + "*"] = Path.at(cod_ext, img.vertex)
         else:
             emap[e] = Path.of(cod_ext, img.edges)
-            emap[e + "*"] = Path.of(
-                cod_ext, tuple(star_letter(f.cod, x) for x in reversed(img.edges))
-            )
+            emap[e + "*"] = Path.of(cod_ext, tuple(x + "*" for x in reversed(img.edges)))
     return PathHom(dom_ext, cod_ext, dict(f.vmap), emap)
 
 

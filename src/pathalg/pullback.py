@@ -518,10 +518,8 @@ def _square(inst: PullbackInstance) -> tuple:
     try:
         f, f_res = inst.realize_f(), inst.realize_f_res()
         ctx1 = AlgebraContext.leavitt(inst.amb1)
-        pi1 = _quotient(inst.pi1, ctx1)
-        f_map = _induced_map(f, ctx1, "leavitt")
-        pi2 = _quotient(inst.pi2, f_map.target)
-        res_map = _induced_map(f_res, pi1.target, "leavitt")
+        pi1, f_map = _quotient(inst.pi1), _induced_map(f, "leavitt")
+        pi2, res_map = _quotient(inst.pi2), _induced_map(f_res, "leavitt")
     except (InvalidPathHom, NotAdmissible, AlgebraError, UnsupportedInfiniteEmitter) as exc:
         raise HypothesisNotMet(f"the square's maps are not all defined: {exc}") from exc
     return ctx1, pi1, f_map, pi2, res_map

@@ -6,6 +6,7 @@ from pathalg import (
     AlgebraContext,
     AmbiguousInfiniteEmitter,
     ContextMismatch,
+    DanglingEndpoint,
     Graph,
     GraphInclusion,
     InvalidInclusion,
@@ -43,6 +44,20 @@ class TestValidation:
         with pytest.raises(InvalidInclusion):
             GraphInclusion(loop, rp2, {"v": "v"}, {"e": "r"})
 
+    @pytest.mark.parametrize(
+        "vmap, emap, message",
+        [
+            ({}, {"e": "s"}, "vertex 'v' has no image"),
+            ({"v": "zz"}, {"e": "s"}, "vertex 'v' maps to unknown vertex 'zz'"),
+            ({"v": "v"}, {}, "edge 'e' has no image"),
+            ({"v": "v"}, {"e": "zz"}, "edge 'e' maps to unknown edge 'zz'"),
+        ],
+    )
+    def test_messages(self, vmap, emap, message):
+        with pytest.raises(InvalidInclusion) as info:
+            GraphInclusion(loop, rp2, vmap, emap)
+        assert str(info.value) == message
+
     def test_identity(self):
         ident = GraphInclusion.identity(rp2)
         assert ident.complement() == ()
@@ -61,6 +76,12 @@ class TestSaturatedAndHereditary:
         # a regular vertex sending everything into H must be in H
         bad, witness = is_saturated(line3, {"c"})
         assert not bad and witness == "b"
+
+    @pytest.mark.parametrize("check", [is_saturated, is_hereditary, breaking_vertices])
+    def test_unknown_vertex(self, check):
+        with pytest.raises(DanglingEndpoint) as info:
+            check(rp2, ["v", "zz", "yy"])
+        assert str(info.value) == "unknown vertex 'zz'"
 
     def test_empty_and_full_are_saturated(self):
         assert is_saturated(rp2, set()).ok
@@ -252,6 +273,18 @@ class TestQuotientMap:
         assert str(quotient_map(inc, AlgebraContext.leavitt(toeplitz).vertex("v"))) == "v"
         with pytest.raises(ContextMismatch):
             quotient_map(inc, wrong)
+
+    def test_flagged_ambient_graph(self):
+        # admissible, but no algebra context lives on the flagged ambient
+        # graph, so no element can be in its Leavitt algebra
+        amb = Graph(["v", "u"], [("e", "v", "v")], infinite_emitters=[("u", ("u",))])
+        inc = GraphInclusion(loop, amb, {"v": "v"}, {"e": "e"})
+        assert is_admissible(inc).ok
+        with pytest.raises(ContextMismatch) as info:
+            quotient_map(inc, AlgebraContext.leavitt(loop).vertex("v"))
+        assert str(info.value) == (
+            "element does not live in the Leavitt algebra of the ambient graph"
+        )
 
     def test_requires_admissible(self):
         inc = GraphInclusion(loop, GRAPHS["rose2"], {"v": "v"}, {"e": "e1"})

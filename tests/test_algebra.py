@@ -1,5 +1,6 @@
 """Algebra contexts, normalization, products, stars, and induced maps."""
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from pathalg import (
     AlgebraContext,
     ContextMismatch,
+    DanglingEndpoint,
     NotMonotone,
     NotRegular,
     NotVertexInjective,
@@ -100,6 +102,11 @@ class TestContexts:
         g = Graph(["v"], [("e", "v", "v")], infinite_emitters=["v"])
         with pytest.raises(UnsupportedInfiniteEmitter):
             AlgebraContext.leavitt(g)
+
+    def test_unknown_vertex(self):
+        for ctx in (P_rp2, L_loop):
+            with pytest.raises(DanglingEndpoint, match="unknown vertex 'zz'"):
+                ctx.vertex("zz")
 
     def test_context_equality(self):
         assert AlgebraContext.leavitt(loop) == L_loop
@@ -289,6 +296,22 @@ class TestProducts:
         assert 2 * x == x + x
         assert x * Fraction(1, 2) + x * Fraction(1, 2) == x
 
+    def test_float_scalars_on_either_side(self):
+        x = AlgebraContext.leavitt(rp2).edge("s")
+        assert x * 0.5 == x.scale(0.5) == 0.5 * x
+        assert str(x * 0.5) == "1/2 s"
+
+    def test_decimal_scalars(self):
+        x = AlgebraContext.leavitt(rp2).edge("s")
+        assert x * Decimal("0.5") == Decimal("0.5") * x == x.scale(Fraction(1, 2))
+
+    def test_strings_are_not_scalars(self):
+        x = AlgebraContext.leavitt(rp2).edge("s")
+        with pytest.raises(TypeError):
+            x * "1/2"
+        with pytest.raises(TypeError):
+            "1/2" * x
+
     def test_matrix_oracle_agreement(self):
         rng = random.Random(11)
         for n in (2, 3, 4):
@@ -425,8 +448,11 @@ class TestInducedMaps:
         ) == "e e"
         # a proper relation subset matches neither endpoint functor
         partial = AlgebraContext.relative_cohn(line3, ["b"])
-        with pytest.raises(ContextMismatch):
+        with pytest.raises(ContextMismatch) as info:
             induce(MORPHISMS["line3_to_cycle3"], partial.vertex("a"))
+        assert str(info.value) == (
+            "induced maps exist for the path, Cohn, and Leavitt contexts only"
+        )
 
     def test_induce_dispatch_on_a_leavitt_context_without_regular_vertices(self):
         pt = GRAPHS["pt"]
@@ -440,6 +466,23 @@ class TestInducedMaps:
     def test_wrong_source_context(self):
         with pytest.raises(ContextMismatch):
             induce_leavitt(MORPHISMS["phi_rp2"], L_toe.vertex("v"))
+
+    def test_each_functor_needs_its_own_algebra(self):
+        f = MORPHISMS["line3_to_cycle3"]
+        wrong = (
+            AlgebraContext.cohn(line3),
+            AlgebraContext.relative_cohn(line3, ["b"]),
+            AlgebraContext.path(line3),
+        )
+        for ctx in wrong:
+            with pytest.raises(ContextMismatch) as info:
+                induce_leavitt(f, ctx.vertex("a"))
+            assert str(info.value) == (
+                "element does not live in the Leavitt algebra of the domain"
+            )
+        with pytest.raises(ContextMismatch) as info:
+            induce_cohn(f, AlgebraContext.leavitt(line3).vertex("a"))
+        assert str(info.value) == "element does not live in the Cohn algebra of the domain"
 
     def test_wrong_context_after_first_use(self):
         f = PathHom.identity(rp2)

@@ -187,6 +187,18 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["value"] == "v"
 
+    @pytest.mark.parametrize(
+        "context, message",
+        [
+            ("L[v](rp2)", "relation-vertex lists are only meaningful for C[...](g)"),
+            ("C[w](rp2)", "relation vertex 'w' is not regular"),
+        ],
+    )
+    def test_context_errors(self, capsys, context, message):
+        code, out, err = run(capsys, "eval", context, "v")
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_bad_context_spec(self, capsys):
         code, _, err = run(capsys, "eval", "Q(toeplitz)", "v")
         assert code == 2

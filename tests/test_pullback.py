@@ -59,6 +59,16 @@ def rp2q(bound=6):
     return INSTANCES["rp2q"](bound)
 
 
+def _vertex_mismatch_square() -> PullbackInstance:
+    """A point over {p, q}: f sends u to q outside the second image, while
+    f_res sends it to p inside, so f restricts to nothing at the vertex u."""
+    point, amb2, sub2 = Graph(["u"], []), Graph(["p", "q"], []), Graph(["p"], [])
+    pi2 = GraphInclusion(sub2, amb2, {"p": "p"}, {})
+    f = PathHom(point, amb2, {"u": "q"}, {})
+    f_res = PathHom(point, sub2, {"u": "p"}, {})
+    return PullbackInstance(GraphInclusion.identity(point), pi2, f, f_res, 3)
+
+
 def _h2_square(amb1: Graph, bound: int = 0) -> PullbackInstance:
     """A square whose first ambient graph is ``amb1`` and whose other maps
     are as small as possible."""
@@ -329,6 +339,18 @@ class TestMutations:
         assert h6.witness["generator"] == {"edge": "e"}
         assert h6.witness["through_f"] == {"edges": ["e", "e"]}
         assert h6.witness["through_f_res"] == {"edges": ["e"]}
+
+    def test_restriction_mismatch_at_a_vertex_fails_h6(self):
+        report = check_hypotheses(_vertex_mismatch_square())
+        assert [h.name for h in report.hypotheses if h.verdict == "fail"] == ["H6"]
+        assert report.hypothesis("H6").witness == {"generator": {"vertex": "u"}}
+
+    def test_restriction_with_length_zero_edge_images_passes_h6(self):
+        # f_res sends the loop to the length-0 path at the point, as f does
+        to_pt = MORPHISMS["loop_to_pt"]
+        pi1, pi2 = GraphInclusion.identity(loop), GraphInclusion.identity(pt)
+        report = check_hypotheses(PullbackInstance(pi1, pi2, to_pt, to_pt, 3))
+        assert report.hypothesis("H6").verdict == "pass"
 
     def test_inadmissible_inclusion_fails_h1(self):
         bad_pi1 = GraphInclusion(pt, rp2, {"v": "v"}, {})
@@ -769,6 +791,21 @@ class TestKernelFailures:
             check_kernel_inclusion(inst, hypotheses=forged)
         assert info.value.path.is_vertex
         assert info.value.path.vertex == "u"
+
+    def test_forged_report_lets_a_failed_pair_through(self):
+        # forged: a passing report from another square clears the report
+        # gate, so the square that fails H6 reaches the pairs; P_u maps onto
+        # P_q but survives the first quotient
+        inst = _vertex_mismatch_square()
+        report = check_kernel_inclusion(inst, hypotheses=check_hypotheses(rp2q(4)))
+        assert report.render_text() == (
+            "  spanning kernel pairs checked (lengths <= 3): 1\n"
+            "  with certified preimage killed by the first quotient: 0\n"
+            "  FAILED: {'target_pair': {'left': {'vertex': 'q'}, 'right': {'vertex': 'q'}}, "
+            "'preimage_pair': {'left': {'vertex': 'u'}, 'right': {'vertex': 'u'}}, "
+            "'killed_by_first_quotient': False, 'maps_back_exactly': True, 'ok': False}\n"
+            "  => kernel inclusion VIOLATED"
+        )
 
     @pytest.mark.parametrize("case", list(_REFUSED_SQUARES))
     def test_each_refusal_is_the_maps_own_error(self, case):
