@@ -13,7 +13,10 @@ with Cohn = X empty and Leavitt = X all regular vertices.  On a graph with
 no regular vertex the two coincide, and a context keeps the one it was built
 as: it describes itself by it, induced maps dispatch on it, and it is part
 of the context's equality.  Scalars are rationals, so the star involution
-fixes coefficients.
+fixes coefficients.  Inside the algebra a coefficient is a reduced pair
+(n, d) of ints with d > 0, zero being (0, 1); ``_add`` and ``_mul`` do the
+arithmetic, and ``Fraction`` appears only at the public boundary
+(``terms``, ``coefficient``, the constructor and ``scale``).
 
 One basis serves every mode: monomials S_alpha S_beta* with t(alpha) =
 t(beta) (in path mode beta is the vertex t(alpha); that mode refuses stars),
@@ -34,6 +37,7 @@ pairs of ``Path``s exist only at the public boundary (``terms``,
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from numbers import Number
 from typing import Iterable, Mapping, NamedTuple
 
@@ -53,8 +57,31 @@ from .morphisms import _CLASS_FLAGS, _FLAGS, PathHom, classify
 PATH = "path"
 RELATIVE_COHN = "relative_cohn"
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = (0, 1)
+_ONE = (1, 1)
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    """a + b for reduced (n, d) coefficient pairs, reduced."""
+    n1, d1 = a
+    n2, d2 = b
+    if d1 == d2:
+        n, d = n1 + n2, d1
+    else:
+        n, d = n1 * d2 + n2 * d1, d1 * d2
+    if d == 1:
+        return (n, 1)
+    g = gcd(n, d)
+    return (n // g, d // g)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """a * b for reduced (n, d) coefficient pairs, reduced."""
+    n, d = a[0] * b[0], a[1] * b[1]
+    if d == 1:
+        return (n, 1)
+    g = gcd(n, d)
+    return (n // g, d // g)
 
 
 class Monomial(NamedTuple):
@@ -115,6 +142,8 @@ class AlgebraContext:
         self.graph = graph
         reg = set(regular_vertices(graph))
         for v in relation_vertices:
+            if not graph.has_vertex(v):
+                raise DanglingEndpoint(f"unknown vertex {v!r}")
             if v not in reg:
                 raise ValueError(f"relation vertex {v!r} is not regular")
         # declaration order, for deterministic relation enumeration
@@ -232,9 +261,11 @@ def _pair(ctx: AlgebraContext, left: Path, right: Path) -> "AlgebraElement":
     return AlgebraElement._owned(ctx, acc)
 
 
-def _accumulate_pair(ctx: AlgebraContext, key: tuple, coeff: Fraction, acc: dict) -> None:
+def _accumulate_pair(ctx: AlgebraContext, key: tuple, coeff: tuple, acc: dict) -> None:
     """Add coeff * S_left S_right* to acc in normal form (tail reduction),
-    for key = (left's edges, right's edges, their common target)."""
+    for key = (left's edges, right's edges, their common target) and coeff a
+    reduced (n, d) pair; a term may cancel to (0, 1), which ``_owned``
+    drops."""
     left, right, t = key
     special = ctx.special_edge
     while left and right and left[-1] == right[-1]:
@@ -243,25 +274,27 @@ def _accumulate_pair(ctx: AlgebraContext, key: tuple, coeff: Fraction, acc: dict
         if special.get(v) != gamma:
             break
         left, right, t = left[:-1], right[:-1], v
+        minus = (-coeff[0], coeff[1])
         for e in ctx.graph.out_edges(v):
             if e == gamma:
                 continue
             # sum terms end in a non-special edge: already tail-normal
             mono = (left + (e,), right + (e,), ctx.graph.tgt(e))
             old = acc.get(mono)
-            acc[mono] = -coeff if old is None else old - coeff
+            acc[mono] = minus if old is None else _add(old, minus)
     key = (left, right, t)
     old = acc.get(key)
-    acc[key] = coeff if old is None else old + coeff
+    acc[key] = coeff if old is None else _add(old, coeff)
 
 
 class AlgebraElement:
     """A finite rational combination of basis monomials, kept normalized.
 
-    ``terms`` maps each ``Monomial`` to its coefficient, built afresh on
-    each access; the element itself keeps ``_terms``, keyed by plain
-    monomial keys.  The constructor takes such a dict, converts each
-    coefficient to a ``Fraction`` and renormalizes the sum."""
+    ``terms`` maps each ``Monomial`` to its ``Fraction`` coefficient, built
+    afresh on each access; the element itself keeps ``_terms``, which maps
+    plain monomial keys to reduced (n, d) int pairs, none of them zero.  The
+    constructor takes a ``Monomial``-keyed dict, converts each coefficient
+    through ``Fraction`` and renormalizes the sum."""
 
     __slots__ = ("context", "_terms")
 
@@ -275,16 +308,17 @@ class AlgebraElement:
                 )
             if key[1] and context.is_path_mode:
                 raise StarInPathMode("pair monomials only exist in the quotient modes")
-            _accumulate_pair(context, key, Fraction(c), acc)
+            c = Fraction(c)
+            _accumulate_pair(context, key, (c.numerator, c.denominator), acc)
         self.context = context
-        self._terms = {k: c for k, c in acc.items() if c}
+        self._terms = {k: c for k, c in acc.items() if c[0]}
 
     @classmethod
     def _owned(cls, context: AlgebraContext, terms: dict) -> "AlgebraElement":
         """An element that takes over terms, a dict of monomial keys no one
         else holds: its zero coefficients are deleted in place instead of
-        copying it."""
-        for m in [m for m, c in terms.items() if not c]:
+        copying it (the pair (0, 1) is truthy, so the test reads n)."""
+        for m in [m for m, c in terms.items() if not c[0]]:
             del terms[m]
         element = cls.__new__(cls)
         element.context = context
@@ -294,7 +328,7 @@ class AlgebraElement:
     @property
     def terms(self) -> dict[Monomial, Fraction]:
         g = self.context.graph
-        return {_monomial(g, k): c for k, c in self._terms.items()}
+        return {_monomial(g, k): Fraction(*c) for k, c in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -306,7 +340,7 @@ class AlgebraElement:
 
     def coefficient(self, mono: Monomial) -> Fraction:
         # a pair that is no monomial of this graph keys None, which is absent
-        return self._terms.get(_key(self.context.graph, mono), _ZERO)
+        return Fraction(*self._terms.get(_key(self.context.graph, mono), _ZERO))
 
     def _check_context(self, other: "AlgebraElement") -> None:
         if self.context != other.context:
@@ -318,7 +352,8 @@ class AlgebraElement:
         self._check_context(other)
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            terms[m] = terms.get(m, _ZERO) + c
+            old = terms.get(m)
+            terms[m] = c if old is None else _add(old, c)
         return AlgebraElement._owned(self.context, terms)
 
     def __sub__(self, other):
@@ -327,11 +362,16 @@ class AlgebraElement:
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement._owned(self.context, {m: -c for m, c in self._terms.items()})
+        return AlgebraElement._owned(
+            self.context, {m: (-n, d) for m, (n, d) in self._terms.items()}
+        )
 
     def scale(self, scalar) -> "AlgebraElement":
         scalar = Fraction(scalar)
-        return AlgebraElement._owned(self.context, {m: scalar * c for m, c in self._terms.items()})
+        pair = (scalar.numerator, scalar.denominator)
+        return AlgebraElement._owned(
+            self.context, {m: _mul(pair, c) for m, c in self._terms.items()}
+        )
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -365,12 +405,11 @@ class AlgebraElement:
         terms = self._terms
         if not terms:
             return "0"
-        # sign and magnitude from the reduced numerator and denominator,
+        # sign and magnitude from the reduced pair (numerator, denominator),
         # spelled as str(Fraction) spells them
         parts = []
         for key in _sorted(self.context.graph, terms):
-            coeff = terms[key]
-            num, den = coeff.numerator, coeff.denominator
+            num, den = terms[key]
             parts.append(" - " if num < 0 else " + ")
             num = abs(num)
             left, right, t = key
@@ -409,11 +448,11 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         n = len(beta)
         # gamma = beta rest: the product is S_(alpha rest) S_delta*
         for (gamma, delta, t2), c2 in extending.get((source, beta), ()):
-            _accumulate_pair(ctx, (alpha + gamma[n:], delta, t2), c1 * c2, acc)
+            _accumulate_pair(ctx, (alpha + gamma[n:], delta, t2), _mul(c1, c2), acc)
         # beta = gamma rest, gamma strictly shorter: S_alpha S_(delta rest)*
         for k in range(n):
             for (_, delta, _), c2 in exact.get((source, beta[:k]), ()):
-                _accumulate_pair(ctx, (alpha, delta + beta[k:], t), c1 * c2, acc)
+                _accumulate_pair(ctx, (alpha, delta + beta[k:], t), _mul(c1, c2), acc)
     return AlgebraElement._owned(ctx, acc)
 
 
@@ -580,6 +619,8 @@ def verify_relations_preserved(f: PathHom, mode: str) -> RelationReport:
     """Push every defining relation of the domain context through the
     generator assignment and normalize in the codomain context; the images
     must vanish for the induced map of that mode to exist."""
+    if not isinstance(mode, str):
+        raise ValueError(f"unknown relation mode {mode!r}")
     mode = mode.lower()
     if mode == PATH:
         return RelationReport(PATH, ())

@@ -21,10 +21,19 @@ pair once, at the end of the run; only a parenthesized factor goes through
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Optional
 
-from .algebra import _ONE, _ZERO, AlgebraContext, AlgebraElement, _accumulate_pair, multiply
+from .algebra import (
+    _ONE,
+    _ZERO,
+    AlgebraContext,
+    AlgebraElement,
+    _accumulate_pair,
+    _add,
+    _mul,
+    multiply,
+)
 from .errors import ParseError, StarInPathMode, UnknownIdentifier
 
 # A token is a plain (kind, text, pos) tuple: kind is "number", "ident", one
@@ -33,7 +42,7 @@ _END = "end"
 
 _PUNCT = frozenset("+-*/()")
 
-_MINUS_ONE = Fraction(-1)
+_MINUS_ONE = (-1, 1)
 
 # run states besides a triple: no generator read yet, and a run that is 0
 _EMPTY = object()
@@ -83,7 +92,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
-        self.scalars: dict[tuple[int, int], Fraction] = {}
+        self.scalars: dict[tuple[int, int], tuple[int, int]] = {}
 
     def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
@@ -157,11 +166,11 @@ class _Parser:
                 _accumulate_pair(self.ctx, self.pair(run), scalar, acc)
             return
         for m, c in self.close(value, run)._terms.items():
-            acc[m] = acc.get(m, _ZERO) + scalar * c
+            acc[m] = _add(acc.get(m, _ZERO), _mul(scalar, c))
 
-    def rational(self, sign: int) -> Fraction:
-        """sign times the rational at the cursor; one Fraction per distinct
-        value in a parse."""
+    def rational(self, sign: int) -> tuple[int, int]:
+        """sign times the rational at the cursor, as a reduced (n, d) pair;
+        one pair per distinct value in a parse."""
         num = self.integer(self.expect("number"))
         den = 1
         if self.tokens[self.i][0] == "/":
@@ -173,7 +182,8 @@ class _Parser:
         key = (sign * num, den)
         scalar = self.scalars.get(key)
         if scalar is None:
-            scalar = self.scalars[key] = Fraction(*key)
+            g = gcd(num, den)
+            scalar = self.scalars[key] = (key[0] // g, den // g)
         return scalar
 
     @staticmethod

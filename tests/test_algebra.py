@@ -1,5 +1,6 @@
 """Algebra contexts, normalization, products, stars, and induced maps."""
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from pathalg import (
     induce_cohn,
     induce_leavitt,
     induce_path,
+    multiply,
+    parse_expression,
     verify_relations_preserved,
 )
 from pathalg.algebra import AlgebraElement, Monomial
@@ -107,6 +110,9 @@ class TestContexts:
         for ctx in (P_rp2, L_loop):
             with pytest.raises(DanglingEndpoint, match="unknown vertex 'zz'"):
                 ctx.vertex("zz")
+        # a relation vertex is looked up before its regularity is checked
+        with pytest.raises(DanglingEndpoint, match="unknown vertex 'zz'"):
+            AlgebraContext.relative_cohn(rp2, ["zz"])
 
     def test_context_equality(self):
         assert AlgebraContext.leavitt(loop) == L_loop
@@ -129,10 +135,53 @@ class TestCanonicalStrings:
         x = L_toe.vertex("v").scale(Fraction(3, 2)) - L_toe.vertex("w")
         assert str(x) == "3/2 v - w"
         assert str(-L_toe.vertex("v")) == "-v"
+        e = L_toe.edge("e")
+        assert str(e.scale(Fraction(-5, 3))) == "-5/3 e"
+        assert str(e.scale(7)) == "7 e"
+        assert str(e.scale(Fraction(2, 4))) == "1/2 e"
+        assert str(e.scale(Fraction(5, -3)) + e) == "-2/3 e"
 
     def test_path_mode_rendering(self):
         sr = P_rp2.path_element(Path.of(rp2, ("s", "r")))
         assert str(sr) == "s r"
+
+
+class TestCoefficients:
+    """Reduced (n, d) int pairs inside an element, Fractions at terms,
+    coefficient(), the constructor and scale."""
+
+    def test_sums_and_products_reduce(self):
+        v = L_toe.vertex("v")
+        half = v.scale(Fraction(1, 2))
+        assert half + half == v
+        assert v.scale(Fraction(1, 6)) + v.scale(Fraction(1, 3)) == half
+        assert multiply(v.scale(Fraction(2, 3)), v.scale(Fraction(3, 2))) == v
+        assert v.scale(Fraction(2, 3)).scale(Fraction(3, 2)) == v
+
+    def test_differences_cancel(self):
+        x = parse_expression(L_toe, "5/3 e e* - 1/2 f* + v")
+        assert (x - x).is_zero and (x - x).terms == {}
+        assert x + (-x) == L_toe.zero()
+        assert parse_expression(L_toe, "1/2 v - 2/4 v").is_zero
+
+    def test_boundary_values_are_fractions(self):
+        x = parse_expression(L_toe, "1/2 f f* - 3 e + 4/6 w")
+        assert set(x.terms.values()) == {Fraction(1, 2), Fraction(-3), Fraction(2, 3)}
+        for m, c in x.terms.items():
+            assert type(c) is Fraction
+            assert type(x.coefficient(m)) is Fraction
+        e = Path.of(toeplitz, ("e",))
+        absent = x.coefficient(Monomial(e, e))
+        assert type(absent) is Fraction and absent == 0
+
+    def test_equal_elements_hash_equal(self):
+        e, f = Path.of(toeplitz, ("e",)), Path.of(toeplitz, ("f",))
+        v, w = Path.at(toeplitz, "v"), Path.at(toeplitz, "w")
+        built = AlgebraElement(L_toe, {Monomial(e, v): 0.5, Monomial(w, f): Fraction(-4, 6)})
+        scaled = (L_toe.edge("e") - L_toe.edge_star("f").scale(Fraction(4, 3))).scale(Decimal("0.5"))
+        parsed = parse_expression(L_toe, "2/4 e - 4/6 f*")
+        assert built == scaled == parsed
+        assert hash(built) == hash(scaled) == hash(parsed)
 
 
 class TestRelations:
@@ -520,6 +569,11 @@ class TestRelationReports:
         assert not report.all_ok
         kinds = {c.kind for c in report.failures()}
         assert kinds == {"CK2"}
+
+    @pytest.mark.parametrize("mode", ["xx", None, 5])
+    def test_unknown_mode(self, mode):
+        with pytest.raises(ValueError, match=re.escape(f"unknown relation mode {mode!r}")):
+            verify_relations_preserved(MORPHISMS["phi_rp2"], mode)
 
     def test_json_shape(self):
         data = verify_relations_preserved(MORPHISMS["loop_square"], "leavitt").to_json_data()

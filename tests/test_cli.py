@@ -192,6 +192,7 @@ class TestEval:
         [
             ("L[v](rp2)", "relation-vertex lists are only meaningful for C[...](g)"),
             ("C[w](rp2)", "relation vertex 'w' is not regular"),
+            ("C[zz](rp2)", "unknown vertex 'zz'"),
         ],
     )
     def test_context_errors(self, capsys, context, message):

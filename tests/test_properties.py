@@ -112,6 +112,15 @@ def walks(draw, g: Graph):
 
 
 _small_integers = st.integers(-3, 3).filter(bool)
+# signed, with denominators up to 20: their sums and products reduce
+_fractions = st.tuples(
+    st.sampled_from((1, -1)),
+    st.one_of(
+        st.just(Fraction(1)),
+        st.integers(2, 12).map(Fraction),
+        st.tuples(st.integers(1, 20), st.integers(2, 20)).map(lambda nd: Fraction(*nd)),
+    ),
+).map(lambda sm: sm[0] * sm[1])
 
 
 @st.composite
@@ -142,6 +151,15 @@ def test_multiply_is_associative(make_context, data):
     assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
 
+@pytest.mark.parametrize("make_context", MODES, ids=["path", "cohn", "leavitt"])
+@_settings
+@given(data=st.data())
+def test_multiply_is_associative_with_fractions(make_context, data):
+    ctx = make_context(data.draw(graphs()))
+    a, b, c = (data.draw(elements(ctx, coefficients=_fractions)) for _ in range(3))
+    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
 @_settings
 @given(data=st.data())
 def test_path_product_is_concatenation(data):
@@ -162,6 +180,16 @@ def test_path_product_is_concatenation(data):
 def test_multiply_matches_all_pairs_reference(make_context, data):
     ctx = make_context(data.draw(graphs()))
     a, b = data.draw(elements(ctx, max_terms=6)), data.draw(elements(ctx, max_terms=6))
+    assert multiply(a, b) == reference_multiply(a, b)
+
+
+@pytest.mark.parametrize("make_context", MODES, ids=["path", "cohn", "leavitt"])
+@_settings
+@given(data=st.data())
+def test_multiply_matches_all_pairs_reference_with_fractions(make_context, data):
+    """The reference sums and multiplies the public Fraction terms."""
+    ctx = make_context(data.draw(graphs()))
+    a, b = (data.draw(elements(ctx, max_terms=6, coefficients=_fractions)) for _ in range(2))
     assert multiply(a, b) == reference_multiply(a, b)
 
 
@@ -306,16 +334,6 @@ def test_parenthesized_terms_multiply(kind, data):
     around = multiply(multiply(normal_form(ctx, GeneratorWord(w1.letters)), t2),
                       normal_form(ctx, GeneratorWord(w3.letters)))
     assert parse_expression(ctx, f"{b1} ({c2}{b2}) {b3}") == around
-
-
-_fractions = st.tuples(
-    st.sampled_from((1, -1)),
-    st.one_of(
-        st.just(Fraction(1)),
-        st.integers(2, 12).map(Fraction),
-        st.tuples(st.integers(1, 20), st.integers(2, 20)).map(lambda nd: Fraction(*nd)),
-    ),
-).map(lambda sm: sm[0] * sm[1])
 
 
 @pytest.mark.parametrize("make_context", MODES, ids=["path", "cohn", "leavitt"])
