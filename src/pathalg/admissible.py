@@ -147,6 +147,8 @@ def is_hereditary(g: Graph, H: Iterable[str]) -> CheckResult:
 
 
 def _vertex_subset(g: Graph, H: Iterable[str]) -> frozenset:
+    if isinstance(H, str):
+        raise TypeError("a vertex set must be a collection of names, not a str")
     H = tuple(H)
     for v in H:
         if not g.has_vertex(v):

@@ -49,7 +49,6 @@ from .errors import (
     NotRegular,
     NotVertexInjective,
     StarInPathMode,
-    UnsupportedInfiniteEmitter,
 )
 from .graphs import Graph, Path, regular_vertices
 from .morphisms import _CLASS_FLAGS, _FLAGS, PathHom, classify
@@ -125,22 +124,22 @@ def _sorted(graph: Graph, keys) -> list:
 
 class AlgebraContext:
     """A graph together with a relation mode; builds elements and words.
-    ``_kind`` names the algebra: path, cohn, leavitt or relative_cohn."""
+    ``_kind`` names the algebra: path, cohn, leavitt or relative_cohn.  A
+    flagged graph is refused by ``regular_vertices``, which every builder
+    calls, and a bare str of relation vertices with ``TypeError``."""
 
     __slots__ = ("graph", "relation_vertices", "special_edge", "_kind")
 
     def __init__(self, graph: Graph, mode: str, relation_vertices: Iterable[str] = ()):
-        if graph.infinite_emitters:
-            raise UnsupportedInfiniteEmitter(
-                "algebra contexts need the full edge list; flagged graphs are refused"
-            )
         if mode not in (PATH, RELATIVE_COHN):
             raise ValueError(f"unknown mode {mode!r}")
+        reg = set(regular_vertices(graph))
+        if isinstance(relation_vertices, str):
+            raise TypeError("a vertex set must be a collection of names, not a str")
         relation_vertices = tuple(relation_vertices)
         if mode == PATH and relation_vertices:
             raise ValueError("path mode carries no relation vertices")
         self.graph = graph
-        reg = set(regular_vertices(graph))
         for v in relation_vertices:
             if not graph.has_vertex(v):
                 raise DanglingEndpoint(f"unknown vertex {v!r}")
@@ -175,10 +174,6 @@ class AlgebraContext:
         context = cls(graph, RELATIVE_COHN, regular_vertices(graph))
         context._kind = "leavitt"
         return context
-
-    @property
-    def mode(self) -> str:
-        return PATH if self._kind == PATH else RELATIVE_COHN
 
     @property
     def is_path_mode(self) -> bool:

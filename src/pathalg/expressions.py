@@ -92,7 +92,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
-        self.scalars: dict[tuple[int, int], tuple[int, int]] = {}
 
     def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
@@ -169,8 +168,8 @@ class _Parser:
             acc[m] = _add(acc.get(m, _ZERO), _mul(scalar, c))
 
     def rational(self, sign: int) -> tuple[int, int]:
-        """sign times the rational at the cursor, as a reduced (n, d) pair;
-        one pair per distinct value in a parse."""
+        """sign times the rational at the cursor, as the (n, d) pair reduced
+        by one gcd."""
         num = self.integer(self.expect("number"))
         den = 1
         if self.tokens[self.i][0] == "/":
@@ -179,12 +178,8 @@ class _Parser:
             den = self.integer(den_tok)
             if den == 0:
                 raise ParseError("zero denominator", position=den_tok[2])
-        key = (sign * num, den)
-        scalar = self.scalars.get(key)
-        if scalar is None:
-            g = gcd(num, den)
-            scalar = self.scalars[key] = (key[0] // g, den // g)
-        return scalar
+        g = gcd(num, den)
+        return (sign * num // g, den // g)
 
     @staticmethod
     def integer(tok: tuple[str, str, int]) -> int:

@@ -6,8 +6,8 @@ reports) is deterministic.
 
 A vertex may carry a symbolic "infinite emitter" flag: it is then understood
 to emit the listed edges plus an unspecified number of extra edges, optionally
-confined to a declared set of target vertices.  Operations that would need
-the unlisted edges refuse such graphs with UnsupportedInfiniteEmitter.
+confined to a declared set of target vertices.  Every operation that needs
+the unlisted edges refuses such graphs through ``_require_unflagged``.
 """
 from __future__ import annotations
 

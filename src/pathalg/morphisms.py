@@ -21,11 +21,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Mapping, NamedTuple, Optional
 
-from .errors import DomainMismatch, InvalidPathHom, NonComposablePath, UnsupportedInfiniteEmitter
+from .errors import DomainMismatch, InvalidPathHom, NonComposablePath
 from .graphs import (
     CheckResult,
     Graph,
     Path,
+    _require_unflagged,
     extended_graph,
     paths_up_to,
 )
@@ -402,11 +403,8 @@ def classify(f: PathHom) -> CategoryVerdict:
 
 
 def _classify(f: PathHom) -> CategoryVerdict:
-    for g in (f.dom, f.cod):
-        if g.infinite_emitters:
-            raise UnsupportedInfiniteEmitter(
-                "classification is defined over fully listed graphs only"
-            )
+    _require_unflagged(f.dom, "classify")
+    _require_unflagged(f.cod, "classify")
     injective, bijective = _vertex_witnesses(f)
     monotone = _monotonicity_witness(f)
     regular = _regularity_witness(f)

@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedInfiniteEmitter,
 )
 from .graphs import Graph, Path, _exitless_cycle, paths_up_to
-from .morphisms import _CLASS_FLAGS, CategoryVerdict, PathHom, classify
+from .morphisms import _CLASS_FLAGS, PathHom, classify
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -260,55 +260,47 @@ def _first_preimages(f: PathHom, targets: list[Path]) -> list[Optional[Path]]:
     return [found.get((p.source, p.edges)) for p in targets]
 
 
-class _Realized(NamedTuple):
-    """One side map as the checks see it: the realized map and its classify
-    verdict, or the (verdict, witness, detail) of why either is missing."""
-
-    hom: Optional[PathHom]
-    verdict: Optional[CategoryVerdict]
-    refusal: Optional[tuple]
-
-
-def _realized(hom: PathHom | InvalidPathHom, unrealized: str) -> _Realized:
-    if isinstance(hom, InvalidPathHom):
-        return _Realized(None, None, ("fail", {"error": str(hom)}, unrealized))
+def _rmipg(h: PathHom | InvalidPathHom, unrealized: str) -> tuple:
+    """H3's or H6's (verdict, witness, detail) for the map h: fail with the
+    error and ``unrealized`` when h did not build, not_evaluated when
+    classify refuses a flagged graph, else fail with the witness of each
+    RMIPG flag that is off."""
+    if isinstance(h, InvalidPathHom):
+        return "fail", {"error": str(h)}, unrealized
     try:
-        return _Realized(hom, classify(hom), None)
+        v = classify(h)
     except UnsupportedInfiniteEmitter as exc:
-        return _Realized(hom, None, ("not_evaluated", None, str(exc)))
+        return "not_evaluated", None, str(exc)
+    failed = {flag: v.witnesses.get(flag) for flag in _CLASS_FLAGS["rmipg"] if not getattr(v, flag)}
+    return ("fail", failed, "") if failed else ("pass", None, "")
 
 
 class _Facts(NamedTuple):
-    """What more than one hypothesis reads, computed once per report.  B1
-    and B2 are the breaking vertices of the two ambient graphs, both None
+    """What more than one hypothesis reads, computed once per report: f and
+    f_res (None when one does not build), their RMIPG rows from ``_rmipg``,
+    and B1 and B2, the breaking vertices of the two ambient graphs, both None
     (with ``breaking_note``) when a flag leaves them undecided."""
 
     inst: PullbackInstance
-    f: _Realized
-    f_res: _Realized
+    f: Optional[PathHom]
+    f_res: Optional[PathHom]
+    f_row: tuple
+    f_res_row: tuple
     B1: Optional[set]
     B2: Optional[set]
     breaking_note: str
 
 
 def _facts(inst: PullbackInstance) -> _Facts:
-    f = _realized(inst.f, "the morphism data does not define a path homomorphism")
-    f_res = _realized(inst.f_res, "the restriction data does not define a path homomorphism")
+    f, f_res = (None if isinstance(h, InvalidPathHom) else h for h in (inst.f, inst.f_res))
+    f_row = _rmipg(inst.f, "the morphism data does not define a path homomorphism")
+    res_row = _rmipg(inst.f_res, "the restriction data does not define a path homomorphism")
     try:
         B1 = set(breaking_vertices(inst.amb1, inst.pi1.complement()))
         B2 = set(breaking_vertices(inst.amb2, inst.pi2.complement()))
     except AmbiguousInfiniteEmitter as exc:
-        return _Facts(inst, f, f_res, None, None, str(exc))
-    return _Facts(inst, f, f_res, B1, B2, "")
-
-
-def _rmipg(m: _Realized) -> tuple:
-    """Fail with the witness of each RMIPG flag that is off."""
-    if m.refusal is not None:
-        return m.refusal
-    v = m.verdict
-    failed = {flag: v.witnesses.get(flag) for flag in _CLASS_FLAGS["rmipg"] if not getattr(v, flag)}
-    return ("fail", failed, "") if failed else ("pass", None, "")
+        return _Facts(inst, f, f_res, f_row, res_row, None, None, str(exc))
+    return _Facts(inst, f, f_res, f_row, res_row, B1, B2, "")
 
 
 def _first_offender(offenders, B2: Optional[set] = None) -> tuple:
@@ -333,7 +325,7 @@ def _h2(facts: _Facts) -> tuple:
 
 
 def _h4(facts: _Facts) -> tuple:
-    f, B1, B2 = facts.f.hom, facts.B1, facts.B2
+    f, B1, B2 = facts.f, facts.B1, facts.B2
     if f is None or B2 is None:
         return "not_evaluated", None, facts.breaking_note or "f is unavailable"
     offenders = (v for v in facts.inst.amb1.vertices if f.vmap[v] in B2 and v not in B1)
@@ -341,7 +333,7 @@ def _h4(facts: _Facts) -> tuple:
 
 
 def _h5(facts: _Facts) -> tuple:
-    inst, f = facts.inst, facts.f.hom
+    inst, f = facts.inst, facts.f
     if f is None:
         return "not_evaluated", None, "f is unavailable"
     return _first_offender(
@@ -352,15 +344,15 @@ def _h5(facts: _Facts) -> tuple:
 
 
 def _h6(facts: _Facts) -> tuple:
-    inst, f, res = facts.inst, facts.f.hom, facts.f_res
-    if res.refusal is None and f is not None:
-        mismatch = _restriction_mismatch(inst, f, res.hom)
+    inst, f, f_res, row = facts.inst, facts.f, facts.f_res, facts.f_res_row
+    if f is not None and f_res is not None and row[0] != "not_evaluated":
+        mismatch = _restriction_mismatch(inst, f, f_res)
         if mismatch is not None:
             return "fail", mismatch, "f and f_res disagree along the inclusions"
-    if res.refusal is None and f is None and res.verdict.in_rmipg:
+    if f is None and row[0] == "pass":
         return ("not_evaluated", None, "f is unavailable, so the restriction identity cannot be "
                 "checked (f_res itself lies in RMIPG)")
-    return _rmipg(res)
+    return row
 
 
 def _restriction_mismatch(inst: PullbackInstance, f: PathHom, f_res: PathHom) -> Optional[dict]:
@@ -380,7 +372,7 @@ def _restriction_mismatch(inst: PullbackInstance, f: PathHom, f_res: PathHom) ->
 
 
 def _h7(facts: _Facts) -> tuple:
-    inst, f, f_res, B2 = facts.inst, facts.f.hom, facts.f_res.hom, facts.B2
+    inst, f, f_res, B2 = facts.inst, facts.f, facts.f_res, facts.B2
     if f is None or f_res is None or B2 is None:
         return "not_evaluated", None, facts.breaking_note or "f or f_res is unavailable"
     return _first_offender(
@@ -403,7 +395,7 @@ def _pool(inst: PullbackInstance, f: PathHom) -> tuple[set, list[Path], list[Opt
 
 
 def _h8(facts: _Facts) -> tuple:
-    inst, f, bound = facts.inst, facts.f.hom, facts.inst.length_bound
+    inst, f, bound = facts.inst, facts.f, facts.inst.length_bound
     if f is None:
         return "not_evaluated", None, "f is unavailable"
     if inst.amb2.infinite_emitters or inst.amb1.infinite_emitters:
@@ -443,7 +435,7 @@ def _h8(facts: _Facts) -> tuple:
 _HYPOTHESES = (
     ("H1", "both inclusions are admissible", _h1),
     ("H2", "every vertex-simple loop of amb1 has an exit", _h2),
-    ("H3", "f lies in RMIPG", lambda facts: _rmipg(facts.f)),
+    ("H3", "f lies in RMIPG", lambda facts: facts.f_row),
     ("H4", "preimages of breaking vertices are breaking", _h4),
     ("H5", "f pulls the second inclusion's vertex image into the first's", _h5),
     ("H6", "f restricts to f_res, which lies in RMIPG", _h6),

@@ -51,6 +51,8 @@ class TestValidation:
             ({"v": "zz"}, {"e": "s"}, "vertex 'v' maps to unknown vertex 'zz'"),
             ({"v": "v"}, {}, "edge 'e' has no image"),
             ({"v": "v"}, {"e": "zz"}, "edge 'e' maps to unknown edge 'zz'"),
+            ({"v": "v", "w": "w"}, {"e": "s"}, "vmap names 'w', not a vertex of the subgraph"),
+            ({"v": "v"}, {"e": "s", "f": "r"}, "emap names 'f', not an edge of the subgraph"),
         ],
     )
     def test_messages(self, vmap, emap, message):
@@ -82,6 +84,16 @@ class TestSaturatedAndHereditary:
         with pytest.raises(DanglingEndpoint) as info:
             check(rp2, ["v", "zz", "yy"])
         assert str(info.value) == "unknown vertex 'zz'"
+
+    @pytest.mark.parametrize("check", [is_saturated, is_hereditary, breaking_vertices])
+    def test_bare_string_vertex_set(self, check):
+        # a str would be read one name per character: 'ab' as 'a' and 'b'
+        g = Graph(["ab", "c"], [("e", "ab", "c"), ("l", "ab", "ab")])
+        for H in ("ab", "c"):
+            with pytest.raises(TypeError) as info:
+                check(g, H)
+            assert str(info.value) == "a vertex set must be a collection of names, not a str"
+        assert check(g, ["ab"]) == check(g, {"ab"})
 
     def test_empty_and_full_are_saturated(self):
         assert is_saturated(rp2, set()).ok

@@ -102,9 +102,56 @@ class TestContexts:
             AlgebraContext(rp2, "path", ["v"])
 
     def test_flagged_graph_refused(self):
+        # every builder meets the one refusal in regular_vertices
         g = Graph(["v"], [("e", "v", "v")], infinite_emitters=["v"])
-        with pytest.raises(UnsupportedInfiniteEmitter):
-            AlgebraContext.leavitt(g)
+        builders = (
+            AlgebraContext.path,
+            AlgebraContext.cohn,
+            AlgebraContext.leavitt,
+            lambda g: AlgebraContext.relative_cohn(g, ["v"]),
+        )
+        for build in builders:
+            with pytest.raises(UnsupportedInfiniteEmitter) as err:
+                build(g)
+            assert str(err.value) == (
+                "regular_vertices: vertex 'v' is flagged as an infinite emitter, so the "
+                "listed edges are incomplete"
+            )
+        # the mode is checked before the graph
+        with pytest.raises(ValueError, match="unknown mode 'xx'"):
+            AlgebraContext(g, "xx")
+
+    def test_bare_string_vertex_set_refused(self):
+        # a str would be read one name per character: 'ab' as 'a' and 'b'
+        g = Graph(["ab", "c"], [("e", "ab", "c"), ("l", "ab", "ab")])
+        with pytest.raises(TypeError) as err:
+            AlgebraContext.relative_cohn(g, "ab")
+        assert str(err.value) == "a vertex set must be a collection of names, not a str"
+        assert AlgebraContext.relative_cohn(g, ["ab"]).relation_vertices == ("ab",)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: AlgebraContext(rp2, "xx"), ValueError, "unknown mode 'xx'"),
+            (lambda: P_rp2.edge_star("s"), StarInPathMode,
+             "starred generators only exist in the quotient modes"),
+            (lambda: L_loop.path_element(Path.of(rp2, ("s",))), ContextMismatch,
+             "path lives in a different graph"),
+            (lambda: P_rp2.pair_element(Path.of(rp2, ("s",)), Path.of(rp2, ("s",))),
+             StarInPathMode, "pair monomials only exist in the quotient modes"),
+            (lambda: L_loop.pair_element(Path.of(rp2, ("s",)), Path.of(rp2, ("s",))),
+             ContextMismatch, "paths live in a different graph"),
+            (lambda: L_toe.pair_element(Path.of(toeplitz, ("e",)), Path.of(toeplitz, ("f",))),
+             ValueError, "pair monomial needs matching targets"),
+        ],
+        ids=["unknown_mode", "edge_star_in_path_mode", "path_of_another_graph",
+             "pair_in_path_mode", "pair_of_another_graph", "pair_with_two_targets"],
+    )
+    def test_builder_refusals(self, call, error, message):
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error
+        assert str(err.value) == message
 
     def test_unknown_vertex(self):
         for ctx in (P_rp2, L_loop):

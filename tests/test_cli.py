@@ -187,6 +187,28 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["value"] == "v"
 
+    def test_proper_relative_cohn_context(self, capsys):
+        # CK2 at b only, so line3's a is not a relation vertex
+        code, out, err = run(capsys, "eval", "C[b](line3)", "x x* + b", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "context": "relative Cohn algebra at ['b']",
+            "expression": "x x* + b",
+            "value": "b + x x*",
+            "zero": False,
+        }
+
+    def test_flagged_graph_refused_alike_in_every_context(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        save_json(path, {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "tgt": "v"}],
+                         "infinite_emitters": ["v"]})
+        refusal = (
+            "error: regular_vertices: vertex 'v' is flagged as an infinite emitter, so the "
+            "listed edges are incomplete\n"
+        )
+        for context in ("L", "C", "P", "C[v]"):
+            assert run(capsys, "eval", f"{context}({path})", "v") == (2, "", refusal)
+
     @pytest.mark.parametrize(
         "context, message",
         [

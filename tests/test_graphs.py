@@ -1,4 +1,5 @@
 """Graph, path and enumeration core."""
+import ast
 import importlib
 import os
 import pkgutil
@@ -87,6 +88,22 @@ class TestConstruction:
         with pytest.raises(DanglingEndpoint):
             Graph(["v"], [], infinite_emitters=[("v", ())])
 
+    @pytest.mark.parametrize(
+        "edges, flags, error, message",
+        [
+            ([("e", "q", "v")], [], DanglingEndpoint, "edge 'e': unknown source vertex 'q'"),
+            ([], ["v", "v"], DuplicateId, "vertex 'v' flagged as infinite emitter twice"),
+            ([], [("v", ["q"])], DanglingEndpoint,
+             "infinite emitter 'v': unknown target vertex 'q'"),
+        ],
+        ids=["unknown_source", "flagged_twice", "unknown_flag_target"],
+    )
+    def test_messages(self, edges, flags, error, message):
+        with pytest.raises(error) as info:
+            Graph(["v"], edges, infinite_emitters=flags)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
 
 class TestVertexClasses:
     def test_regular_vertices(self):
@@ -143,6 +160,33 @@ class TestPaths:
         assert not prefix_leq(st, s)
         # a length-0 path is below exactly the paths at its vertex
         assert not prefix_leq(Path.at(rp2, "w"), st)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: Path(rp2, vertex="v", edges=("s",)), ValueError,
+             "a positive-length path must not also name a vertex"),
+            (lambda: Path(rp2), ValueError, "a length-0 path must name its vertex"),
+            (lambda: Path.at(rp2, "zz"), DanglingEndpoint, "unknown vertex 'zz'"),
+            (lambda: Path.of(rp2, ()), ValueError,
+             "Path.of needs at least one edge; use Path.at for vertices"),
+            (lambda: Path.of(rp2, ("s",)).concat(Path.of(loop, ("e",))), ValueError,
+             "cannot concatenate paths from different graphs"),
+            (lambda: Path.of(rp2, ("s",)).extend("zz"), DanglingEndpoint, "unknown edge 'zz'"),
+            (lambda: Path.at(rp2, "v").drop_last(), ValueError,
+             "a length-0 path has no last edge"),
+            (lambda: prefix_leq(Path.at(rp2, "v"), Path.at(loop, "v")), ValueError,
+             "prefix order only compares paths in the same graph"),
+        ],
+        ids=["vertex_and_edges", "neither", "at_unknown_vertex", "of_no_edges",
+             "concat_across_graphs", "extend_unknown_edge", "drop_last_of_a_vertex",
+             "prefix_across_graphs"],
+    )
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestEnumeration:
@@ -264,3 +308,22 @@ def test_hashes_do_not_depend_on_the_process():
     ]
     assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_sources_parse_under_the_oldest_supported_grammar():
+    """requires-python is >=3.10: every module of the package and of the
+    tests parses with the 3.10 grammar (syntax such as ``except*`` is
+    refused).  This checks grammar only, not the standard library."""
+    package = os.path.dirname(os.path.abspath(pathalg.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    files = [
+        os.path.join(top, name)
+        for root in (package, tests)
+        for top, _, names in os.walk(root)
+        for name in sorted(names)
+        if name.endswith(".py")
+    ]
+    assert len(files) > 20
+    for path in files:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), filename=path, feature_version=(3, 10))

@@ -90,6 +90,13 @@ class TestGraphs:
         with pytest.raises(FileFormatError, match="'infinite_emitters' must be a list"):
             graph_from_data({"vertices": ["v"], "edges": [], "infinite_emitters": bad})
 
+    @pytest.mark.parametrize("bad", [5, None, ["v"]])
+    def test_non_string_flag_vertex_rejected(self, bad):
+        entry = {"vertex": bad, "unlisted_targets": []}
+        with pytest.raises(FileFormatError) as err:
+            graph_from_data({"vertices": ["v"], "edges": [], "infinite_emitters": [entry]})
+        assert str(err.value) == "infinite emitter #0 vertex must be a string"
+
 
 class TestMorphisms:
     def test_named_graph_references(self):
@@ -124,6 +131,13 @@ class TestMorphisms:
         # ... and names are required to resolve any reference at all
         with pytest.raises(FileFormatError):
             morphism_from_data(morphism_to_data(MORPHISMS["phi_rp2"], GRAPHS))
+
+    def test_non_string_emap_key_rejected(self):
+        base = morphism_to_data(MORPHISMS["phi_rp2"], GRAPHS)
+        data = dict(base, emap={**base["emap"], 3: ["e"]})
+        with pytest.raises(FileFormatError) as err:
+            morphism_from_data(data, GRAPHS)
+        assert str(err.value) == "'emap' keys must be edge ids"
 
     def test_bad_emap_values_rejected(self):
         base = morphism_to_data(MORPHISMS["phi_rp2"], GRAPHS)

@@ -63,6 +63,12 @@ class TestValidation:
         with pytest.raises(InvalidPathHom, match="is not a path"):
             PathHom(toeplitz, toeplitz, {"v": "v", "w": "w"}, {"e": ("e",), "f": ("f", "e")})
 
+    def test_image_path_in_another_graph(self):
+        # the loop's 'e' by the same name, but a Path of loop, not of toeplitz
+        with pytest.raises(InvalidPathHom) as err:
+            PathHom(loop, toeplitz, {"v": "v"}, {"e": Path.of(loop, ("e",))})
+        assert str(err.value) == "image of edge 'e' lives in the wrong graph"
+
     def test_empty_image_means_collapse(self):
         f = PathHom(loop, pt, {"v": "v"}, {"e": ()})
         assert f.emap["e"].is_vertex
@@ -228,19 +234,26 @@ class TestClassification:
         f = PathHom(g, loop, {"v": "v", "w": "v"}, {"e": ("e",)})
         with pytest.raises(UnsupportedInfiniteEmitter) as err:
             is_regular(f)
-        assert str(err.value) == "classification is defined over fully listed graphs only"
+        assert str(err.value) == (
+            "classify: vertex 'w' is flagged as an infinite emitter, so the listed edges "
+            "are incomplete"
+        )
 
     def test_is_regular_refuses_a_flagged_codomain(self):
         # the loop onto the loop at a flagged vertex: classify refuses it,
         # so is_regular does too
         g = Graph(["v"], [("e", "v", "v")], infinite_emitters=["v"])
         f = PathHom(loop, g, {"v": "v"}, {"e": ("e",)})
+        unlisted = (
+            "classify: vertex 'v' is flagged as an infinite emitter, so the listed edges "
+            "are incomplete"
+        )
         with pytest.raises(UnsupportedInfiniteEmitter) as err:
             classify(f)
-        assert str(err.value) == "classification is defined over fully listed graphs only"
+        assert str(err.value) == unlisted
         with pytest.raises(UnsupportedInfiniteEmitter) as err:
             is_regular(f)
-        assert str(err.value) == "classification is defined over fully listed graphs only"
+        assert str(err.value) == unlisted
 
     def test_satisfies_names(self):
         verdict = classify(phi)

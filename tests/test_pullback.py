@@ -393,7 +393,11 @@ _AMBIGUOUS = Graph(["a", "b", "h"], [("x", "b", "a"), ("y", "a", "b")],
 _POINT = Graph(["u"])
 _LOOP = Graph(["u"], [("z", "u", "u")])
 _FLAGGED_LOOP = Graph(["u"], [("z", "u", "u")], infinite_emitters=["u"])
-_UNLISTED = "classification is defined over fully listed graphs only"
+# classify's refusal, naming the first flagged vertex of the map's domain,
+# else of its codomain
+_UNLISTED = (
+    "classify: vertex {!r} is flagged as an infinite emitter, so the listed edges are incomplete"
+)
 _SYMBOLIC = "flagged vertices make the path family symbolic; cannot enumerate"
 _EITHER_SIDE = "vertex 'b': unlisted edges may land on either side of the set"
 
@@ -401,7 +405,7 @@ _EITHER_SIDE = "vertex 'b': unlisted edges may land on either side of the set"
 _FLAGGED_SQUARES = {
     "h4_fail": (
         lambda: _flagged_square(_POINT, _BREAKING, {"u": "b"}, {}),
-        {"H3": ("not_evaluated", None, _UNLISTED), "H4": ("fail", "u", ""),
+        {"H3": ("not_evaluated", None, _UNLISTED.format("b")), "H4": ("fail", "u", ""),
          "H7": ("pass", None, ""), "H8": ("not_evaluated", None, _SYMBOLIC)},
     ),
     "h7_fail": (
@@ -416,15 +420,15 @@ _FLAGGED_SQUARES = {
     "flagged_domains": (
         lambda: _flagged_square(_FLAGGED_LOOP, _BREAKING, {"u": "a"}, {"z": ("y", "x")},
                                 flagged1=["u"]),
-        {"H3": ("not_evaluated", None, _UNLISTED), "H4": ("pass", None, ""),
-         "H6": ("not_evaluated", None, _UNLISTED), "H7": ("pass", None, ""),
+        {"H3": ("not_evaluated", None, _UNLISTED.format("u")), "H4": ("pass", None, ""),
+         "H6": ("not_evaluated", None, _UNLISTED.format("u")), "H7": ("pass", None, ""),
          "H8": ("not_evaluated", None, _SYMBOLIC)},
     ),
     # a map classify refuses is not_evaluated, even where f and f_res disagree
     "flagged_restriction_mismatch": (
         lambda: _flagged_square(_FLAGGED_LOOP, _BREAKING, {"u": "a"}, {"z": ("y", "x")},
                                 flagged1=["u"], res_emap={"z": ("y", "x", "y", "x")}),
-        {"H6": ("not_evaluated", None, _UNLISTED)},
+        {"H6": ("not_evaluated", None, _UNLISTED.format("u"))},
     ),
     "ambiguous_emitter": (
         lambda: _flagged_square(_LOOP, _AMBIGUOUS, {"u": "a"}, {"z": ("y", "x")}),
