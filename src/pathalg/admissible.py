@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import AmbiguousInfiniteEmitter, DanglingEndpoint, InvalidInclusion, NotAdmissible
-from .graphs import CheckResult, Graph
+from .errors import AmbiguousInfiniteEmitter, InvalidInclusion, NotAdmissible
+from .graphs import CheckResult, Graph, _vertex_set
 
 
 class GraphInclusion:
@@ -116,7 +116,7 @@ def is_saturated(g: Graph, H: Iterable[str]) -> CheckResult:
     listed edges of unflagged vertices are complete, so the check is decided
     even on flagged graphs.
     """
-    Hs = _vertex_subset(g, H)
+    Hs = _vertex_set(g, H)
     for v in g.vertices:
         if v in Hs or g.is_flagged(v):
             continue
@@ -128,7 +128,7 @@ def is_saturated(g: Graph, H: Iterable[str]) -> CheckResult:
 
 def is_hereditary(g: Graph, H: Iterable[str]) -> CheckResult:
     """No edge runs from H to its complement."""
-    Hs = _vertex_subset(g, H)
+    Hs = _vertex_set(g, H)
     for e in g.edges:
         if g.src(e) in Hs and g.tgt(e) not in Hs:
             return CheckResult(False, e)
@@ -144,16 +144,6 @@ def is_hereditary(g: Graph, H: Iterable[str]) -> CheckResult:
             if u not in Hs:
                 return CheckResult(False, {"kind": "unlisted_edge", "vertex": v, "target": u})
     return CheckResult(True)
-
-
-def _vertex_subset(g: Graph, H: Iterable[str]) -> frozenset:
-    if isinstance(H, str):
-        raise TypeError("a vertex set must be a collection of names, not a str")
-    H = tuple(H)
-    for v in H:
-        if not g.has_vertex(v):
-            raise DanglingEndpoint(f"unknown vertex {v!r}")
-    return frozenset(H)
 
 
 class AdmissibilityReport(NamedTuple):
@@ -247,7 +237,7 @@ def breaking_vertices(g: Graph, H: Iterable[str]) -> tuple[str, ...]:
     to the complement make the outside part infinite.  Anything in between is
     refused.
     """
-    Hs = _vertex_subset(g, H)
+    Hs = _vertex_set(g, H)
     out = []
     for v, targets in g.infinite_emitters:
         if v in Hs:

@@ -50,7 +50,7 @@ from .errors import (
     NotVertexInjective,
     StarInPathMode,
 )
-from .graphs import Graph, Path, regular_vertices
+from .graphs import Graph, Path, _vertex_set, regular_vertices
 from .morphisms import _CLASS_FLAGS, _FLAGS, PathHom, classify
 
 PATH = "path"
@@ -134,19 +134,15 @@ class AlgebraContext:
         if mode not in (PATH, RELATIVE_COHN):
             raise ValueError(f"unknown mode {mode!r}")
         reg = set(regular_vertices(graph))
-        if isinstance(relation_vertices, str):
-            raise TypeError("a vertex set must be a collection of names, not a str")
-        relation_vertices = tuple(relation_vertices)
+        relation_vertices = _vertex_set(graph, relation_vertices)
         if mode == PATH and relation_vertices:
             raise ValueError("path mode carries no relation vertices")
         self.graph = graph
-        for v in relation_vertices:
-            if not graph.has_vertex(v):
-                raise DanglingEndpoint(f"unknown vertex {v!r}")
-            if v not in reg:
-                raise ValueError(f"relation vertex {v!r} is not regular")
         # declaration order, for deterministic relation enumeration
         self.relation_vertices = tuple(v for v in graph.vertices if v in relation_vertices)
+        for v in self.relation_vertices:
+            if v not in reg:
+                raise ValueError(f"relation vertex {v!r} is not regular")
         self.special_edge = {v: graph.out_edges(v)[0] for v in self.relation_vertices}
         # relations at every regular vertex make the Leavitt algebra; on a
         # graph with none, only ``leavitt`` tells it from the Cohn algebra

@@ -11,7 +11,7 @@ the unlisted edges refuses such graphs through ``_require_unflagged``.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DanglingEndpoint,
@@ -292,6 +292,19 @@ def _require_unflagged(g: Graph, op: str) -> None:
             f"{op}: vertex {v!r} is flagged as an infinite emitter, so the "
             f"listed edges are incomplete"
         )
+
+
+def _vertex_set(g: Graph, names: Iterable[str]) -> frozenset:
+    """``names`` as a set of vertices of g.  A bare str is refused with
+    ``TypeError``, then the first unknown name, in the order given, with
+    ``DanglingEndpoint``."""
+    if isinstance(names, str):
+        raise TypeError("a vertex set must be a collection of names, not a str")
+    names = tuple(names)
+    for v in names:
+        if not g.has_vertex(v):
+            raise DanglingEndpoint(f"unknown vertex {v!r}")
+    return frozenset(names)
 
 
 def regular_vertices(g: Graph) -> tuple[str, ...]:

@@ -183,41 +183,31 @@ def _map_through_inclusion(inc: GraphInclusion, p: Path) -> Path:
     return Path.of(inc.amb, tuple(inc.emap[e] for e in p.edges))
 
 
-def _reaching_set(g: Graph, targets: set) -> set:
-    reach = set(targets)
+def _finite_family_max_length(g: Graph, targets: set) -> Optional[int]:
+    """Max length over paths ending in ``targets``, or None when that family
+    is infinite (some cycle reaches a target).  -1 when the family is empty.
+
+    One backward walk from the targets maps each vertex that reaches one to
+    its successors that also do; only those carry a path on towards a
+    target, so the recurrence needs no case for an unreached successor."""
+    deps: dict[str, set] = {v: set() for v in targets}
     frontier = list(targets)
     while frontier:
         v = frontier.pop()
         for e in g.in_edges(v):
             u = g.src(e)
-            if u not in reach:
-                reach.add(u)
+            if u not in deps:
+                deps[u] = set()
                 frontier.append(u)
-    return reach
-
-
-def _finite_family_max_length(g: Graph, targets: set) -> Optional[int]:
-    """Max length over paths ending in ``targets``, or None when that family
-    is infinite (some cycle reaches a target).  -1 when the family is empty."""
-    reach = _reaching_set(g, targets)
-    deps = {
-        v: {g.tgt(e) for e in g.out_edges(v) if g.tgt(e) in reach} for v in reach
-    }
+            deps[u].add(v)
     try:
         order = tuple(TopologicalSorter(deps).static_order())
     except CycleError:
         return None
-    best = -1
     dp: dict[str, int] = {}
     for v in order:  # successors come first
-        score = 0 if v in targets else None
-        for u in deps[v]:
-            if dp[u] >= 0:
-                cand = 1 + dp[u]
-                score = cand if score is None else max(score, cand)
-        dp[v] = -1 if score is None else score
-        best = max(best, dp[v])
-    return best
+        dp[v] = max((1 + dp[u] for u in deps[v]), default=0)
+    return max(dp.values(), default=-1)
 
 
 def _first_preimages(f: PathHom, targets: list[Path]) -> list[Optional[Path]]:

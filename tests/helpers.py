@@ -799,6 +799,24 @@ def first_exitless_cycle(g: Graph):
     return None
 
 
+def family_max_length(g: Graph, targets) -> Optional[int]:
+    """Reference for H8's family length: the length of the longest path
+    ending in ``targets``, -1 when there is none, or None when there is no
+    longest.  With n = |V| it enumerates the paths of length <= n, each by
+    its end: a path of length n repeats a vertex, so a cycle reaches its
+    end, and a longer path ending in a target has a suffix of length n."""
+    n = len(g.vertices)
+    ends = list(g.vertices)  # the end of each path of length k
+    longest = -1
+    for k in range(n + 1):
+        if any(v in targets for v in ends):
+            if k == n:
+                return None
+            longest = k
+        ends = [g.tgt(e) for v in ends for e in g.out_edges(v)]
+    return longest
+
+
 def random_graph(rng: random.Random, max_vertices: int, max_edges: int,
                  flag_rate: float = 0.0) -> Graph:
     """A random multigraph with loops, edges declared in random order and

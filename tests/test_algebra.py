@@ -143,9 +143,15 @@ class TestContexts:
              ContextMismatch, "paths live in a different graph"),
             (lambda: L_toe.pair_element(Path.of(toeplitz, ("e",)), Path.of(toeplitz, ("f",))),
              ValueError, "pair monomial needs matching targets"),
+            (lambda: AlgebraContext(rp2, "path", ["v"]), ValueError,
+             "path mode carries no relation vertices"),
+            # star2 declares w1 before w2, and both are sinks
+            (lambda: AlgebraContext.relative_cohn(GRAPHS["star2"], ["w2", "w1"]), ValueError,
+             "relation vertex 'w1' is not regular"),
         ],
         ids=["unknown_mode", "edge_star_in_path_mode", "path_of_another_graph",
-             "pair_in_path_mode", "pair_of_another_graph", "pair_with_two_targets"],
+             "pair_in_path_mode", "pair_of_another_graph", "pair_with_two_targets",
+             "relation_vertices_in_path_mode", "first_non_regular_in_declaration_order"],
     )
     def test_builder_refusals(self, call, error, message):
         with pytest.raises(error) as err:
@@ -157,9 +163,15 @@ class TestContexts:
         for ctx in (P_rp2, L_loop):
             with pytest.raises(DanglingEndpoint, match="unknown vertex 'zz'"):
                 ctx.vertex("zz")
-        # a relation vertex is looked up before its regularity is checked
-        with pytest.raises(DanglingEndpoint, match="unknown vertex 'zz'"):
-            AlgebraContext.relative_cohn(rp2, ["zz"])
+        # every relation vertex is looked up before any is checked for
+        # regularity, and before path mode refuses relation vertices
+        for call in (
+            lambda: AlgebraContext.relative_cohn(rp2, ["zz"]),
+            lambda: AlgebraContext.relative_cohn(rp2, ["w", "zz"]),
+            lambda: AlgebraContext(rp2, "path", ["zz"]),
+        ):
+            with pytest.raises(DanglingEndpoint, match="^unknown vertex 'zz'$"):
+                call()
 
     def test_context_equality(self):
         assert AlgebraContext.leavitt(loop) == L_loop

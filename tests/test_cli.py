@@ -215,6 +215,7 @@ class TestEval:
             ("L[v](rp2)", "relation-vertex lists are only meaningful for C[...](g)"),
             ("C[w](rp2)", "relation vertex 'w' is not regular"),
             ("C[zz](rp2)", "unknown vertex 'zz'"),
+            ("C[w,zz](rp2)", "unknown vertex 'zz'"),
         ],
     )
     def test_context_errors(self, capsys, context, message):
@@ -392,6 +393,16 @@ class TestPullback:
         assert data["hypotheses"]["length_bound"] == 4
         assert data["commutativity"]["all_ok"] is True
         assert data["kernel"]["checked"] == 25
+
+    def test_kernel_lines_of_the_readme_example(self, capsys):
+        code, out, _ = run(capsys, "pullback", "rp2q", "--bound", "4")
+        assert code == 0
+        assert out.splitlines()[-4:] == [
+            "kernel inclusion (lengths <= 4):",
+            "  spanning kernel pairs checked (lengths <= 4): 25",
+            "  with certified preimage killed by the first quotient: 25",
+            "  => kernel inclusion verified",
+        ]
 
     def test_negative_bound(self, capsys):
         code, _, err = run(capsys, "pullback", "rp2q", "--bound", "-1")

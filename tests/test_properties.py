@@ -4,8 +4,8 @@ rendered normal form, the paths and maps the package builds without
 re-validating them, the relations that maps of the category tower
 preserve, classification against its reference, composition of path
 homomorphisms and the functoriality of the induced maps, the H8
-first-preimage search and the mixed-pullback theorem on prefix-code
-squares; and the canonical JSON writer against ``json.dumps``.
+first-preimage search and family length, and the mixed-pullback theorem on
+prefix-code squares; and the canonical JSON writer against ``json.dumps``.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples (``conftest.py`` keeps Hypothesis' other files out of the tree).
@@ -41,7 +41,7 @@ from pathalg import (
 from pathalg.algebra import Monomial, induce_cohn, induce_leavitt, induce_path, multiply
 from pathalg.cli import main
 from pathalg.expressions import parse_expression
-from pathalg.pullback import _first_preimages
+from pathalg.pullback import _finite_family_max_length, _first_preimages
 from pathalg.registry import GRAPHS, INCLUSIONS, MORPHISMS
 
 from helpers import (
@@ -53,6 +53,7 @@ from helpers import (
     first_preimage_table,
     kernel_pairs,
     expressions,
+    family_max_length,
     normal_form,
     parse_outcome,
     prefix_code_square,
@@ -619,6 +620,19 @@ def test_first_preimages_are_those_of_the_full_table(f, b, ends):
     limit = len(f.dom.vertices) * (b + 1)
     table = first_preimage_table(f, limit)
     assert _first_preimages(f, targets) == [table.get(p) for p in targets]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_family_max_length_matches_the_path_enumeration(data):
+    """H8's bound on the paths ending in a target set, from one backward
+    walk, is the enumeration's: the longest length, -1 for no path, None
+    when a cycle reaches a target.  The target sets include the empty and
+    the full one."""
+    g = data.draw(graphs())
+    targets = data.draw(st.one_of(
+        st.just(set()), st.just(set(g.vertices)), st.sets(st.sampled_from(g.vertices))))
+    assert _finite_family_max_length(g, targets) == family_max_length(g, targets)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)

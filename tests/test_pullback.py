@@ -173,6 +173,15 @@ class TestInstanceValidation:
             PullbackInstance(loop_in_rp2, loop_in_toeplitz, phi, phi, 4)
         with pytest.raises(DomainMismatch):
             PullbackInstance(loop_in_toeplitz, loop_in_toeplitz, phi, loop_square, 4)
+        # each map is refused when either end is wrong, not only both
+        into_pt = PathHom(loop, pt, {"v": "v"}, {"e": ()})
+        from_pt = PathHom(pt, loop, {"v": "v"}, {})
+        for f_res in (into_pt, from_pt):
+            with pytest.raises(DomainMismatch, match="^f_res must run between the two subgraphs$"):
+                PullbackInstance(loop_in_rp2, loop_in_toeplitz, phi, f_res, 4)
+        for f in (PathHom.identity(rp2), PathHom.identity(toeplitz)):
+            with pytest.raises(DomainMismatch, match="^f must run between the two ambient graphs$"):
+                PullbackInstance(loop_in_rp2, loop_in_toeplitz, f, loop_square, 4)
 
     def test_negative_bound(self):
         with pytest.raises(ValueError):
@@ -543,11 +552,10 @@ class TestExactH8:
         assert data["hypotheses"][-1] == _ZERO_CHAIN_H8
 
 
-def _first_vertex_square(name: str, bound: int) -> PullbackInstance:
-    """The identity square of a built-in graph with both inclusions taking
-    its first vertex alone.  H1 fails (the vertex feeds into the complement),
-    but H8 still runs."""
-    g = GRAPHS[name]
+def _first_vertex_square(g: Graph, bound: int) -> PullbackInstance:
+    """The identity square of g with both inclusions taking its first vertex
+    alone.  H1 fails when the vertex feeds into the complement or carries an
+    edge, but H8 still runs."""
     v = g.vertices[0]
     inc = GraphInclusion(Graph([v]), g, {v: v}, {})
     return PullbackInstance(inc, inc, PathHom.identity(g), PathHom.identity(inc.sub), bound)
@@ -569,7 +577,7 @@ _DEGENERATE = " (degenerate bound 0: only length-0 paths were checked)"
     "make,verdict,witness,detail,overall",
     [
         pytest.param(
-            lambda: _first_vertex_square("edge", 1),
+            lambda: _first_vertex_square(GRAPHS["edge"], 1),
             "pass",
             _certificate(("w", "w"), (("e",), ("e",))),
             "the family of qualifying paths is finite and was fully covered "
@@ -578,7 +586,24 @@ _DEGENERATE = " (degenerate bound 0: only length-0 paths were checked)"
             id="finite-covered",
         ),
         pytest.param(
-            lambda: _first_vertex_square("line3", 1),
+            lambda: _first_vertex_square(Graph(["v", "w"], [("e", "v", "v")]), 1),
+            "pass",
+            _certificate(("w", "w")),
+            "the family of qualifying paths is finite and was fully covered "
+            "(longest member has length 0)",
+            "FAIL",
+            id="finite-covered-length-0",
+        ),
+        pytest.param(
+            lambda: _first_vertex_square(pt, 1),
+            "pass",
+            _certificate(),
+            "no path ends outside the second image; holds vacuously",
+            "PASS",
+            id="empty-family",
+        ),
+        pytest.param(
+            lambda: _first_vertex_square(GRAPHS["line3"], 1),
             "pass_up_to_bound",
             _certificate(("b", "b"), ("c", "c"), (("x",), ("x",)), (("y",), ("y",))),
             "qualifying paths form a finite family with maximum length 2, "
@@ -587,7 +612,7 @@ _DEGENERATE = " (degenerate bound 0: only length-0 paths were checked)"
             id="finite-up-to-bound",
         ),
         pytest.param(
-            lambda: _first_vertex_square("edge", 0),
+            lambda: _first_vertex_square(GRAPHS["edge"], 0),
             "pass_up_to_bound",
             _certificate(("w", "w")),
             "qualifying paths form a finite family with maximum length 1, "
