@@ -342,14 +342,15 @@ def paths_up_to(g: Graph, n: int) -> tuple[Path, ...]:
     if n < 0:
         raise ValueError("path length bound must be >= 0")
     _require_unflagged(g, "paths_up_to")
-    out = [Path.at(g, v) for v in g.vertices]
+    trusted, out_edges, tgt = Path._trusted, g._out, g._tgt
+    out = [trusted(g, v, ()) for v in g.vertices]
     # level 1 is in global edge order, and extending each path of a
     # lex-sorted level by its declaration-ordered out-edges keeps lex order
     level = [(e,) for e in g.edges]
     for k in range(1, n + 1):
-        out.extend(Path._trusted(g, None, es) for es in level)
+        out += [trusted(g, None, es) for es in level]
         if k < n:
-            level = [es + (e,) for es in level for e in g.out_edges(g.tgt(es[-1]))]
+            level = [es + (e,) for es in level for e in out_edges[tgt[es[-1]]]]
     return tuple(out)
 
 

@@ -155,21 +155,6 @@ class PathHom:
         self._induced = None
 
     @classmethod
-    def _trusted(cls, dom: Graph, cod: Graph, choice: tuple, images: tuple) -> "PathHom":
-        """A map from parts already known to be valid, with no checks:
-        ``choice`` holds the vertex images in ``dom.vertices`` order and
-        ``images`` the edge images, cod paths with matching endpoints, in
-        ``dom.edges`` order."""
-        h = object.__new__(cls)
-        h.dom = dom
-        h.cod = cod
-        h.vmap = dict(zip(dom.vertices, choice))
-        h.emap = dict(zip(dom.edges, images))
-        h._verdict = None
-        h._induced = None
-        return h
-
-    @classmethod
     def identity(cls, g: Graph) -> "PathHom":
         return cls(g, g, {v: v for v in g.vertices}, {e: (e,) for e in g.edges})
 
@@ -278,11 +263,13 @@ class CategoryVerdict(NamedTuple):
 
     def satisfies(self, category: str) -> bool:
         try:
-            flags = _CLASS_FLAGS[category.lower()]
-        except (AttributeError, KeyError):
+            fields = _CLASS_FIELDS.get(category)
+            if fields is None:
+                fields = _CLASS_FIELDS[category.lower()]
+        except (AttributeError, KeyError, TypeError):  # not a str, unknown, unhashable
             raise ValueError(f"unknown category {category!r}; expected one of {CATEGORY_NAMES}")
-        for flag in flags:
-            if not getattr(self, flag):
+        for i in fields:
+            if not self[i]:
                 return False
         return True
 
@@ -293,38 +280,13 @@ class CategoryVerdict(NamedTuple):
         return data
 
 
-def _vertex_witnesses(f: PathHom) -> tuple[Optional[list], Optional[dict]]:
-    """The first counterexamples to vertex-injectivity and to
-    vertex-bijectivity, None where the property holds."""
-    covered = set(f.vmap.values())
-    if len(covered) < len(f.vmap):
-        vs = f.dom.vertices
-        pair = next(
-            [v, w] for i, v in enumerate(vs) for w in vs[i + 1 :] if f.vmap[v] == f.vmap[w]
-        )
-        return pair, {"kind": "not_injective", "vertices": pair}
-    for w in f.cod.vertices:
-        if w not in covered:
-            return None, {"kind": "not_surjective", "vertex": w}
-    return None, None
-
-
-def _monotonicity_witness(f: PathHom) -> Optional[list]:
-    es = f.dom.edges
-    images = [f.emap[e].edges for e in es]
-    for i, a in enumerate(images):
-        if a:
-            n = len(a)
-            for j, b in enumerate(images):
-                if b[:n] == a and i != j:
-                    return [es[i], es[j]]
-        else:
-            # a length-0 image is a prefix of every image that starts at its vertex
-            v = f.vmap[f.dom.src(es[i])]
-            for j, e in enumerate(es):
-                if i != j and f.vmap[f.dom.src(e)] == v:
-                    return [es[i], e]
-    return None
+# Each class name, in both spellings, and the verdict fields of its flags;
+# is_path_hom holds for every classified map, so it has no field.
+_CLASS_FIELDS = {
+    spelling: tuple(CategoryVerdict._fields.index(flag) for flag in flags if flag != "is_path_hom")
+    for name, flags in _CLASS_FLAGS.items()
+    for spelling in (name, name.upper())
+}
 
 
 def _expansion_failure(cod: Graph, root: str, paths: list, prefix: list) -> Optional[dict]:
@@ -363,34 +325,6 @@ def is_regular(f: PathHom) -> CheckResult:
     return CheckResult(verdict.regular, verdict.witnesses.get("regular"))
 
 
-def _regularity_witness(f: PathHom) -> Optional[dict]:
-    dom = f.dom
-    for v in dom.vertices:
-        star = dom.out_edges(v)
-        if not star:
-            continue  # a sink is not regular
-        # every image starts at f(v), so images are equal iff their edges are
-        images = [f.emap[e].edges for e in star]
-        if len(star) == 1 and not images[0] and dom.tgt(star[0]) == v:
-            # 0-regular escape: the lone loop may collapse onto its vertex
-            continue
-        if len(set(images)) < len(images):
-            pair = next(
-                [star[i], star[j]]
-                for j in range(len(star))
-                for i in range(j)
-                if images[i] == images[j]
-            )
-            return {"vertex": v, "kind": "star_not_injective", "edges": pair}
-        for e, img in zip(star, images):
-            if not img:
-                return {"vertex": v, "kind": "collapsed_edge", "edge": e}
-        failure = _expansion_failure(f.cod, f.vmap[v], images, [])
-        if failure is not None:
-            return {"vertex": v, **failure}
-    return None
-
-
 def classify(f: PathHom) -> CategoryVerdict:
     """Evaluate every predicate of the category tower on f.
 
@@ -403,21 +337,82 @@ def classify(f: PathHom) -> CategoryVerdict:
 
 
 def _classify(f: PathHom) -> CategoryVerdict:
-    _require_unflagged(f.dom, "classify")
-    _require_unflagged(f.cod, "classify")
-    injective, bijective = _vertex_witnesses(f)
-    monotone = _monotonicity_witness(f)
-    regular = _regularity_witness(f)
-    # flag -> its first counterexample, None where the flag holds
-    found = {
-        "vertex_injective": injective,
-        "vertex_bijective_finite": bijective,
-        "monotone": monotone,
-        "regular": regular,
-    }
-    witnesses = {flag: w for flag, w in found.items() if w is not None}
+    dom, cod, vmap = f.dom, f.cod, f.vmap
+    if dom.infinite_emitters or cod.infinite_emitters:
+        _require_unflagged(dom, "classify")
+        _require_unflagged(cod, "classify")
+    # flag -> its first counterexample, for the flags that fail, in flag order
+    witnesses = {}
+
+    covered = set(vmap.values())
+    if len(covered) < len(vmap):
+        vs = dom.vertices
+        pair = next(
+            [v, w] for i, v in enumerate(vs) for w in vs[i + 1 :] if vmap[v] == vmap[w]
+        )
+        witnesses["vertex_injective"] = pair
+        witnesses["vertex_bijective_finite"] = {"kind": "not_injective", "vertices": pair}
+    elif len(covered) < len(cod.vertices):
+        for w in cod.vertices:
+            if w not in covered:
+                witnesses["vertex_bijective_finite"] = {"kind": "not_surjective", "vertex": w}
+                break
+
+    # each edge's image tuple, in dom.edges order; an inner loop that finds
+    # an image extending image i breaks with its index j
+    es, src = dom.edges, dom._src
+    seq = [p.edges for p in f.emap.values()]
+    for i, a in enumerate(seq):
+        if a:
+            n = len(a)
+            for j, b in enumerate(seq):
+                if b[:n] == a and i != j:
+                    break
+            else:
+                continue
+        else:
+            # a length-0 image is a prefix of every image that starts at its vertex
+            v = vmap[src[es[i]]]
+            for j, e in enumerate(es):
+                if i != j and vmap[src[e]] == v:
+                    break
+            else:
+                continue
+        witnesses["monotone"] = [es[i], es[j]]
+        break
+
+    images = dict(zip(es, seq))
+    out, tgt = dom._out, dom._tgt
+    for v in dom.vertices:
+        star = out[v]
+        if not star:
+            continue  # a sink is not regular
+        # every image starts at f(v), so images are equal iff their edges are
+        star_images = list(map(images.__getitem__, star))
+        if len(star) == 1 and not star_images[0] and tgt[star[0]] == v:
+            continue  # 0-regular escape: the lone loop may collapse onto its vertex
+        if len(star) > 1 and len(set(star_images)) < len(star_images):
+            pair = next(
+                [star[i], star[j]]
+                for j in range(len(star))
+                for i in range(j)
+                if star_images[i] == star_images[j]
+            )
+            failure = {"kind": "star_not_injective", "edges": pair}
+        elif () in star_images:
+            failure = {"kind": "collapsed_edge", "edge": star[star_images.index(())]}
+        else:
+            failure = _expansion_failure(cod, vmap[v], star_images, [])
+        if failure is not None:
+            witnesses["regular"] = {"vertex": v, **failure}
+            break
+
     return CategoryVerdict(
-        injective is None, bijective is None, monotone is None, regular is None, witnesses
+        "vertex_injective" not in witnesses,
+        "vertex_bijective_finite" not in witnesses,
+        "monotone" not in witnesses,
+        "regular" not in witnesses,
+        witnesses,
     )
 
 
@@ -437,22 +432,27 @@ def enumerate_path_homs(
     for p in paths_up_to(cod, max_image_len):
         pools.setdefault((p.source, p.target), []).append(p)
 
-    nv = len(dom.vertices)
+    vs, es = dom.vertices, dom.edges
+    # each edge's endpoints as positions in a vertex choice
+    ends = [(dom._vindex[dom._src[e]], dom._vindex[dom._tgt[e]]) for e in es]
     if vertex_injective_only:
-        choices = itertools.permutations(cod.vertices, nv)
+        choices = itertools.permutations(cod.vertices, len(vs))
     else:
-        choices = itertools.product(cod.vertices, repeat=nv)
+        choices = itertools.product(cod.vertices, repeat=len(vs))
+    new = object.__new__
     for choice in choices:
-        vmap = dict(zip(dom.vertices, choice))
         candidate_lists = []
-        for e in dom.edges:
-            candidates = pools.get((vmap[dom.src(e)], vmap[dom.tgt(e)]), [])
-            if not candidates:
-                candidate_lists = None
+        for s, t in ends:
+            candidates = pools.get((choice[s], choice[t]))
+            if candidates is None:
                 break
             candidate_lists.append(candidates)
-        if candidate_lists is None:
-            continue
-        # the pools are keyed by endpoints, so every image fits its edge
-        for images in itertools.product(*candidate_lists):
-            yield PathHom._trusted(dom, cod, choice, images)
+        else:
+            vmap = dict(zip(vs, choice))
+            # the pools are keyed by endpoints, so every image fits its edge:
+            # the map is built with no checks, with dicts of its own
+            for images in itertools.product(*candidate_lists):
+                h = new(PathHom)
+                h.dom, h.cod, h.vmap, h.emap = dom, cod, vmap.copy(), dict(zip(es, images))
+                h._verdict = h._induced = None
+                yield h

@@ -663,6 +663,36 @@ def crossed_loops_map() -> PathHom:
 # -- the category tower -------------------------------------------------------------
 
 
+def leaf_extension_map() -> PathHom:
+    """a x y stops where b x y z goes on: the leaf x y has an extension."""
+    dom = Graph(["p", "q", "r"], [("a", "p", "q"), ("b", "p", "r")])
+    cod = Graph(["s", "t", "u", "w"], [("x", "s", "t"), ("y", "t", "u"), ("z", "u", "w")])
+    return PathHom(dom, cod, {"p": "s", "q": "u", "r": "w"},
+                   {"a": ("x", "y"), "b": ("x", "y", "z")})
+
+
+def deep_leaf_extension_map() -> PathHom:
+    """The leaf x1 passes; then b x2 y z stops where c x2 y z z2 goes on, so
+    the conflict at x2 y z lies one recursion level below that of
+    ``leaf_extension_map``."""
+    dom = Graph(["p", "q1", "q2", "q3"], [("a", "p", "q1"), ("b", "p", "q2"), ("c", "p", "q3")])
+    cod = Graph(
+        ["s", "t1", "t2", "u", "w", "w2"],
+        [("x1", "s", "t1"), ("x2", "s", "t2"), ("y", "t2", "u"), ("z", "u", "w"),
+         ("z2", "w", "w2")],
+    )
+    return PathHom(dom, cod, {"p": "s", "q1": "t1", "q2": "w", "q3": "w2"},
+                   {"a": ("x1",), "b": ("x2", "y", "z"), "c": ("x2", "y", "z", "z2")})
+
+
+def second_vertex_irregular_map() -> PathHom:
+    """The line a b through p, q and r sent to x y, where y2 also leaves t:
+    the star of p passes, and the star of q misses the branch y2."""
+    dom = Graph(["p", "q", "r"], [("a", "p", "q"), ("b", "q", "r")])
+    cod = Graph(["s", "t", "u", "u2"], [("x", "s", "t"), ("y", "t", "u"), ("y2", "t", "u2")])
+    return PathHom(dom, cod, {"p": "s", "q": "t", "r": "u"}, {"a": ("x",), "b": ("y",)})
+
+
 def _drop_first(p: Path) -> Path:
     """``p`` without its first edge."""
     if len(p.edges) == 1:

@@ -17,6 +17,8 @@ from pathalg import (
 from pathalg.morphisms import is_regular
 from pathalg.registry import GRAPHS, MORPHISMS
 
+from helpers import deep_leaf_extension_map, leaf_extension_map, second_vertex_irregular_map
+
 loop = GRAPHS["loop"]
 rp2 = GRAPHS["rp2"]
 toeplitz = GRAPHS["toeplitz"]
@@ -197,17 +199,24 @@ class TestClassification:
         assert result.witness == {"vertex": "v", "kind": "missing_branch", "path": ["f"]}
 
     def test_leaf_extension_conflict_witness(self):
-        # a x y stops where b x y z goes on: the leaf x y has an extension
-        dom = Graph(["p", "q", "r"], [("a", "p", "q"), ("b", "p", "r")])
-        cod = Graph(
-            ["s", "t", "u", "w"], [("x", "s", "t"), ("y", "t", "u"), ("z", "u", "w")]
-        )
-        vmap = {"p": "s", "q": "u", "r": "w"}
-        f = PathHom(dom, cod, vmap, {"a": ("x", "y"), "b": ("x", "y", "z")})
-        assert is_regular(f).witness == {
+        assert is_regular(leaf_extension_map()).witness == {
             "vertex": "p",
             "kind": "leaf_extension_conflict",
             "path": ["x", "y"],
+        }
+        assert is_regular(deep_leaf_extension_map()).witness == {
+            "vertex": "p",
+            "kind": "leaf_extension_conflict",
+            "path": ["x2", "y", "z"],
+        }
+
+    def test_regularity_witness_at_a_later_vertex(self):
+        verdict = classify(second_vertex_irregular_map())
+        assert verdict.monotone and not verdict.regular
+        assert verdict.witnesses["regular"] == {
+            "vertex": "q",
+            "kind": "missing_branch",
+            "path": ["y2"],
         }
 
     def test_star_not_injective_on_collapsed_edges(self):
@@ -259,7 +268,9 @@ class TestClassification:
         verdict = classify(phi)
         for name in ("PG", "IPG", "BPG", "MIPG", "MBPG", "RMIPG", "RMBPG", "rmipg", "Mipg"):
             assert verdict.satisfies(name)
-        for name in ("XYZ", "", None, 5):
+        assert verdict.satisfies("rMiPg")
+        # unhashable and non-str values are no names either
+        for name in ("XYZ", "", None, 5, [], {}, ["PG"], b"PG"):
             with pytest.raises(ValueError):
                 verdict.satisfies(name)
 

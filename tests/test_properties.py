@@ -50,8 +50,10 @@ from helpers import (
     assert_kernel_check_matches_reference,
     complete_prefix_code,
     crossed_loops_map,
+    deep_leaf_extension_map,
     first_preimage_table,
     kernel_pairs,
+    leaf_extension_map,
     expressions,
     family_max_length,
     normal_form,
@@ -65,6 +67,7 @@ from helpers import (
     reference_parse_expression,
     reference_render,
     reference_verdict,
+    second_vertex_irregular_map,
     zero_chain_map,
 )
 
@@ -640,11 +643,19 @@ def test_family_max_length_matches_the_path_enumeration(data):
 @example(f=MORPHISMS["loop_to_pt"])
 @example(f=MORPHISMS["rose2_to_pt"])
 @example(f=MORPHISMS["branch_missing"])
+@example(f=leaf_extension_map())
+@example(f=deep_leaf_extension_map())
+@example(f=second_vertex_irregular_map())
+@example(f=MORPHISMS["rose2_to_loop"])
 def test_classify_matches_reference_verdict(f):
     """The verdict read off edge tuples is the one the definitions give on
     Path objects, witnesses included.  The random maps have non-injective
     vertex maps, zero-image edges and zero-image loops at 0-regular
-    vertices."""
+    vertices.  The explicit examples add both depths of a leaf-extension
+    conflict, a regularity failure at the second regular vertex after the
+    first passes, and a vertex-bijective map whose first failing flag is
+    monotonicity (on a vertex-injective map, comparable images share a star,
+    so regularity fails as well)."""
     assert classify(f).to_json_data() == reference_verdict(f)
 
 
