@@ -109,17 +109,34 @@ def _monomial(graph: Graph, key: tuple) -> Monomial:
     )
 
 
-def _sorted(graph: Graph, keys) -> list:
-    """keys in the order of their monomials: by left path, then by right
-    path, each length-major and then lexicographic in edge declaration
-    order, a vertex by its index.  Equal nonempty left paths end at one t,
-    so t, right after the left edges, only orders left vertices."""
+def _rows(graph: Graph, keys) -> list:
+    """One row per key, in the order of the monomials: by left path, then by
+    right path, each length-major and then lexicographic in edge declaration
+    order, a vertex by its index.  Equal nonempty left paths end at one t, so
+    t, right after the left edges, only orders left vertices.  A row is
+    (left's sort key, t's index, right's sort key, left's text, right's
+    starred reversed text, key); the keys are distinct, so no two rows tie
+    before the texts.  Each distinct edge tuple's sort key and both texts
+    are built once per call, however many terms share it."""
     edge, vertex = graph._eindex.__getitem__, graph._vindex
-    return sorted(
-        keys,
-        key=lambda k: (len(k[0]), tuple(map(edge, k[0])), vertex[k[2]],
-                       len(k[1]), tuple(map(edge, k[1]))),
-    )
+    table: dict = {}
+
+    def entry(path: tuple) -> tuple:
+        table[path] = value = (
+            (len(path), *map(edge, path)),
+            " ".join(path),
+            " ".join([e + "*" for e in reversed(path)]),
+        )
+        return value
+
+    rows = []
+    for key in keys:
+        left, right, t = key
+        a = table.get(left) or entry(left)
+        b = table.get(right) or entry(right)
+        rows.append((a[0], vertex[t], b[0], a[1], b[2], key))
+    rows.sort()
+    return rows
 
 
 class AlgebraContext:
@@ -308,9 +325,12 @@ class AlgebraElement:
     def _owned(cls, context: AlgebraContext, terms: dict) -> "AlgebraElement":
         """An element that takes over terms, a dict of monomial keys no one
         else holds: its zero coefficients are deleted in place instead of
-        copying it (the pair (0, 1) is truthy, so the test reads n)."""
-        for m in [m for m, c in terms.items() if not c[0]]:
-            del terms[m]
+        copying it (the pair (0, 1) is truthy, so the test reads n).  A
+        reduced zero is always exactly (0, 1), so the scan runs only when
+        that pair is among the values."""
+        if _ZERO in terms.values():
+            for m in [m for m, c in terms.items() if not c[0]]:
+                del terms[m]
         element = cls.__new__(cls)
         element.context = context
         element._terms = terms
@@ -327,7 +347,7 @@ class AlgebraElement:
 
     def monomials(self) -> tuple[Monomial, ...]:
         g = self.context.graph
-        return tuple(_monomial(g, k) for k in _sorted(g, self._terms))
+        return tuple(_monomial(g, row[-1]) for row in _rows(g, self._terms))
 
     def coefficient(self, mono: Monomial) -> Fraction:
         # a pair that is no monomial of this graph keys None, which is absent
@@ -399,13 +419,11 @@ class AlgebraElement:
         # sign and magnitude from the reduced pair (numerator, denominator),
         # spelled as str(Fraction) spells them
         parts = []
-        for key in _sorted(self.context.graph, terms):
+        for _, _, _, left, right, key in _rows(self.context.graph, terms):
             num, den = terms[key]
             parts.append(" - " if num < 0 else " + ")
             num = abs(num)
-            left, right, t = key
-            letters = list(left) + [e + "*" for e in reversed(right)]
-            body = " ".join(letters) if letters else t
+            body = f"{left} {right}" if left and right else left or right or key[2]
             if den != 1:
                 body = f"{num}/{den} {body}"
             elif num != 1:
@@ -465,7 +483,10 @@ _INDUCED = {
 }
 
 
-class _Map(NamedTuple):  # what _push sends an element through
+class _Map(NamedTuple):
+    """What ``_push`` sends an element through; a missing key kills the
+    monomial."""
+
     target: AlgebraContext
     vertex_map: dict
     edge_map: dict
@@ -496,14 +517,16 @@ def _push(
 ) -> AlgebraElement:
     """Send each monomial of a through vertex_map (vertex -> vertex) and
     edge_map (edge -> edge tuple) and renormalize in target; a missing key
-    kills the monomial."""
+    kills the monomial.  Only its target is looked up for that: an induced
+    map's maps are total, and ``_quotient`` shows why a quotient map's edge
+    map misses no edge of a monomial whose target it keeps."""
     acc: dict = {}
     image = edge_map.__getitem__
     for (left, right, t), coeff in a._terms.items():
-        try:
-            key = (sum(map(image, left), ()), sum(map(image, right), ()), vertex_map[t])
-        except KeyError:
+        t = vertex_map.get(t)
+        if t is None:
             continue
+        key = (sum(map(image, left), ()), sum(map(image, right), ()), t)
         _accumulate_pair(target, key, coeff, acc)
     return AlgebraElement._owned(target, acc)
 
@@ -546,7 +569,10 @@ def _quotient(inc: GraphInclusion) -> _Map:
     """Check that inc is admissible and return what its quotient map sends
     the elements of L(amb) through: the target context, and vertex and edge
     maps that rename what lies over the image into the subgraph and miss
-    everything else, built once and kept on inc."""
+    everything else, built once and kept on inc.  A path of amb that ends at
+    an image vertex uses image edges only: by (A2) its last edge is an image
+    edge, whose source is again an image vertex, and so on back to its
+    start.  So a monomial dies exactly when its target is missed."""
     data = inc._quotient
     if data is None:
         _require_admissible(inc)

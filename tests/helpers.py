@@ -230,6 +230,32 @@ def reference_render(element: AlgebraElement) -> str:
     return "".join(parts)
 
 
+# -- quotient maps --------------------------------------------------------------
+
+
+def reference_quotient(inc: GraphInclusion, element: AlgebraElement) -> AlgebraElement:
+    """The quotient map of an admissible inclusion by its definition: a
+    monomial whose edges and target all lie over the image is renamed into
+    the subgraph, every other monomial dies, and the public constructor
+    renormalizes the sum in L(sub)."""
+    vertex = {v: u for u, v in inc.vmap.items()}
+    edge = {e: x for x, e in inc.emap.items()}
+
+    def renamed(p: Path) -> Path:
+        if p.is_vertex:
+            return Path.at(inc.sub, vertex[p.vertex])
+        return Path.of(inc.sub, tuple(edge[e] for e in p.edges))
+
+    kept = {}
+    for mono, coeff in element.terms.items():
+        over_image = mono.left.target in vertex and all(
+            e in edge for e in mono.left.edges + mono.right.edges
+        )
+        if over_image:
+            kept[Monomial(renamed(mono.left), renamed(mono.right))] = coeff
+    return AlgebraElement(AlgebraContext.leavitt(inc.sub), kept)
+
+
 # -- Laurent polynomials -------------------------------------------------------
 
 

@@ -204,6 +204,15 @@ class TestCanonicalStrings:
         sr = P_rp2.path_element(Path.of(rp2, ("s", "r")))
         assert str(sr) == "s r"
 
+    def test_one_edge_tuple_on_either_side(self):
+        # ('r',) and ('t',) are each a left path in one term and a right
+        # path in another, so str must read each side's own text
+        x = parse_expression(AlgebraContext.leavitt(rp2), "r t* + t r* - 2/3 t t* + w")
+        assert str(x) == "w + r t* + t r* - 2/3 t t*"
+        assert [(m.left.edges, m.right.edges) for m in x.monomials()] == [
+            ((), ()), (("r",), ("t",)), (("t",), ("r",)), (("t",), ("t",)),
+        ]
+
 
 class TestCoefficients:
     """Reduced (n, d) int pairs inside an element, Fractions at terms,

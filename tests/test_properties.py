@@ -3,9 +3,10 @@ Leavitt algebras, the expression parser's sums and generator runs, the
 rendered normal form, the paths and maps the package builds without
 re-validating them, the relations that maps of the category tower
 preserve, classification against its reference, composition of path
-homomorphisms and the functoriality of the induced maps, the H8
-first-preimage search and family length, and the mixed-pullback theorem on
-prefix-code squares; and the canonical JSON writer against ``json.dumps``.
+homomorphisms and the functoriality of the induced maps, the quotient maps
+of admissible inclusions, the H8 first-preimage search and family length,
+and the mixed-pullback theorem on prefix-code squares; and the canonical
+JSON writer against ``json.dumps``.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples (``conftest.py`` keeps Hypothesis' other files out of the tree).
@@ -26,6 +27,7 @@ from pathalg import (
     AlgebraContext,
     AlgebraElement,
     Graph,
+    GraphInclusion,
     Path,
     PathHom,
     canonical_dumps,
@@ -34,7 +36,9 @@ from pathalg import (
     classify,
     compose,
     enumerate_path_homs,
+    is_admissible,
     paths_up_to,
+    quotient_map,
     regular_vertices,
     verify_relations_preserved,
 )
@@ -65,6 +69,7 @@ from helpers import (
     reference_monomial_key,
     reference_multiply,
     reference_parse_expression,
+    reference_quotient,
     reference_render,
     reference_verdict,
     second_vertex_irregular_map,
@@ -77,16 +82,22 @@ MODES = (AlgebraContext.path, AlgebraContext.cohn, AlgebraContext.leavitt)
 
 
 @st.composite
-def graphs(draw, max_vertices: int = 4, max_edges: int = 6):
+def graphs(draw, max_vertices: int = 4, max_edges: int = 6, shuffled: bool = False):
     """At most 4 vertices and 6 edges by default, loops and parallel edges
-    allowed."""
+    allowed; shuffled draws the order the names are declared in, so that it
+    need not be their sort order."""
     vertices = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
+    if shuffled:
+        vertices = draw(st.permutations(vertices))
     ends = draw(
         st.lists(
             st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)), max_size=max_edges
         )
     )
-    return Graph(vertices, [(f"e{i}", s, t) for i, (s, t) in enumerate(ends)])
+    edges = [f"e{i}" for i in range(len(ends))]
+    if shuffled:
+        edges = draw(st.permutations(edges))
+    return Graph(vertices, [(e, s, t) for e, (s, t) in zip(edges, ends)])
 
 
 def _walk(draw, g: Graph, start: str, forward: bool, max_len: int = 3) -> tuple:
@@ -128,13 +139,15 @@ _fractions = st.tuples(
 
 
 @st.composite
-def elements(draw, ctx: AlgebraContext, max_terms: int = 3, coefficients=_small_integers):
-    """Up to max_terms basis monomials with nonzero coefficients, small
-    integers by default: paths in path mode, pairs S_alpha S_beta*
+def elements(
+    draw, ctx: AlgebraContext, max_terms: int = 3, coefficients=_small_integers, min_terms: int = 0
+):
+    """min_terms to max_terms basis monomials with nonzero coefficients,
+    small integers by default: paths in path mode, pairs S_alpha S_beta*
     otherwise."""
     g = ctx.graph
     total = ctx.zero()
-    for _ in range(draw(st.integers(0, max_terms))):
+    for _ in range(draw(st.integers(min_terms, max_terms))):
         _, alpha, v = draw(walks(g))
         left = _path(g, v, alpha)
         if ctx.is_path_mode:
@@ -348,6 +361,22 @@ def test_render_matches_reference(make_context, data):
     the one Fraction comparisons and abs give, in the order of monomials()."""
     ctx = make_context(data.draw(graphs()))
     x = data.draw(elements(ctx, max_terms=6, coefficients=_fractions))
+    assert str(x) == reference_render(x)
+    assert x.monomials() == tuple(sorted(x.terms, key=reference_monomial_key))
+
+
+# No shrinking: a failing draw of 20 or more terms takes minutes to shrink,
+# and the test above reports a small example of most faults it would find.
+@pytest.mark.parametrize("make_context", MODES, ids=["path", "cohn", "leavitt"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          phases=(Phase.explicit, Phase.generate))
+@given(data=st.data())
+def test_render_matches_reference_on_long_elements(make_context, data):
+    """About 24 drawn terms, so edge tuples repeat across terms and sides,
+    on graphs whose declaration order is not their names' sort order: the
+    text of str and the order of monomials() are still the reference's."""
+    ctx = make_context(data.draw(graphs(shuffled=True)))
+    x = data.draw(elements(ctx, min_terms=20, max_terms=28, coefficients=_fractions))
     assert str(x) == reference_render(x)
     assert x.monomials() == tuple(sorted(x.terms, key=reference_monomial_key))
 
@@ -696,6 +725,40 @@ def test_induced_maps_are_functorial(category, data):
     assert classify(gf).satisfies(category)
     for x in _generators(make_context(a)):
         assert induce(gf, x) == induce(g, induce(f, x))
+
+
+@_settings
+@given(data=st.data())
+def test_quotient_map_kills_a_monomial_at_its_target(data):
+    """Close H, a drawn vertex or none, under successors and saturate it;
+    the full subgraph on the other vertices, renamed, is then admissibly
+    included.  By (A2) every path of length <= 3 ending at an image vertex
+    uses image edges only, so the quotient map, which looks up a monomial's
+    target alone, equals the reference, which checks every edge.  (One
+    drawn vertex on up to 5 vertices and 6 edges leaves more H that are
+    neither empty nor everything, and more edges into H, than larger
+    draws.)"""
+    g = data.draw(graphs(5, 6))
+    H = data.draw(st.sets(st.sampled_from(g.vertices), max_size=1))
+    while True:
+        grown = H | {g.tgt(e) for v in H for e in g.out_edges(v)}
+        grown |= {v for v in g.vertices
+                  if g.out_edges(v) and all(g.tgt(e) in grown for e in g.out_edges(v))}
+        if grown == H:
+            break
+        H = grown
+    keep = [v for v in g.vertices if v not in H]
+    kept = [e for e in g.edges if g.src(e) not in H and g.tgt(e) not in H]
+    sub = Graph([f"u{v}" for v in keep], [(f"x{e}", f"u{g.src(e)}", f"u{g.tgt(e)}") for e in kept])
+    inc = GraphInclusion(sub, g, {f"u{v}": v for v in keep}, {f"x{e}": e for e in kept})
+    assert is_admissible(inc)
+    for p in paths_up_to(g, 3):
+        if p.target in inc.image_vertices:
+            assert inc.image_edges.issuperset(p.edges)
+    ctx = AlgebraContext.leavitt(g)
+    for _ in range(3):
+        x = data.draw(elements(ctx, max_terms=8, coefficients=_fractions))
+        assert quotient_map(inc, x) == reference_quotient(inc, x)
 
 
 # -- the mixed-pullback theorem ----------------------------------------------------
