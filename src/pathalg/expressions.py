@@ -6,8 +6,12 @@ Grammar (whitespace separates tokens, juxtaposition is multiplication):
     term     := [rational ('*')?] factor+
     factor   := ident ('*')? | '(' expr ')'
     rational := int ('/' int)?
-    ident    := [A-Za-z_][A-Za-z0-9_]*
+    ident    := (letter | '_') (letter | numeric | '_')*
 
+Identifiers are Unicode: a letter is a character that ``str.isalpha``
+accepts, and a numeric one any other that ``str.isalnum`` accepts (a digit
+in any script, or a character such as '²'), so ``é`` and ``a²`` are
+identifiers.  An int is a run of decimal digits, as ``int`` reads them.
 An identifier resolves to a vertex projection or an edge generator of the
 context graph; a postfix '*' stars it (a starred vertex projection is
 itself).  There is no unary minus and no scalar-only term.  Parentheses
@@ -44,7 +48,7 @@ _PUNCT = frozenset("+-*/()")
 
 _MINUS_ONE = (-1, 1)
 
-# run states besides a triple: no generator read yet, and a run that is 0
+# run states besides a monomial key: no generator read yet, and a run that is 0
 _EMPTY = object()
 _ZERO_RUN = object()
 
@@ -122,7 +126,9 @@ class _Parser:
             sign = 1 if kind == "+" else -1
 
     def term(self, sign: int, acc: dict) -> None:
-        """Parse one term and add it, times sign, to acc."""
+        """Parse one term and add it, times sign, to acc.  A term that is
+        one run of generators hands the run's monomial key to
+        ``_accumulate_pair`` as it is."""
         tokens = self.tokens
         if tokens[self.i][0] == "number":
             scalar = self.rational(sign)
@@ -131,7 +137,7 @@ class _Parser:
         else:
             scalar = _ONE if sign > 0 else _MINUS_ONE
         value = None  # the product of the factors before the open run
-        run = _EMPTY  # the open run of generators: _EMPTY, _ZERO_RUN or a triple
+        run = _EMPTY  # the open run of generators: _EMPTY, _ZERO_RUN or a monomial key
         while True:
             kind, text, pos = tokens[self.i]
             self.i += 1
@@ -162,7 +168,7 @@ class _Parser:
                 break
         if value is None:
             if run is not _ZERO_RUN:
-                _accumulate_pair(self.ctx, self.pair(run), scalar, acc)
+                _accumulate_pair(self.ctx, run, scalar, acc)
             return
         for m, c in self.close(value, run)._terms.items():
             acc[m] = _add(acc.get(m, _ZERO), _mul(scalar, c))
@@ -191,12 +197,14 @@ class _Parser:
             ) from None
 
     def generator(self, run, name: str, pos: int, starred: bool):
-        """The run followed by the generator name, read at pos, by (CK1): a
-        vertex x keeps S_a S_b* iff s(b) = x; an edge e cancels the first
+        """The run followed by the generator name, read at pos, by (CK1).  A
+        nonzero run S_a S_b* is its monomial key (a's edges, b's edges, t),
+        t = t(a) = t(b), and its right end s(b) is t when b is a vertex: a
+        vertex x keeps the run iff s(b) = x; an edge e cancels the first
         edge of b if that is e, extends a if b is a vertex at s(e), and kills
-        the run otherwise; e* prepends e to b iff t(e) = s(b).  The
-        identifier is resolved even when the run is already 0, so errors are
-        raised at the token where they occur."""
+        the run otherwise; e* prepends e to b iff t(e) = s(b).  Only an
+        extension moves t.  The identifier is resolved even when the run is
+        already 0, so errors are raised at the token where they occur."""
         is_vertex = name in self.vertices
         if name in self.src:
             if is_vertex:
@@ -211,28 +219,19 @@ class _Parser:
             )
         if run is _ZERO_RUN:
             return run
-        if is_vertex:  # a starred projection is itself
-            if run is _EMPTY:
-                return ((), (), name)
-            return run if run[2] == name else _ZERO_RUN
-        if starred:
-            if run is _EMPTY:
-                return ((), (name,), self.src[name])
-            alpha, beta, v = run
-            return (alpha, (name,) + beta, self.src[name]) if self.tgt[name] == v else _ZERO_RUN
         if run is _EMPTY:
-            return ((name,), (), self.tgt[name])
-        alpha, beta, v = run
+            if is_vertex:  # a starred projection is itself
+                return ((), (), name)
+            return ((), (name,), self.tgt[name]) if starred else ((name,), (), self.tgt[name])
+        alpha, beta, t = run
+        if is_vertex or starred:
+            s = self.src[beta[0]] if beta else t
+            if is_vertex:
+                return run if s == name else _ZERO_RUN
+            return (alpha, (name,) + beta, t) if self.tgt[name] == s else _ZERO_RUN
         if beta:
-            return (alpha, beta[1:], self.tgt[name]) if beta[0] == name else _ZERO_RUN
-        return (alpha + (name,), (), self.tgt[name]) if self.src[name] == v else _ZERO_RUN
-
-    def pair(self, run) -> tuple:
-        """The monomial key (a's edges, b's edges, t(b)) of a nonzero run
-        S_a S_b*, given as the triple (a's edges, b's edges, s(b)); s(b) is
-        t(a) when b is a vertex."""
-        alpha, beta, v = run
-        return (alpha, beta, self.tgt[beta[-1]]) if beta else run
+            return (alpha, beta[1:], t) if beta[0] == name else _ZERO_RUN
+        return (alpha + (name,), (), self.tgt[name]) if self.src[name] == t else _ZERO_RUN
 
     def close(self, value: Optional[AlgebraElement], run) -> Optional[AlgebraElement]:
         """value times the run, or value when the run is empty."""
@@ -240,7 +239,7 @@ class _Parser:
             return value
         acc: dict = {}
         if run is not _ZERO_RUN:
-            _accumulate_pair(self.ctx, self.pair(run), _ONE, acc)
+            _accumulate_pair(self.ctx, run, _ONE, acc)
         element = AlgebraElement._owned(self.ctx, acc)
         return element if value is None else multiply(value, element)
 

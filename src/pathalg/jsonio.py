@@ -7,7 +7,6 @@ typo fails loudly instead of silently dropping data.
 from __future__ import annotations
 
 import json
-import math
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .admissible import GraphInclusion
@@ -25,7 +24,9 @@ _escape = json.encoder.encode_basestring_ascii
 
 def canonical_dumps(data) -> str:
     """Exactly ``json.dumps(data, indent=2) + "\\n"``, written directly:
-    CPython serves an indented dump with its pure-Python encoder.
+    CPython serves an indented dump with its pure-Python encoder.  Only the
+    nesting is written here; a leaf the loops do not inline is spelled by
+    ``json.dumps`` itself, which also refuses what it refuses.
 
     A plain dict that occurs more than once in ``data`` (reports share one
     dict per path) is written once per indent and its text reused."""
@@ -35,30 +36,11 @@ def canonical_dumps(data) -> str:
     return "".join(out)
 
 
-def _scalar(x) -> str:
-    """Unquoted JSON text of None, a bool, an int or a float."""
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _key(k) -> str:
     if isinstance(k, str):
         return _escape(k)
     if k is None or isinstance(k, (int, float)):
-        return _escape(_scalar(k))
+        return _escape(json.dumps(k))
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
@@ -68,7 +50,7 @@ def _write(x, out: list, newline: str, memo: dict) -> None:
     A child that is exactly a str, a bool or None is written with its key
     or joint, with no call; a child that is exactly a nonempty dict comes
     from ``_dict_text``; every other child (a subclass, a tuple, a number)
-    goes through ``_write`` again."""
+    goes through ``_write`` again, which hands a leaf to ``json.dumps``."""
     if isinstance(x, dict):
         if not x:
             out.append("{}")
@@ -112,12 +94,8 @@ def _write(x, out: list, newline: str, memo: dict) -> None:
                 _write(v, out, inner, memo)
             joint = "," + inner
         out.append(newline + "]")
-    elif isinstance(x, str):
-        out.append(_escape(x))
-    elif x is None or isinstance(x, (int, float)):
-        out.append(_scalar(x))
     else:
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        out.append(json.dumps(x))
 
 
 def _dict_text(x: dict, newline: str, memo: dict) -> str:

@@ -200,18 +200,15 @@ def compose(g: PathHom, f: PathHom) -> PathHom:
 def extended_lift(f: PathHom) -> PathHom:
     """The lift of f to the doubled graphs: ghost edges map to the starred
     reversals of the original images."""
-    dom_ext = extended_graph(f.dom)
-    cod_ext = extended_graph(f.cod)
     emap = {}
     for e in f.dom.edges:
-        img = f.emap[e]
-        if img.is_vertex:
-            emap[e] = Path.at(cod_ext, img.vertex)
-            emap[e + "*"] = Path.at(cod_ext, img.vertex)
-        else:
-            emap[e] = Path.of(cod_ext, img.edges)
-            emap[e + "*"] = Path.of(cod_ext, tuple(x + "*" for x in reversed(img.edges)))
-    return PathHom(dom_ext, cod_ext, dict(f.vmap), emap)
+        # PathHom reads an empty tuple as the length-0 path at the image of
+        # the edge's source; for e and its ghost alike, that is the one
+        # vertex of a length-0 image
+        edges = f.emap[e].edges
+        emap[e] = edges
+        emap[e + "*"] = tuple(x + "*" for x in reversed(edges))
+    return PathHom(extended_graph(f.dom), extended_graph(f.cod), dict(f.vmap), emap)
 
 
 class CategoryVerdict(NamedTuple):

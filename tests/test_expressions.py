@@ -62,6 +62,43 @@ class TestGrammar:
     def test_whitespace_flexible(self):
         assert s(L_toe, "  e   f  ") == "e f"
 
+    def test_identifiers_are_unicode(self):
+        # a letter first, then letters and numeric characters: é and a² are
+        # identifiers, as graph ids are opaque strings
+        g = Graph(["é", "w"], [("a²", "é", "w"), ("x", "é", "é")])
+        assert s(AlgebraContext.leavitt(g), "é a² a²*") == "é - x x*"
+
+
+# Runs of L(toeplitz) (e: v -> v, f: v -> w) whose right path reaches length
+# 2, one case per way a generator meets a run: a vertex after a star, a star
+# prepended to a star, a cancel that leaves a star, an extension after the
+# right path is used up, and the zero of each.
+_RUNS = [
+    ("f* e* e", "f*"),
+    ("f* e* e f", "w"),
+    ("f* e* f", "0"),
+    ("f* e* e e*", "f* e*"),
+    ("f* e* e e f", "0"),
+    ("f* e* v", "f* e*"),
+    ("f* v", "f*"),
+    ("f* w", "0"),
+    ("w f*", "f*"),
+    ("v f*", "0"),
+    ("w f* e* e e*", "f* e*"),
+    ("e f f* e* e", "e f f*"),
+    ("e e f w f* e*", "e e f f* e*"),
+    ("e e* e* e", "v - f f*"),
+]
+
+
+@pytest.mark.parametrize("text,expected", _RUNS, ids=[c[0] for c in _RUNS])
+def test_run_fold(text, expected):
+    value = parse_expression(L_toe, text)
+    assert str(value) == expected
+    # one factor per run: every product goes through multiply
+    factors = " ".join(f"({token})" for token in text.split())
+    assert value == parse_expression(L_toe, factors)
+
 
 class TestErrors:
     def test_empty_expression(self):

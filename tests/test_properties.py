@@ -859,7 +859,15 @@ _scalars = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324]),
 )
 _keys = st.one_of(
-    _text(6), _text(6).map(_Str), st.integers(), st.booleans(), st.none(), st.floats()
+    _text(6),
+    _text(6).map(_Str),
+    st.integers(),
+    st.integers().map(_Int),
+    st.sampled_from(_Level),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.floats().map(_Float),
 )
 
 
