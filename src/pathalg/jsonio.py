@@ -26,7 +26,8 @@ def canonical_dumps(data) -> str:
     """Exactly ``json.dumps(data, indent=2) + "\\n"``, written directly:
     CPython serves an indented dump with its pure-Python encoder.  Only the
     nesting is written here; a leaf the loops do not inline is spelled by
-    ``json.dumps`` itself, which also refuses what it refuses.
+    ``json.dumps`` itself, which raises its own ``TypeError`` for a value
+    it refuses.
 
     A plain dict that occurs more than once in ``data`` (reports share one
     dict per path) is written once per indent and its text reused."""
