@@ -83,6 +83,16 @@ def _mul(a: tuple, b: tuple) -> tuple:
     return (n // g, d // g)
 
 
+def _nonzero(acc: dict) -> dict:
+    """acc with its zero coefficients deleted in place (the pair (0, 1) is
+    truthy, so the test reads n).  A reduced zero is always exactly (0, 1),
+    so the scan runs only when that pair is among the values."""
+    if _ZERO in acc.values():
+        for m in [m for m, c in acc.items() if not c[0]]:
+            del acc[m]
+    return acc
+
+
 class Monomial(NamedTuple):
     """Basis monomial: the pair (left, right) denoting S_left S_right* with
     matching targets, in every mode.  A path p of the path algebra is the
@@ -258,21 +268,23 @@ class AlgebraContext:
             raise ContextMismatch("paths live in a different graph")
         if left.target != right.target:
             raise ValueError("pair monomial needs matching targets")
-        return _pair(self, left, right)
+        return AlgebraElement._owned(self, _pair(self, left, right))
 
 
-def _pair(ctx: AlgebraContext, left: Path, right: Path) -> "AlgebraElement":
-    """S_left S_right* in normal form, for paths of ctx's graph that end at
-    one vertex, with no checks (``pair_element`` makes them)."""
+def _pair(ctx: AlgebraContext, left: Path, right: Path) -> dict:
+    """The terms of S_left S_right* in normal form, for paths of ctx's graph
+    that end at one vertex, with no checks (``pair_element`` makes them).
+    No term cancels: each step of the tail reduction adds terms one edge
+    shorter than the step before, and its core is shorter still."""
     acc: dict = {}
     _accumulate_pair(ctx, (left.edges, right.edges, left.target), _ONE, acc)
-    return AlgebraElement._owned(ctx, acc)
+    return acc
 
 
 def _accumulate_pair(ctx: AlgebraContext, key: tuple, coeff: tuple, acc: dict) -> None:
     """Add coeff * S_left S_right* to acc in normal form (tail reduction),
     for key = (left's edges, right's edges, their common target) and coeff a
-    reduced (n, d) pair; a term may cancel to (0, 1), which ``_owned``
+    reduced (n, d) pair; a term may cancel to (0, 1), which ``_nonzero``
     drops."""
     left, right, t = key
     special = ctx.special_edge
@@ -323,14 +335,9 @@ class AlgebraElement:
 
     @classmethod
     def _owned(cls, context: AlgebraContext, terms: dict) -> "AlgebraElement":
-        """An element that takes over terms, a dict of monomial keys no one
-        else holds: its zero coefficients are deleted in place instead of
-        copying it (the pair (0, 1) is truthy, so the test reads n).  A
-        reduced zero is always exactly (0, 1), so the scan runs only when
-        that pair is among the values."""
-        if _ZERO in terms.values():
-            for m in [m for m, c in terms.items() if not c[0]]:
-                del terms[m]
+        """An element that takes over terms, a dict of monomial keys with no
+        zero coefficient that no one else holds; ``_nonzero`` makes a sum
+        that may have cancelled one."""
         element = cls.__new__(cls)
         element.context = context
         element._terms = terms
@@ -365,7 +372,7 @@ class AlgebraElement:
         for m, c in other._terms.items():
             old = terms.get(m)
             terms[m] = c if old is None else _add(old, c)
-        return AlgebraElement._owned(self.context, terms)
+        return AlgebraElement._owned(self.context, _nonzero(terms))
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -381,7 +388,7 @@ class AlgebraElement:
         scalar = Fraction(scalar)
         pair = (scalar.numerator, scalar.denominator)
         return AlgebraElement._owned(
-            self.context, {m: _mul(pair, c) for m, c in self._terms.items()}
+            self.context, _nonzero({m: _mul(pair, c) for m, c in self._terms.items()})
         )
 
     def __mul__(self, other):
@@ -462,7 +469,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         for k in range(n):
             for (_, delta, _), c2 in exact.get((source, beta[:k]), ()):
                 _accumulate_pair(ctx, (alpha, delta + beta[k:], t), _mul(c1, c2), acc)
-    return AlgebraElement._owned(ctx, acc)
+    return AlgebraElement._owned(ctx, _nonzero(acc))
 
 
 # -- induced homomorphisms and quotient maps ------------------------------------
@@ -484,7 +491,7 @@ _INDUCED = {
 
 
 class _Map(NamedTuple):
-    """What ``_push`` sends an element through; a missing key kills the
+    """What ``_push`` sends a term dict through; a missing key kills the
     monomial."""
 
     target: AlgebraContext
@@ -512,23 +519,24 @@ def _induced_map(f: PathHom, kind: str) -> _Map:
     return data
 
 
-def _push(
-    target: AlgebraContext, vertex_map: dict, edge_map: dict, a: AlgebraElement
-) -> AlgebraElement:
-    """Send each monomial of a through vertex_map (vertex -> vertex) and
-    edge_map (edge -> edge tuple) and renormalize in target; a missing key
-    kills the monomial.  Only its target is looked up for that: an induced
-    map's maps are total, and ``_quotient`` shows why a quotient map's edge
-    map misses no edge of a monomial whose target it keeps."""
+def _push(target: AlgebraContext, vertex_map: dict, edge_map: dict, terms: dict) -> dict:
+    """Send each monomial of terms (monomial key -> reduced (n, d) pair,
+    none zero) through vertex_map (vertex -> vertex) and edge_map (edge ->
+    edge tuple) and renormalize in target; the result is a new term dict in
+    the same form, empty when every monomial dies.  A missing key kills the
+    monomial, and only its target is looked up for that: an induced map's
+    maps are total, and ``_quotient`` shows why a quotient map's edge map
+    misses no edge of a monomial whose target it keeps.  Callers that hand
+    an element out wrap the result with ``AlgebraElement._owned``."""
     acc: dict = {}
     image = edge_map.__getitem__
-    for (left, right, t), coeff in a._terms.items():
+    for (left, right, t), coeff in terms.items():
         t = vertex_map.get(t)
         if t is None:
             continue
         key = (sum(map(image, left), ()), sum(map(image, right), ()), t)
         _accumulate_pair(target, key, coeff, acc)
-    return AlgebraElement._owned(target, acc)
+    return _nonzero(acc)
 
 
 def _induce(f: PathHom, a: AlgebraElement, kind: str) -> AlgebraElement:
@@ -536,7 +544,8 @@ def _induce(f: PathHom, a: AlgebraElement, kind: str) -> AlgebraElement:
     ``kind`` algebra of f's domain."""
     if a.context.graph != f.dom or a.context._kind != kind:
         raise ContextMismatch(f"element does not live in the {_INDUCED[kind][0]} of the domain")
-    return _push(*_induced_map(f, kind), a)
+    data = _induced_map(f, kind)
+    return AlgebraElement._owned(data.target, _push(*data, a._terms))
 
 
 def induce_path(f: PathHom, a: AlgebraElement) -> AlgebraElement:
@@ -591,7 +600,7 @@ def quotient_map(inc: GraphInclusion, a: AlgebraElement) -> AlgebraElement:
     data = _quotient(inc)
     if a.context.graph != inc.amb or not a.context.is_leavitt:
         raise ContextMismatch("element does not live in the Leavitt algebra of the ambient graph")
-    return _push(*data, a)
+    return AlgebraElement._owned(data.target, _push(*data, a._terms))
 
 
 # -- relation preservation -----------------------------------------------------

@@ -36,6 +36,7 @@ from .algebra import (
     _accumulate_pair,
     _add,
     _mul,
+    _nonzero,
     multiply,
 )
 from .errors import ParseError, StarInPathMode, UnknownIdentifier
@@ -121,7 +122,7 @@ class _Parser:
             self.term(sign, acc)
             kind = tokens[self.i][0]
             if kind != "+" and kind != "-":
-                return AlgebraElement._owned(self.ctx, acc)
+                return AlgebraElement._owned(self.ctx, _nonzero(acc))
             self.i += 1
             sign = 1 if kind == "+" else -1
 
@@ -239,6 +240,7 @@ class _Parser:
             return value
         acc: dict = {}
         if run is not _ZERO_RUN:
+            # one pair's terms never cancel (see ``algebra._pair``)
             _accumulate_pair(self.ctx, run, _ONE, acc)
         element = AlgebraElement._owned(self.ctx, acc)
         return element if value is None else multiply(value, element)

@@ -1,8 +1,10 @@
 """JSON file formats for graphs, morphisms, inclusions and verifier instances.
 
 Serialization is canonical: stable key order, two-space indent, trailing
-newline.  Deserialization is strict about shapes and key names so that a
-typo fails loudly instead of silently dropping data.
+newline.  ``canonical_dumps`` writes that text into one list of pieces,
+each dict in place, and copies the span of a dict that recurs.
+Deserialization is strict about shapes and key names so that a typo fails
+loudly instead of silently dropping data.
 """
 from __future__ import annotations
 
@@ -29,10 +31,12 @@ def canonical_dumps(data) -> str:
     ``json.dumps`` itself, which raises its own ``TypeError`` for a value
     it refuses.
 
-    A plain dict that occurs more than once in ``data`` (reports share one
-    dict per path) is written once per indent and its text reused."""
+    Every piece of text is appended to one list.  A plain dict that occurs
+    more than once in ``data`` (reports share one dict per path) is written
+    in place on its first use at an indent, and later uses at that indent
+    copy its span of the list."""
     out: list[str] = []
-    _write(data, out, "\n", {})
+    _write(data, out, "\n", {}, {})
     out.append("\n")
     return "".join(out)
 
@@ -45,13 +49,16 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _write(x, out: list, newline: str, memo: dict) -> None:
+def _write(x, out: list, newline: str, spans: dict, heads: dict) -> None:
     """Append the text of ``x`` at the indent that ``newline`` ends in.
 
     A child that is exactly a str, a bool or None is written with its key
-    or joint, with no call; a child that is exactly a nonempty dict comes
-    from ``_dict_text``; every other child (a subclass, a tuple, a number)
-    goes through ``_write`` again, which hands a leaf to ``json.dumps``."""
+    or joint, with no call; a child that is exactly a nonempty dict goes
+    through ``_span``; every other child (a subclass, a tuple, a number)
+    goes through ``_write`` again, which hands a leaf to ``json.dumps``.
+    ``heads`` keeps the escaped head ``"key": `` of each key that is
+    exactly a str; any other key goes through ``_key`` each time, since
+    1, True and 1.0 are one dict key but three spellings."""
     if isinstance(x, dict):
         if not x:
             out.append("{}")
@@ -59,20 +66,26 @@ def _write(x, out: list, newline: str, memo: dict) -> None:
         inner = newline + "  "
         joint = "{" + inner
         for k, v in x.items():
-            head = joint + (_escape(k) if type(k) is str else _key(k)) + ": "
-            joint = "," + inner
+            if type(k) is str:
+                head = heads.get(k)
+                if head is None:
+                    head = heads[k] = _escape(k) + ": "
+            else:
+                head = _key(k) + ": "
             t = type(v)
             if t is str:
-                out.append(head + _escape(v))
+                out.append(joint + head + _escape(v))
             elif t is bool:
-                out.append(head + ("true" if v else "false"))
+                out.append(joint + head + ("true" if v else "false"))
             elif v is None:
-                out.append(head + "null")
+                out.append(joint + head + "null")
             elif t is dict and v:
-                out.append(head + _dict_text(v, inner, memo))
+                out.append(joint + head)
+                _span(v, out, inner, spans, heads)
             else:
-                out.append(head)
-                _write(v, out, inner, memo)
+                out.append(joint + head)
+                _write(v, out, inner, spans, heads)
+            joint = "," + inner
         out.append(newline + "}")
     elif isinstance(x, (list, tuple)):
         if not x:
@@ -89,28 +102,31 @@ def _write(x, out: list, newline: str, memo: dict) -> None:
             elif v is None:
                 out.append(joint + "null")
             elif t is dict and v:
-                out.append(joint + _dict_text(v, inner, memo))
+                out.append(joint)
+                _span(v, out, inner, spans, heads)
             else:
                 out.append(joint)
-                _write(v, out, inner, memo)
+                _write(v, out, inner, spans, heads)
             joint = "," + inner
         out.append(newline + "]")
     else:
         out.append(json.dumps(x))
 
 
-def _dict_text(x: dict, newline: str, memo: dict) -> str:
-    """The text of the dict ``x`` at the indent that ``newline`` ends in,
-    written on its first use in one dump.  The text is keyed by ``id(x)``
-    and the indent, and the memo holds ``x`` so that its id stays taken
-    until the dump ends."""
+def _span(x: dict, out: list, newline: str, spans: dict, heads: dict) -> None:
+    """Append the text of the dict ``x`` at the indent that ``newline`` ends
+    in: written in place on its first use in one dump, and on a later use
+    copied from the span of ``out`` that the first one produced.  The span
+    is keyed by ``id(x)`` and the indent, and ``spans`` holds ``x`` so that
+    its id stays taken until the dump ends."""
     key = (id(x), newline)
-    kept = memo.get(key)
-    if kept is None:
-        out: list[str] = []
-        _write(x, out, newline, memo)
-        kept = memo[key] = ("".join(out), x)
-    return kept[0]
+    span = spans.get(key)
+    if span is None:
+        start = len(out)
+        _write(x, out, newline, spans, heads)
+        spans[key] = (start, len(out), x)
+    else:
+        out += out[span[0]:span[1]]
 
 
 def _require_dict(data, what: str) -> dict:

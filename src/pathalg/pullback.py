@@ -27,7 +27,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple, Optional
 
 from .admissible import GraphInclusion, breaking_vertices, is_admissible
-from .algebra import AlgebraContext, _induced_map, _pair, _push, _quotient
+from .algebra import AlgebraContext, AlgebraElement, _induced_map, _pair, _push, _quotient
 from .errors import (
     AlgebraError,
     AmbiguousInfiniteEmitter,
@@ -520,10 +520,15 @@ def check_commutativity(inst: PullbackInstance) -> CommutativityReport:
     gens = [({"vertex": v}, ctx1.vertex(v)) for v in inst.amb1.vertices]
     gens += [({"edge": e}, ctx1.edge(e)) for e in inst.amb1.edges]
     for label, elem in gens:
-        via_amb = _push(*pi2, _push(*f_map, elem))
-        via_sub = _push(*res_map, _push(*pi1, elem))
+        via_amb = _push(*pi2, _push(*f_map, elem._terms))
+        via_sub = _push(*res_map, _push(*pi1, elem._terms))
         entries.append(
-            CommutativityEntry(label, str(via_amb), str(via_sub), via_amb == via_sub)
+            CommutativityEntry(
+                label,
+                str(AlgebraElement._owned(pi2.target, via_amb)),
+                str(AlgebraElement._owned(res_map.target, via_sub)),
+                via_amb == via_sub,
+            )
         )
     return CommutativityReport(tuple(entries))
 
@@ -585,9 +590,12 @@ def check_kernel_inclusion(
     element of the first quotient's kernel under the induced map of f.
 
     The hypotheses must not fail, and ``_square`` must define the maps.
-    Each pair's element goes through both maps; each pool path's preimage
-    and JSON data are found once per call, so entries share one data dict
-    per path."""
+    Each pair's element is built and pushed through both maps one by one,
+    as a term dict (monomial key -> reduced (n, d) pair): it is killed when
+    the first quotient leaves it empty, and maps back when f sends it to
+    the terms of the normalized (alpha, beta) pair.  Each pool path's
+    preimage and JSON data are found once per call, so entries share one
+    data dict per path."""
     report = hypotheses if hypotheses is not None else check_hypotheses(inst)
     if report.overall == FAIL:
         raise HypothesisNotMet(
@@ -608,19 +616,20 @@ def check_kernel_inclusion(
         raise PreimageNotFound("no domain path maps onto a kernel path; the hypothesis "
                                "report's certificate does not cover it", path=missing[0])
 
+    ctx2 = f_map.target
     entries = []
     for alpha, at, alpha_data, at_data in rows:
         # induce_leavitt refuses any f that is not vertex-injective, so f
         # is, and the two preimages end where alpha and beta do; both pairs
         # are built with no checks
         for beta, bt, beta_data, bt_data in by_target[alpha.target]:
-            elem = _pair(ctx1, at, bt)
+            terms = _pair(ctx1, at, bt)
             entries.append(
                 KernelEntry(
                     {"left": alpha_data, "right": beta_data},
                     {"left": at_data, "right": bt_data},
-                    _push(*pi1, elem).is_zero,
-                    _push(*f_map, elem) == _pair(f_map.target, alpha, beta),
+                    not _push(*pi1, terms),
+                    _push(*f_map, terms) == _pair(ctx2, alpha, beta),
                 )
             )
     return KernelReport(tuple(entries), inst.length_bound)

@@ -898,12 +898,19 @@ _json_data = st.recursive(
 )
 
 _PATH = {"edges": ["e", "f"]}
+_P = {"edges": ["e"]}
+_X = {"l": _P, "r": _P}
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(data=_json_data)
 @example(data={"nan": float("nan"), float("nan"): [float("inf"), -math.inf, -0.0]})
 @example(data={"left": _PATH, "pair": {"right": _PATH}})  # one dict at indents 2 and 4
+# 1, True and 1.0 are one dict key but three spellings: no head is kept by value
+@example(data=[{1: 0}, {True: 0}, {1.0: 0}, {None: 0}, {"1": 0}])
+# a dict that recurs inside a recurring dict, each at two indents: copied
+# spans hold copied spans
+@example(data={"a": _X, "b": [_X, {"c": _X}], "d": _P})
 def test_canonical_dumps_is_json_dumps_indent_2(data):
     assert canonical_dumps(data) == reference_dumps(data)
 

@@ -38,7 +38,9 @@ from pathalg.registry import GRAPHS, INCLUSIONS, INSTANCES, MORPHISMS
 
 from helpers import (
     assert_kernel_check_matches_reference,
+    complete_prefix_code,
     first_exitless_cycle,
+    prefix_code_square,
     random_graph,
     reference_commutativity_entries,
     zero_chain_map,
@@ -881,7 +883,11 @@ class TestKernelCheckAgainstReference:
         assert len(held - pool) == off_pool
 
     @pytest.mark.parametrize(
-        "inst", [_loop_square_in(_exit_at_v, 2), rp2q(5)], ids=["special-exit-at-v", "rp2q-5"]
+        "inst",
+        [_loop_square_in(_exit_at_v, 2),
+         rp2q(5),
+         prefix_code_square(2, complete_prefix_code(random.Random(7), 2, 3), 1, 3)],
+        ids=["special-exit-at-v", "rp2q-5", "prefix-code-k2"],
     )
     def test_live_report_dumps_as_json_dumps(self, inst):
         # the entries share one data dict per path, which the writer writes
