@@ -607,9 +607,9 @@ def quotient_map(inc: GraphInclusion, a: AlgebraElement) -> AlgebraElement:
 
 
 class RelationCheck(NamedTuple):
-    kind: str          # "CK1" or "CK2"
+    kind: str          # "V", "CK1" or "CK2"
     label: str         # human-readable relation instance
-    data: tuple        # (e, f) for CK1, (v,) for CK2
+    data: tuple        # (v, w) for V, (e, f) for CK1, (v,) for CK2
     ok: bool
     residual: str      # normal form of the image, "0" when ok
 
@@ -644,19 +644,27 @@ class RelationReport(NamedTuple):
 def verify_relations_preserved(f: PathHom, mode: str) -> RelationReport:
     """Push every defining relation of the domain context through the
     generator assignment and normalize in the codomain context; the images
-    must vanish for the induced map of that mode to exist."""
-    if not isinstance(mode, str):
+    must vanish for the induced map of that mode to exist.
+
+    The vertex relations P_v P_w = 0 (v != w) come first, in every mode:
+    images at distinct vertices are orthogonal, so only a pair that f sends
+    to one vertex is checked, and its image is that vertex, never zero.  A
+    vertex-injective map has no such check; path mode has no other."""
+    if not isinstance(mode, str) or mode.lower() not in _INDUCED:
         raise ValueError(f"unknown relation mode {mode!r}")
     mode = mode.lower()
-    if mode == PATH:
-        return RelationReport(PATH, ())
-    if mode not in _INDUCED:
-        raise ValueError(f"unknown relation mode {mode!r}")
     make_context = _INDUCED[mode][1]
     dom_ctx, cod_ctx = make_context(f.dom), make_context(f.cod)
 
-    checks = []
     g = f.dom
+    checks = [
+        RelationCheck("V", f"{v} {w}", (v, w), False, str(cod_ctx.vertex(f.vmap[v])))
+        for i, v in enumerate(g.vertices)
+        for w in g.vertices[i + 1:]
+        if f.vmap[v] == f.vmap[w]
+    ]
+    if mode == PATH:
+        return RelationReport(PATH, tuple(checks))
     for e in g.edges:
         for e2 in g.edges:
             # CK1 image: S_f(e)* S_f(e2) - delta P_f(t(e))

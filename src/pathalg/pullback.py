@@ -590,12 +590,17 @@ def check_kernel_inclusion(
     element of the first quotient's kernel under the induced map of f.
 
     The hypotheses must not fail, and ``_square`` must define the maps.
-    Each pair's element is built and pushed through both maps one by one,
-    as a term dict (monomial key -> reduced (n, d) pair): it is killed when
-    the first quotient leaves it empty, and maps back when f sends it to
-    the terms of the normalized (alpha, beta) pair.  Each pool path's
-    preimage and JSON data are found once per call, so entries share one
-    data dict per path."""
+    Each pair's element is built as a term dict (monomial key -> reduced
+    (n, d) pair) and pushed through the first quotient: it is killed when
+    that leaves it empty.  It maps back when f sends it to the terms of the
+    normalized (alpha, beta) pair.  That is decided on keys when the element
+    is its own key, tail-normal in L(amb1), and f sends both preimages onto
+    their paths: then f sends it to the normal form of the key (alpha's
+    edges, beta's edges, their target), and a key has one normal form, so
+    it maps back and nothing is normalized in L(amb2).  Every other pair is
+    pushed through f and compared.  Each pool path's preimage, JSON data
+    and whether f sends the preimage onto it are found once per call, so
+    entries share one data dict per path."""
     report = hypotheses if hypotheses is not None else check_hypotheses(inst)
     if report.overall == FAIL:
         raise HypothesisNotMet(
@@ -603,33 +608,41 @@ def check_kernel_inclusion(
         )
     ctx1, pi1, f_map, _, _ = _square(inst)
     _, pool, preimages = _pool(inst, inst.realize_f())
-    # one row per pool path: the path, its preimage and the data of both;
+    image, vertex_map = f_map.edge_map.__getitem__, f_map.vertex_map
+    # one row per pool path: the path, its preimage, the data of both and
+    # whether f sends the preimage onto the path (its edges and its end);
     # a pair is two rows with one target, in pool order on both sides
-    rows = [(p, q, _path_data(p), None if q is None else _path_data(q))
+    rows = [(p, q, _path_data(p), None if q is None else _path_data(q),
+             q is not None and vertex_map[q.target] == p.target
+             and sum(map(image, q.edges), ()) == p.edges)
             for p, q in zip(pool, preimages)]
     by_target: dict[str, list[tuple]] = {}
     for row in rows:
         by_target.setdefault(row[0].target, []).append(row)
     # the first path the pairs meet without a preimage is the one named
-    missing = [p for group in by_target.values() for p, q, _, _ in group if q is None]
+    missing = [p for group in by_target.values() for p, q, *_ in group if q is None]
     if missing:
         raise PreimageNotFound("no domain path maps onto a kernel path; the hypothesis "
                                "report's certificate does not cover it", path=missing[0])
 
     ctx2 = f_map.target
     entries = []
-    for alpha, at, alpha_data, at_data in rows:
+    for alpha, at, alpha_data, at_data, at_onto in rows:
         # induce_leavitt refuses any f that is not vertex-injective, so f
         # is, and the two preimages end where alpha and beta do; both pairs
         # are built with no checks
-        for beta, bt, beta_data, bt_data in by_target[alpha.target]:
+        for beta, bt, beta_data, bt_data, bt_onto in by_target[alpha.target]:
             terms = _pair(ctx1, at, bt)
+            # f sends a tail-normal pair of preimages that it maps onto
+            # alpha and beta to the normal form of (alpha, beta)'s own key
+            on_keys = (at_onto and bt_onto and len(terms) == 1
+                       and (at.edges, bt.edges, at.target) in terms)
             entries.append(
                 KernelEntry(
                     {"left": alpha_data, "right": beta_data},
                     {"left": at_data, "right": bt_data},
                     not _push(*pi1, terms),
-                    _push(*f_map, terms) == _pair(ctx2, alpha, beta),
+                    on_keys or _push(*f_map, terms) == _pair(ctx2, alpha, beta),
                 )
             )
     return KernelReport(tuple(entries), inst.length_bound)

@@ -27,7 +27,7 @@ from pathalg import (
     parse_expression,
     verify_relations_preserved,
 )
-from pathalg.algebra import AlgebraElement, Monomial
+from pathalg.algebra import AlgebraElement, Monomial, RelationCheck
 from pathalg.graphs import Graph
 from pathalg.registry import GRAPHS, MORPHISMS
 
@@ -631,6 +631,14 @@ class TestRelationReports:
     def test_path_mode_report_is_empty(self):
         report = verify_relations_preserved(MORPHISMS["phi_rp2"], "path")
         assert report.all_ok and report.checks == ()
+
+    @pytest.mark.parametrize("mode", ["path", "cohn", "leavitt"])
+    def test_map_merging_two_vertices_breaks_a_vertex_relation(self, mode):
+        # a b = 0 in the domain, but f(a) f(b) = v v = v
+        f = PathHom(Graph(["a", "b"], []), GRAPHS["pt"], {"a": "v", "b": "v"}, {})
+        report = verify_relations_preserved(f, mode)
+        assert not report.all_ok
+        assert report.checks == (RelationCheck("V", "a b", ("a", "b"), False, "v"),)
 
     def test_non_regular_map_breaks_ck2(self):
         report = verify_relations_preserved(MORPHISMS["star_embed"], "leavitt")

@@ -10,6 +10,7 @@ import pytest
 
 import pathalg.admissible
 import pathalg.morphisms
+import pathalg.pullback
 from pathalg import (
     AlgebraContext,
     DomainMismatch,
@@ -32,7 +33,7 @@ from pathalg import (
     instance_to_data,
     save_json,
 )
-from pathalg.algebra import Monomial
+from pathalg.algebra import Monomial, _induced_map, _push
 from pathalg.cli import main
 from pathalg.registry import GRAPHS, INCLUSIONS, INSTANCES, MORPHISMS
 
@@ -881,6 +882,29 @@ class TestKernelCheckAgainstReference:
             held.update(p for mono in terms for p in mono)
         assert changed == reduced
         assert len(held - pool) == off_pool
+
+    @pytest.mark.parametrize(
+        "inst, pushed, pairs",
+        [*((rp2q(b), 0, (b + 1) ** 2) for b in range(6)),
+         (_loop_square_in(_exit_at_w, 3), 9, 32),
+         (_loop_square_in(_exit_at_v, 2), 4, 9)],
+        ids=[*(f"rp2q-{b}" for b in range(6)), "special-exit-at-w", "special-exit-at-v"],
+    )
+    def test_only_pairs_that_reduce_are_pushed_through_f(self, monkeypatch, inst, pushed, pairs):
+        # a tail-normal pair whose preimages f sends onto their paths maps
+        # back by its key; the pairs that reduce in L(amb1) are the ones
+        # counted in test_tail_reduction_inside_the_check
+        f_map = _induced_map(inst.realize_f(), "leavitt")
+        through_f = []
+
+        def push(target, *rest):
+            through_f.append(target is f_map.target)
+            return _push(target, *rest)
+
+        monkeypatch.setattr(pathalg.pullback, "_push", push)
+        report = assert_kernel_check_matches_reference(inst)
+        assert report.all_ok
+        assert (sum(through_f), len(report.entries)) == (pushed, pairs)
 
     @pytest.mark.parametrize(
         "inst",
