@@ -37,7 +37,8 @@ class Graph:
     ``vertices`` is a sequence of ids, ``edges`` a sequence of
     ``(id, src, tgt)`` triples, ``infinite_emitters`` a sequence whose items
     are either a vertex id or a ``(vertex, targets)`` pair declaring where the
-    unlisted edges land (``targets=None`` means undeclared).
+    unlisted edges land (``targets=None`` means undeclared).  An id that is
+    not a str is refused with ``TypeError``.
     """
 
     __slots__ = (
@@ -57,6 +58,8 @@ class Graph:
     def __init__(self, vertices=(), edges=(), infinite_emitters=()):
         vindex = {}
         for v in vertices:
+            if not isinstance(v, str):
+                raise TypeError(f"vertex id {v!r} is not a str")
             if v in vindex:
                 raise DuplicateId(f"duplicate vertex id {v!r}")
             vindex[v] = len(vindex)
@@ -69,6 +72,8 @@ class Graph:
         triples = []
         for item in edges:
             e, s, t = item
+            if not isinstance(e, str):
+                raise TypeError(f"edge id {e!r} is not a str")
             if e in eindex:
                 raise DuplicateId(f"duplicate edge id {e!r}")
             if s not in vindex:
@@ -168,6 +173,8 @@ class Path:
     __slots__ = ("graph", "vertex", "edges")
 
     def __init__(self, graph: Graph, vertex: Optional[str] = None, edges: Sequence[str] = ()):
+        if isinstance(edges, str):
+            raise TypeError("a path's edges must be a sequence of ids, not a str")
         edges = tuple(edges)
         if edges:
             if vertex is not None:

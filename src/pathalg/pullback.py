@@ -375,13 +375,18 @@ def _h7(facts: _Facts) -> tuple:
     )
 
 
-def _pool(inst: PullbackInstance, f: PathHom) -> tuple[set, list[Path], list[Optional[Path]]]:
-    """The second inclusion's complement, the amb2 paths of length <= the
-    bound ending in it, and each one's first preimage under f (None for a
-    miss)."""
+def _pool(inst: PullbackInstance, f: PathHom) -> tuple[set, list[tuple]]:
+    """The second inclusion's complement, and one row per amb2 path of
+    length <= the bound that ends in it, in ``paths_up_to`` order: the path,
+    its first preimage under f (None for a miss) and the JSON data of both.
+
+    f sends each preimage onto its path: ``_first_preimages`` finds a
+    preimage by its image's source vertex and edges, and those fix a path."""
     outside = set(inst.pi2.complement())
     pool = [p for p in paths_up_to(inst.amb2, inst.length_bound) if p.target in outside]
-    return outside, pool, _first_preimages(f, pool)
+    rows = [(p, q, _path_data(p), None if q is None else _path_data(q))
+            for p, q in zip(pool, _first_preimages(f, pool))]
+    return outside, rows
 
 
 def _h8(facts: _Facts) -> tuple:
@@ -393,12 +398,12 @@ def _h8(facts: _Facts) -> tuple:
                 "flagged vertices make the path family symbolic; cannot enumerate")
 
     # breaking vertices are flagged, so none exist once the flags are refused
-    outside, pool, preimages = _pool(inst, f)
+    outside, rows = _pool(inst, f)
     certificate = []
-    for p, q in zip(pool, preimages):
+    for _, q, p_data, q_data in rows:
         if q is None:
-            return "fail", {"path": _path_data(p)}, "no domain path maps onto the witness path"
-        certificate.append({"target": _path_data(p), "preimage": _path_data(q)})
+            return "fail", {"path": p_data}, "no domain path maps onto the witness path"
+        certificate.append({"target": p_data, "preimage": q_data})
 
     max_len = _finite_family_max_length(inst.amb2, outside)
     if max_len is not None and max_len <= bound:
@@ -590,32 +595,24 @@ def check_kernel_inclusion(
     element of the first quotient's kernel under the induced map of f.
 
     The hypotheses must not fail, and ``_square`` must define the maps.
-    Each pair's element is built as a term dict (monomial key -> reduced
-    (n, d) pair) and pushed through the first quotient: it is killed when
-    that leaves it empty.  It maps back when f sends it to the terms of the
-    normalized (alpha, beta) pair.  That is decided on keys when the element
-    is its own key, tail-normal in L(amb1), and f sends both preimages onto
-    their paths: then f sends it to the normal form of the key (alpha's
-    edges, beta's edges, their target), and a key has one normal form, so
-    it maps back and nothing is normalized in L(amb2).  Every other pair is
-    pushed through f and compared.  Each pool path's preimage, JSON data
-    and whether f sends the preimage onto it are found once per call, so
-    entries share one data dict per path."""
+    A pair is two of ``_pool``'s rows with one target, so entries share one
+    data dict per path.  Its element is built as a term dict (monomial key
+    -> reduced (n, d) pair) and pushed through the first quotient: it is
+    killed when that leaves it empty.  It maps back when f sends it to the
+    terms of the normalized (alpha, beta) pair.  A tail-normal element holds
+    its own key, which f sends to (alpha's edges, beta's edges, their
+    target), and a key has one normal form, so it maps back.  A pair that
+    tail-reduces never holds its key (its terms are a shorter core and sum
+    terms ending in a non-special edge); it is pushed through f and
+    compared."""
     report = hypotheses if hypotheses is not None else check_hypotheses(inst)
     if report.overall == FAIL:
         raise HypothesisNotMet(
             f"hypotheses are not verified (first failure: {report.first_failure})"
         )
     ctx1, pi1, f_map, _, _ = _square(inst)
-    _, pool, preimages = _pool(inst, inst.realize_f())
-    image, vertex_map = f_map.edge_map.__getitem__, f_map.vertex_map
-    # one row per pool path: the path, its preimage, the data of both and
-    # whether f sends the preimage onto the path (its edges and its end);
+    _, rows = _pool(inst, inst.realize_f())
     # a pair is two rows with one target, in pool order on both sides
-    rows = [(p, q, _path_data(p), None if q is None else _path_data(q),
-             q is not None and vertex_map[q.target] == p.target
-             and sum(map(image, q.edges), ()) == p.edges)
-            for p, q in zip(pool, preimages)]
     by_target: dict[str, list[tuple]] = {}
     for row in rows:
         by_target.setdefault(row[0].target, []).append(row)
@@ -627,22 +624,19 @@ def check_kernel_inclusion(
 
     ctx2 = f_map.target
     entries = []
-    for alpha, at, alpha_data, at_data, at_onto in rows:
+    for alpha, at, alpha_data, at_data in rows:
         # induce_leavitt refuses any f that is not vertex-injective, so f
         # is, and the two preimages end where alpha and beta do; both pairs
         # are built with no checks
-        for beta, bt, beta_data, bt_data, bt_onto in by_target[alpha.target]:
+        for beta, bt, beta_data, bt_data in by_target[alpha.target]:
             terms = _pair(ctx1, at, bt)
-            # f sends a tail-normal pair of preimages that it maps onto
-            # alpha and beta to the normal form of (alpha, beta)'s own key
-            on_keys = (at_onto and bt_onto and len(terms) == 1
-                       and (at.edges, bt.edges, at.target) in terms)
             entries.append(
                 KernelEntry(
                     {"left": alpha_data, "right": beta_data},
                     {"left": at_data, "right": bt_data},
                     not _push(*pi1, terms),
-                    on_keys or _push(*f_map, terms) == _pair(ctx2, alpha, beta),
+                    (at.edges, bt.edges, at.target) in terms
+                    or _push(*f_map, terms) == _pair(ctx2, alpha, beta),
                 )
             )
     return KernelReport(tuple(entries), inst.length_bound)

@@ -114,9 +114,6 @@ class ExampleCheck(NamedTuple):
     label: str
     expected: str
     actual: str
-    # where the expected value comes from: a definition unfolding, a worked
-    # example, or an independently computed oracle
-    basis: str = "worked example"
 
     @property
     def ok(self) -> bool:
@@ -194,8 +191,7 @@ def _classification(name, morphism, summary, flags, witnesses, classes) -> Examp
               for flag, want in flags.items()]
     checks += [ExampleCheck(f"{flag} witness", str(want), str(verdict.witnesses.get(flag)))
                for flag, want in witnesses.items()]
-    checks += [ExampleCheck(f"in {category}", str(want), str(verdict.satisfies(category)),
-                            basis="definition")
+    checks += [ExampleCheck(f"in {category}", str(want), str(verdict.satisfies(category)))
                for category, want in classes.items()]
     return ExampleResult(name, summary, tuple(checks))
 
@@ -229,8 +225,7 @@ def _example_toeplitz_ev1() -> ExampleResult:
     elem = parse_expression(ctx, "e e e* e*")
     checks = [
         ExampleCheck("normal form of e e e* e*", "v - f f* - e f f* e*", str(elem)),
-        ExampleCheck("idempotent: square equals itself", "True",
-                     str(elem * elem == elem), basis="definition"),
+        ExampleCheck("idempotent: square equals itself", "True", str(elem * elem == elem)),
     ]
     return ExampleResult(
         "toeplitz-ev1",
@@ -251,8 +246,7 @@ def _example_rp2q_pullback() -> ExampleResult:
         ExampleCheck("first failing hypothesis", "None", str(report.first_failure)),
         ExampleCheck("square commutes on generators", "True", str(comm.all_ok)),
         ExampleCheck("kernel inclusion verified", "True", str(kernel.all_ok)),
-        ExampleCheck("kernel pairs checked", "49", str(len(kernel.entries)),
-                     basis="computed oracle"),
+        ExampleCheck("kernel pairs checked", "49", str(len(kernel.entries))),
     ]
     return ExampleResult(
         "rp2q-pullback",

@@ -876,9 +876,27 @@ def test_pullback_command_loads_the_verifier():
     assert "dataclasses" not in modules
 
 
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_console_script_runs_the_cli(capsys, monkeypatch):
+    """The ``pathalg`` script that pyproject.toml declares is ``cli.run``,
+    which exits with the code and stdout of ``main`` on sys.argv.  The file
+    is matched as text: Python 3.10 has no tomllib."""
+    with open(os.path.join(_ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        _, header, scripts = fh.read().partition("[project.scripts]\n")
+    assert header, "pyproject.toml has no [project.scripts] table"
+    assert 'pathalg = "pathalg.cli:run"' in scripts.split("\n[", 1)[0].splitlines()
+    _, out, _ = run(capsys, "list")
+    monkeypatch.setattr(sys, "argv", ["pathalg", "list"])
+    with pytest.raises(SystemExit) as info:
+        cli.run()
+    assert info.value.code == 0
+    assert capsys.readouterr().out == out
+
+
 # -- the benchmark's pinned CLI outputs ----------------------------------------------
 
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _CLI_GOLDENS = os.path.join(_ROOT, "perfbench", "goldens", "cli")
 
 

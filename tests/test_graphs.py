@@ -89,18 +89,22 @@ class TestConstruction:
             Graph(["v"], [], infinite_emitters=[("v", ())])
 
     @pytest.mark.parametrize(
-        "edges, flags, error, message",
+        "vertices, edges, flags, error, message",
         [
-            ([("e", "q", "v")], [], DanglingEndpoint, "edge 'e': unknown source vertex 'q'"),
-            ([], ["v", "v"], DuplicateId, "vertex 'v' flagged as infinite emitter twice"),
-            ([], [("v", ["q"])], DanglingEndpoint,
+            (["v"], [("e", "q", "v")], [], DanglingEndpoint,
+             "edge 'e': unknown source vertex 'q'"),
+            (["v"], [], ["v", "v"], DuplicateId, "vertex 'v' flagged as infinite emitter twice"),
+            (["v"], [], [("v", ["q"])], DanglingEndpoint,
              "infinite emitter 'v': unknown target vertex 'q'"),
+            (["v", 1], [], [], TypeError, "vertex id 1 is not a str"),
+            (["v"], [(1, "v", "v")], [], TypeError, "edge id 1 is not a str"),
         ],
-        ids=["unknown_source", "flagged_twice", "unknown_flag_target"],
+        ids=["unknown_source", "flagged_twice", "unknown_flag_target", "vertex_id_not_a_str",
+             "edge_id_not_a_str"],
     )
-    def test_messages(self, edges, flags, error, message):
+    def test_messages(self, vertices, edges, flags, error, message):
         with pytest.raises(error) as info:
-            Graph(["v"], edges, infinite_emitters=flags)
+            Graph(vertices, edges, infinite_emitters=flags)
         assert type(info.value) is error
         assert str(info.value) == message
 
@@ -175,12 +179,16 @@ class TestPaths:
             (lambda: Path.of(rp2, ("s",)).extend("zz"), DanglingEndpoint, "unknown edge 'zz'"),
             (lambda: Path.at(rp2, "v").drop_last(), ValueError,
              "a length-0 path has no last edge"),
+            (lambda: Path.of(rp2, "sr"), TypeError,
+             "a path's edges must be a sequence of ids, not a str"),
+            (lambda: Path(rp2, edges="s"), TypeError,
+             "a path's edges must be a sequence of ids, not a str"),
             (lambda: prefix_leq(Path.at(rp2, "v"), Path.at(loop, "v")), ValueError,
              "prefix order only compares paths in the same graph"),
         ],
         ids=["vertex_and_edges", "neither", "at_unknown_vertex", "of_no_edges",
              "concat_across_graphs", "extend_unknown_edge", "drop_last_of_a_vertex",
-             "prefix_across_graphs"],
+             "of_a_str", "edges_a_str", "prefix_across_graphs"],
     )
     def test_refusals(self, call, error, message):
         with pytest.raises(error) as info:
