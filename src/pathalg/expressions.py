@@ -18,6 +18,12 @@ itself).  There is no unary minus and no scalar-only term.  Parentheses
 nest at most 100 deep, and a number has at most as many digits as the
 interpreter converts to an int.
 
+The tokens are found in one pass of ``_TOKEN``, whose space, word and
+digit classes are ``str.isspace``, ``str.isalnum`` or '_', and
+``str.isdecimal``; they are plain strings, closed by "".  A character that
+starts no token of the grammar, such as '²', is refused before anything is
+parsed, and a token's column is found only when an error is raised at it.
+
 A run of juxtaposed generators is 0 or one pair S_a S_b* by (CK1) alone, so
 the parser folds each run into that pair as it reads it and normalizes the
 pair once, at the end of the run; only a parenthesized factor goes through
@@ -25,6 +31,8 @@ pair once, at the end of the run; only a parenthesized factor goes through
 """
 from __future__ import annotations
 
+import re
+from itertools import islice
 from math import gcd
 from typing import Optional
 
@@ -41,11 +49,12 @@ from .algebra import (
 )
 from .errors import ParseError, StarInPathMode, UnknownIdentifier
 
-# A token is a plain (kind, text, pos) tuple: kind is "number", "ident", one
-# of + - * / ( ) or _END, and pos the 1-based column of its first character.
-_END = "end"
-
-_PUNCT = frozenset("+-*/()")
+# a number, an identifier, or any other character that is not a space
+_TOKEN = re.compile(r"\d+|[^\W\d]\w*|\S")
+# in an ASCII text, exactly the characters that start no token of the grammar
+_BAD = re.compile(r"[^\s\w()*+\-/]")
+# the tokens besides numbers that cannot start a factor
+_NOT_FACTOR = frozenset(("+", "-", "*", "/", ")", ""))
 
 _MINUS_ONE = (-1, 1)
 
@@ -58,35 +67,24 @@ _ZERO_RUN = object()
 _MAX_NESTING = 100
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """The tokens of text, closed by one end token at len(text) + 1."""
-    tokens = []
-    append = tokens.append
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _PUNCT:
-            append((ch, ch, i + 1))
-            i += 1
-        elif ch.isspace():
-            i += 1
-        # isdecimal, not isdigit: it accepts exactly the digits int() reads
-        elif ch.isdecimal():
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            append(("number", text[i:j], i + 1))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            append(("ident", text[i:j], i + 1))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", position=i + 1)
-    append((_END, "", n + 1))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, closed by ""."""
+    tokens = _TOKEN.findall(text)
+    # an identifier that starts with a numeric such as '²' needs a non-ASCII text
+    if not text.isascii() or _BAD.search(text):
+        for i, tok in enumerate(tokens):
+            ch = tok[0]
+            if not (ch.isalpha() or ch.isdecimal() or ch in "_+-*/()"):
+                raise ParseError(f"unexpected character {ch!r}", position=_column(text, i))
+    tokens.append("")
     return tokens
+
+
+def _column(text: str, i: int) -> int:
+    """The 1-based column of token i of text; the closing "" is at len(text) + 1."""
+    for match in islice(_TOKEN.finditer(text), i, None):
+        return match.start() + 1
+    return len(text) + 1
 
 
 class _Parser:
@@ -94,23 +92,29 @@ class _Parser:
         g = ctx.graph
         self.ctx = ctx
         self.vertices, self.src, self.tgt = g._vindex, g._src, g._tgt
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
+    def error(self, message: str, i: int) -> ParseError:
+        """A ParseError at token i."""
+        return ParseError(message, position=_column(self.text, i))
+
+    def expect(self, kind: str) -> str:
+        """The token at the cursor, which must be a number or the token kind."""
         tok = self.tokens[self.i]
-        if tok[0] != kind:
-            found = "end of expression" if tok[0] == _END else repr(tok[1])
-            raise ParseError(f"expected {kind!r}, found {found}", position=tok[2])
+        if not (tok.isdecimal() if kind == "number" else tok == kind):
+            found = repr(tok) if tok else "end of expression"
+            raise self.error(f"expected {kind!r}, found {found}", self.i)
         self.i += 1
         return tok
 
     def parse(self) -> AlgebraElement:
         value = self.expr()
-        kind, text, pos = self.tokens[self.i]
-        if kind != _END:
-            raise ParseError(f"unexpected {text!r}", position=pos)
+        tok = self.tokens[self.i]
+        if tok:
+            raise self.error(f"unexpected {tok!r}", self.i)
         return value
 
     def expr(self) -> AlgebraElement:
@@ -120,40 +124,36 @@ class _Parser:
         tokens = self.tokens
         while True:
             self.term(sign, acc)
-            kind = tokens[self.i][0]
-            if kind != "+" and kind != "-":
+            tok = tokens[self.i]
+            if tok != "+" and tok != "-":
                 return AlgebraElement._owned(self.ctx, _nonzero(acc))
             self.i += 1
-            sign = 1 if kind == "+" else -1
+            sign = 1 if tok == "+" else -1
 
     def term(self, sign: int, acc: dict) -> None:
         """Parse one term and add it, times sign, to acc.  A term that is
         one run of generators hands the run's monomial key to
         ``_accumulate_pair`` as it is."""
         tokens = self.tokens
-        if tokens[self.i][0] == "number":
+        if tokens[self.i].isdecimal():
             scalar = self.rational(sign)
-            if tokens[self.i][0] == "*":
+            if tokens[self.i] == "*":
                 self.i += 1
         else:
             scalar = _ONE if sign > 0 else _MINUS_ONE
+        tok = tokens[self.i]
+        if tok in _NOT_FACTOR or tok.isdecimal():
+            if not tok:
+                raise self.error("unexpected end of expression", self.i)
+            raise self.error(f"expected identifier or '(', found {tok!r}", self.i)
         value = None  # the product of the factors before the open run
         run = _EMPTY  # the open run of generators: _EMPTY, _ZERO_RUN or a monomial key
         while True:
-            kind, text, pos = tokens[self.i]
+            at = self.i
             self.i += 1
-            if kind == "ident":
-                # a '*' after an ident is always the postfix star; the scalar
-                # multiplication sign only ever follows a rational
-                starred = tokens[self.i][0] == "*"
-                if starred:
-                    self.i += 1
-                run = self.generator(run, text, pos, starred)
-            elif kind == "(":
+            if tok == "(":
                 if self.depth == _MAX_NESTING:
-                    raise ParseError(
-                        f"parentheses nest deeper than {_MAX_NESTING}", position=pos
-                    )
+                    raise self.error(f"parentheses nest deeper than {_MAX_NESTING}", at)
                 self.depth += 1
                 inner = self.expr()
                 self.expect(")")
@@ -161,11 +161,15 @@ class _Parser:
                 value = self.close(value, run)
                 value = inner if value is None else multiply(value, inner)
                 run = _EMPTY
-            elif kind == _END:
-                raise ParseError("unexpected end of expression", position=pos)
             else:
-                raise ParseError(f"expected identifier or '(', found {text!r}", position=pos)
-            if tokens[self.i][0] not in ("ident", "("):
+                # a '*' after an ident is always the postfix star; the scalar
+                # multiplication sign only ever follows a rational
+                starred = tokens[self.i] == "*"
+                if starred:
+                    self.i += 1
+                run = self.generator(run, tok, at, starred)
+            tok = tokens[self.i]
+            if tok in _NOT_FACTOR or tok.isdecimal():
                 break
         if value is None:
             if run is not _ZERO_RUN:
@@ -175,30 +179,28 @@ class _Parser:
             acc[m] = _add(acc.get(m, _ZERO), _mul(scalar, c))
 
     def rational(self, sign: int) -> tuple[int, int]:
-        """sign times the rational at the cursor, as the (n, d) pair reduced
-        by one gcd."""
-        num = self.integer(self.expect("number"))
-        den = 1
-        if self.tokens[self.i][0] == "/":
-            self.i += 1
-            den_tok = self.expect("number")
-            den = self.integer(den_tok)
-            if den == 0:
-                raise ParseError("zero denominator", position=den_tok[2])
+        """sign times the rational at the cursor, as the reduced (n, d) pair."""
+        num = self.integer()
+        if self.tokens[self.i] != "/":
+            return (sign * num, 1)
+        self.i += 1
+        den = self.integer()
+        if den == 0:
+            raise self.error("zero denominator", self.i - 1)
         g = gcd(num, den)
         return (sign * num // g, den // g)
 
-    @staticmethod
-    def integer(tok: tuple[str, str, int]) -> int:
+    def integer(self) -> int:
+        """The number at the cursor, as an int."""
+        at = self.i
+        digits = self.expect("number")
         try:
-            return int(tok[1])
+            return int(digits)
         except ValueError:  # more digits than the interpreter converts
-            raise ParseError(
-                f"number too long ({len(tok[1])} digits)", position=tok[2]
-            ) from None
+            raise self.error(f"number too long ({len(digits)} digits)", at) from None
 
-    def generator(self, run, name: str, pos: int, starred: bool):
-        """The run followed by the generator name, read at pos, by (CK1).  A
+    def generator(self, run, name: str, at: int, starred: bool):
+        """The run followed by the generator name, token at, by (CK1).  A
         nonzero run S_a S_b* is its monomial key (a's edges, b's edges, t),
         t = t(a) = t(b), and its right end s(b) is t when b is a vertex: a
         vertex x keeps the run iff s(b) = x; an edge e cancels the first
@@ -209,9 +211,7 @@ class _Parser:
         is_vertex = name in self.vertices
         if name in self.src:
             if is_vertex:
-                raise ParseError(
-                    f"identifier {name!r} names both a vertex and an edge", position=pos
-                )
+                raise self.error(f"identifier {name!r} names both a vertex and an edge", at)
             if starred and self.ctx.is_path_mode:
                 raise StarInPathMode("starred generators only exist in the quotient modes")
         elif not is_vertex:

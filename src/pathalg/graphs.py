@@ -38,7 +38,9 @@ class Graph:
     ``(id, src, tgt)`` triples, ``infinite_emitters`` a sequence whose items
     are either a vertex id or a ``(vertex, targets)`` pair declaring where the
     unlisted edges land (``targets=None`` means undeclared).  An id that is
-    not a str is refused with ``TypeError``.
+    not a str is refused with ``TypeError``, and so is a bare str in place
+    of any of these sequences or of a target list, and an item of the wrong
+    shape.
     """
 
     __slots__ = (
@@ -56,6 +58,10 @@ class Graph:
     )
 
     def __init__(self, vertices=(), edges=(), infinite_emitters=()):
+        for value, what in ((vertices, "vertices"), (edges, "edges"),
+                            (infinite_emitters, "infinite emitters")):
+            if isinstance(value, str):
+                raise TypeError(f"a graph's {what} must be a sequence, not a str")
         vindex = {}
         for v in vertices:
             if not isinstance(v, str):
@@ -71,7 +77,11 @@ class Graph:
         inc = {v: [] for v in self.vertices}
         triples = []
         for item in edges:
-            e, s, t = item
+            try:
+                # a str would unpack into its characters
+                e, s, t = () if isinstance(item, str) else item
+            except (TypeError, ValueError):
+                raise TypeError(f"an edge must be an (id, src, tgt) triple, not {item!r}") from None
             if not isinstance(e, str):
                 raise TypeError(f"edge id {e!r} is not a str")
             if e in eindex:
@@ -98,7 +108,17 @@ class Graph:
             if isinstance(item, str):
                 v, targets = item, None
             else:
-                v, targets = item
+                try:
+                    v, targets = item
+                except (TypeError, ValueError):
+                    raise TypeError(
+                        "an infinite emitter must be a vertex id or a (vertex, targets) pair,"
+                        f" not {item!r}"
+                    ) from None
+                if isinstance(targets, str):
+                    raise TypeError(
+                        f"infinite emitter {v!r}: targets must be a sequence of ids, not a str"
+                    )
                 targets = None if targets is None else tuple(targets)
             if v not in vindex:
                 raise DanglingEndpoint(f"infinite emitter flag on unknown vertex {v!r}")

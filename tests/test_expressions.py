@@ -1,5 +1,6 @@
 """Expression grammar: rational coefficients, juxtaposed factors, postfix
 stars, parentheses, and the error positions the parser reports."""
+import re
 import sys
 
 import pytest
@@ -61,6 +62,8 @@ class TestGrammar:
 
     def test_whitespace_flexible(self):
         assert s(L_toe, "  e   f  ") == "e f"
+        # any character that str.isspace accepts, such as the file separator
+        assert s(L_toe, "e\x1cf") == "e f"
 
     def test_identifiers_are_unicode(self):
         # a letter first, then letters and numeric characters: é and a² are
@@ -98,6 +101,18 @@ def test_run_fold(text, expected):
     # one factor per run: every product goes through multiply
     factors = " ".join(f"({token})" for token in text.split())
     assert value == parse_expression(L_toe, factors)
+
+
+def test_pattern_classes_are_the_str_predicates():
+    # the tokenizer's pattern reads spaces, word characters and digits
+    # through re's classes, and the grammar through these str predicates
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for cls, predicate in (
+        (r"\s", str.isspace),
+        (r"\w", lambda c: c.isalnum() or c == "_"),
+        (r"\d", str.isdecimal),
+    ):
+        assert set(re.findall(cls, every)) == {c for c in every if predicate(c)}, cls
 
 
 class TestErrors:
@@ -153,6 +168,7 @@ class TestErrors:
     def test_digits_are_decimal_digits(self):
         # any Unicode decimal digit is a number, as int() reads it ...
         assert s(L_toe, "\u0661 e") == "e"
+        assert s(L_toe, "\u0661\u0662 e") == "12 e"
         # ... while a superscript digit is no number at all
         with pytest.raises(ParseError) as info:
             parse_expression(L_toe, "e + \u00b2 e")
@@ -185,6 +201,17 @@ class TestErrors:
 _ERRORS = [
     (L_toe, "   ", ParseError, "empty expression (at position 1)", 1),
     (L_toe, "e + \u00b2 e", ParseError, "unexpected character '\u00b2' (at position 5)", 5),
+    (L_toe, "2\u00b2 e", ParseError, "unexpected character '\u00b2' (at position 2)", 2),
+    # a combining mark is no word character
+    (L_toe, "e\u0301", ParseError, "unexpected character '\u0301' (at position 2)", 2),
+    # a bad character is refused before any parse error ...
+    (L_toe, "e ) \u00b2", ParseError, "unexpected character '\u00b2' (at position 5)", 5),
+    (L_toe, "e ) !", ParseError, "unexpected character '!' (at position 5)", 5),
+    # ... and even where the graph has a vertex of that name
+    (AlgebraContext.leavitt(Graph(["\u00b2"], [])), "\u00b2", ParseError,
+     "unexpected character '\u00b2' (at position 1)", 1),
+    # the file separator is a space, and counts as one column
+    (L_toe, "e\x1c)", ParseError, "unexpected ')' (at position 3)", 3),
     (L_toe, "(e", ParseError, "expected ')', found end of expression (at position 3)", 3),
     (L_toe, "(e f", ParseError, "expected ')', found end of expression (at position 5)", 5),
     (L_toe, "3 *", ParseError, "unexpected end of expression (at position 4)", 4),

@@ -98,9 +98,23 @@ class TestConstruction:
              "infinite emitter 'v': unknown target vertex 'q'"),
             (["v", 1], [], [], TypeError, "vertex id 1 is not a str"),
             (["v"], [(1, "v", "v")], [], TypeError, "edge id 1 is not a str"),
+            # a bare str is not read as a sequence of its characters
+            ("vw", [], [], TypeError, "a graph's vertices must be a sequence, not a str"),
+            (["v"], "e", [], TypeError, "a graph's edges must be a sequence, not a str"),
+            (["a", "b", "c"], ["abc"], [], TypeError,
+             "an edge must be an (id, src, tgt) triple, not 'abc'"),
+            (["v"], [("e", "v")], [], TypeError,
+             "an edge must be an (id, src, tgt) triple, not ('e', 'v')"),
+            (["v"], [], "v", TypeError,
+             "a graph's infinite emitters must be a sequence, not a str"),
+            (["v"], [], [("v",)], TypeError,
+             "an infinite emitter must be a vertex id or a (vertex, targets) pair, not ('v',)"),
+            (["v", "w"], [], [("v", "w")], TypeError,
+             "infinite emitter 'v': targets must be a sequence of ids, not a str"),
         ],
         ids=["unknown_source", "flagged_twice", "unknown_flag_target", "vertex_id_not_a_str",
-             "edge_id_not_a_str"],
+             "edge_id_not_a_str", "vertices_a_str", "edges_a_str", "edge_a_str",
+             "edge_not_a_triple", "flags_a_str", "flag_not_a_pair", "flag_targets_a_str"],
     )
     def test_messages(self, vertices, edges, flags, error, message):
         with pytest.raises(error) as info:
