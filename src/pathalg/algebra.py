@@ -16,7 +16,10 @@ of the context's equality.  Scalars are rationals, so the star involution
 fixes coefficients.  Inside the algebra a coefficient is a reduced pair
 (n, d) of ints with d > 0, zero being (0, 1); ``_add`` and ``_mul`` do the
 arithmetic, and ``Fraction`` appears only at the public boundary
-(``terms``, ``coefficient``, the constructor and ``scale``).
+(``terms``, ``coefficient``, the constructor and ``scale``).  Those import
+``fractions`` when called, and ``*`` imports ``numbers`` only for an operand
+that is no element: ``fractions`` loads ``decimal``, and no CLI command
+builds a Fraction, so no command loads either.
 
 One basis serves every mode: monomials S_alpha S_beta* with t(alpha) =
 t(beta) (in path mode beta is the vertex t(alpha); that mode refuses stars),
@@ -36,10 +39,8 @@ pairs of ``Path``s exist only at the public boundary (``terms``,
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from numbers import Number
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .admissible import GraphInclusion, _require_admissible
 from .errors import (
@@ -52,6 +53,9 @@ from .errors import (
 )
 from .graphs import Graph, Path, _vertex_set, regular_vertices
 from .morphisms import _CLASS_FLAGS, _FLAGS, PathHom, classify
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PATH = "path"
 RELATIVE_COHN = "relative_cohn"
@@ -319,6 +323,8 @@ class AlgebraElement:
     __slots__ = ("context", "_terms")
 
     def __init__(self, context: AlgebraContext, terms: Mapping[Monomial, Fraction]):
+        from fractions import Fraction
+
         acc: dict = {}
         for m, c in terms.items():
             key = _key(context.graph, m)
@@ -345,6 +351,8 @@ class AlgebraElement:
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
+        from fractions import Fraction
+
         g = self.context.graph
         return {_monomial(g, k): Fraction(*c) for k, c in self._terms.items()}
 
@@ -357,6 +365,8 @@ class AlgebraElement:
         return tuple(_monomial(g, row[-1]) for row in _rows(g, self._terms))
 
     def coefficient(self, mono: Monomial) -> Fraction:
+        from fractions import Fraction
+
         # a pair that is no monomial of this graph keys None, which is absent
         return Fraction(*self._terms.get(_key(self.context.graph, mono), _ZERO))
 
@@ -385,6 +395,8 @@ class AlgebraElement:
         )
 
     def scale(self, scalar) -> "AlgebraElement":
+        from fractions import Fraction
+
         scalar = Fraction(scalar)
         pair = (scalar.numerator, scalar.denominator)
         return AlgebraElement._owned(
@@ -394,11 +406,11 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return multiply(self, other)
-        if isinstance(other, Number):
-            return self.scale(other)
-        return NotImplemented
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
+        from numbers import Number
+
         if isinstance(other, Number):
             return self.scale(other)
         return NotImplemented

@@ -58,9 +58,14 @@ class PullbackInstance:
 
     ``f`` and ``f_res`` are PathHoms, or the InvalidPathHom raised while
     building one from file data: the verifier reports such a map as an H3 or
-    H6 failure, not as a load error."""
+    H6 failure, not as a load error.
 
-    __slots__ = ("pi1", "pi2", "f", "f_res", "length_bound")
+    A PullbackInstance is treated as immutable: ``_rows`` keeps what
+    ``_pool`` builds from its maps and bound, filled on first use, so H8
+    and the kernel check read one pool.  ``with_bound`` makes a new
+    instance, with rows of its own."""
+
+    __slots__ = ("pi1", "pi2", "f", "f_res", "length_bound", "_rows")
 
     def __init__(
         self,
@@ -85,6 +90,7 @@ class PullbackInstance:
         self.f = f
         self.f_res = f_res
         self.length_bound = length_bound
+        self._rows = None
 
     @property
     def amb1(self) -> Graph:
@@ -375,18 +381,25 @@ def _h7(facts: _Facts) -> tuple:
     )
 
 
-def _pool(inst: PullbackInstance, f: PathHom) -> tuple[set, list[tuple]]:
+def _pool(inst: PullbackInstance) -> tuple[set, list[tuple]]:
     """The second inclusion's complement, and one row per amb2 path of
     length <= the bound that ends in it, in ``paths_up_to`` order: the path,
     its first preimage under f (None for a miss) and the JSON data of both.
+    f must build; both callers have checked that it does.
 
     f sends each preimage onto its path: ``_first_preimages`` finds a
-    preimage by its image's source vertex and edges, and those fix a path."""
-    outside = set(inst.pi2.complement())
-    pool = [p for p in paths_up_to(inst.amb2, inst.length_bound) if p.target in outside]
-    rows = [(p, q, _path_data(p), None if q is None else _path_data(q))
-            for p, q in zip(pool, _first_preimages(f, pool))]
-    return outside, rows
+    preimage by its image's source vertex and edges, and those fix a path.
+    The rows hang on the instance, not on a report, so a report from
+    another square never brings its rows along; every report of this
+    instance shares their data dicts, which are read-only."""
+    pool = inst._rows
+    if pool is None:
+        outside = set(inst.pi2.complement())
+        paths = [p for p in paths_up_to(inst.amb2, inst.length_bound) if p.target in outside]
+        rows = [(p, q, _path_data(p), None if q is None else _path_data(q))
+                for p, q in zip(paths, _first_preimages(inst.f, paths))]
+        pool = inst._rows = (outside, rows)
+    return pool
 
 
 def _h8(facts: _Facts) -> tuple:
@@ -398,7 +411,7 @@ def _h8(facts: _Facts) -> tuple:
                 "flagged vertices make the path family symbolic; cannot enumerate")
 
     # breaking vertices are flagged, so none exist once the flags are refused
-    outside, rows = _pool(inst, f)
+    outside, rows = _pool(inst)
     certificate = []
     for _, q, p_data, q_data in rows:
         if q is None:
@@ -596,22 +609,30 @@ def check_kernel_inclusion(
 
     The hypotheses must not fail, and ``_square`` must define the maps.
     A pair is two of ``_pool``'s rows with one target, so entries share one
-    data dict per path.  Its element is built as a term dict (monomial key
-    -> reduced (n, d) pair) and pushed through the first quotient: it is
-    killed when that leaves it empty.  It maps back when f sends it to the
-    terms of the normalized (alpha, beta) pair.  A tail-normal element holds
-    its own key, which f sends to (alpha's edges, beta's edges, their
-    target), and a key has one normal form, so it maps back.  A pair that
-    tail-reduces never holds its key (its terms are a shorter core and sum
-    terms ending in a non-special edge); it is pushed through f and
-    compared."""
+    data dict per path; the rows are kept on the instance, so H8 and this
+    check build them once, and a report from another square brings none.
+    A pair whose preimages do not both end in one special edge
+    is tail-normal in L(amb1): its element is its own key (at's edges, bt's
+    edges, their target), and both flags are read off that key with no
+    term dict.
+    - killed: a quotient kills a monomial exactly when it misses the
+      monomial's target (``_quotient``, by (A2)), and one pair's terms
+      never cancel (``_pair``), so a key whose target pi1 keeps survives.
+    - maps back: f sends the key to (alpha's edges, beta's edges, their
+      target), since it sends each first preimage onto its path, and a
+      key has one normal form, which is the expected side.
+    A pair that tail-reduces never holds its key (its terms are a shorter
+    core and sum terms ending in a non-special edge): its term dict is
+    pushed through the first quotient, which kills it when that leaves it
+    empty, and through f, where it is compared with the normalized
+    (alpha, beta) pair."""
     report = hypotheses if hypotheses is not None else check_hypotheses(inst)
     if report.overall == FAIL:
         raise HypothesisNotMet(
             f"hypotheses are not verified (first failure: {report.first_failure})"
         )
     ctx1, pi1, f_map, _, _ = _square(inst)
-    _, rows = _pool(inst, inst.realize_f())
+    _, rows = _pool(inst)
     # a pair is two rows with one target, in pool order on both sides
     by_target: dict[str, list[tuple]] = {}
     for row in rows:
@@ -622,21 +643,32 @@ def check_kernel_inclusion(
         raise PreimageNotFound("no domain path maps onto a kernel path; the hypothesis "
                                "report's certificate does not cover it", path=missing[0])
 
-    ctx2 = f_map.target
+    ctx2, special, src = f_map.target, ctx1.special_edge, inst.amb1.src
     entries = []
     for alpha, at, alpha_data, at_data in rows:
         # induce_leavitt refuses any f that is not vertex-injective, so f
         # is, and the two preimages end where alpha and beta do; both pairs
-        # are built with no checks
+        # of a reducing entry are built with no checks
+        killed = at.target not in pi1.vertex_map
+        # a pair tail-reduces exactly when both preimages end in one edge
+        # that is its source's special edge, the first test of
+        # _accumulate_pair's loop: tail is at's last edge when it is
+        # special, else None
+        tail = at.edges[-1] if at.edges else None
+        if tail is not None and special.get(src(tail)) != tail:
+            tail = None
         for beta, bt, beta_data, bt_data in by_target[alpha.target]:
-            terms = _pair(ctx1, at, bt)
+            if tail is not None and bt.edges and bt.edges[-1] == tail:
+                terms = _pair(ctx1, at, bt)
+                flags = (not _push(*pi1, terms),
+                         _push(*f_map, terms) == _pair(ctx2, alpha, beta))
+            else:
+                flags = (killed, True)
             entries.append(
                 KernelEntry(
                     {"left": alpha_data, "right": beta_data},
                     {"left": at_data, "right": bt_data},
-                    not _push(*pi1, terms),
-                    (at.edges, bt.edges, at.target) in terms
-                    or _push(*f_map, terms) == _pair(ctx2, alpha, beta),
+                    *flags,
                 )
             )
     return KernelReport(tuple(entries), inst.length_bound)

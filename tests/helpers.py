@@ -888,6 +888,74 @@ def random_graph(rng: random.Random, max_vertices: int, max_edges: int,
     return Graph(vertices, edges, infinite_emitters=flagged)
 
 
+# -- drawn squares ------------------------------------------------------------------
+
+
+def hereditary_saturated_closure(g: Graph, vertices) -> frozenset:
+    """The smallest hereditary saturated vertex set of the unflagged graph g
+    that holds ``vertices``: add every successor, and every vertex whose
+    edges all land in the set, until nothing is added."""
+    H = set(vertices)
+    while True:
+        grown = {g.tgt(e) for v in H for e in g.out_edges(v)}
+        grown |= {v for v in g.vertices
+                  if g.out_edges(v) and all(g.tgt(e) in H for e in g.out_edges(v))}
+        if grown <= H:
+            return frozenset(H)
+        H |= grown
+
+
+def full_subgraph(g: Graph, vertices) -> GraphInclusion:
+    """The inclusion, by identity on ids, of the full subgraph of g on
+    ``vertices``."""
+    vs = [v for v in g.vertices if v in vertices]
+    es = [(e, s, t) for e, s, t in g.edge_triples() if s in vertices and t in vertices]
+    sub = Graph(vs, es)
+    return GraphInclusion(sub, g, {v: v for v in vs}, {e: e for e, _, _ in es})
+
+
+def drawn_square(rng: random.Random, bound: int) -> Optional[PullbackInstance]:
+    """A square over two random graphs, or None when the draw has no map:
+
+        amb2, amb1  ``random_graph(rng, 3, 4)`` each
+        H           the hereditary saturated closure of random amb2 vertices
+        sub2        the full subgraph on the complement of H, so that pi2 is
+                    admissible
+        f           a vertex-injective map whose edge images have length 1
+                    or 2: one of the maps ``enumerate_path_homs(amb1, amb2,
+                    2, vertex_injective_only=True)`` lists, drawn edge by
+                    edge, with no length-0 image (the kernel check's
+                    reference needs none)
+        sub1        the full subgraph on f^-1(sub2); f_res restricts f
+
+    f_res is well defined: an edge of sub1 runs between vertices that f
+    sends outside H, and a path that entered the hereditary H would end in
+    it, so its image lies in sub2.  Nothing makes f RMIPG or pi1 saturated;
+    the hypotheses report what fails."""
+    amb2, amb1 = random_graph(rng, 3, 4), random_graph(rng, 3, 4)
+    if len(amb1.vertices) > len(amb2.vertices):
+        return None
+    H = hereditary_saturated_closure(
+        amb2, rng.sample(amb2.vertices, rng.randint(0, len(amb2.vertices))))
+    images: dict[tuple, list] = {}
+    for p in paths_up_to(amb2, 2):
+        if len(p):
+            images.setdefault((p.source, p.target), []).append(p.edges)
+    vmap = dict(zip(amb1.vertices, rng.sample(amb2.vertices, len(amb1.vertices))))
+    emap = {}
+    for e in amb1.edges:
+        choices = images.get((vmap[amb1.src(e)], vmap[amb1.tgt(e)]))
+        if not choices:
+            return None
+        emap[e] = rng.choice(choices)
+    f = PathHom(amb1, amb2, vmap, emap)
+    pi2 = full_subgraph(amb2, set(amb2.vertices) - H)
+    pi1 = full_subgraph(amb1, {u for u in amb1.vertices if vmap[u] not in H})
+    f_res = PathHom(pi1.sub, pi2.sub, {u: vmap[u] for u in pi1.sub.vertices},
+                    {x: emap[x] for x in pi1.sub.edges})
+    return PullbackInstance(pi1, pi2, f, f_res, bound)
+
+
 # -- prefix-code squares ------------------------------------------------------------
 #
 # The squares of the benchmark's generator, copied here so that the tests do

@@ -866,6 +866,8 @@ def test_command_imports_only_what_it_runs(argv):
     modules = _modules_loaded(*argv)
     assert "dataclasses" not in modules
     assert "pathalg.pullback" not in modules
+    # no command builds a Fraction, and fractions loads decimal
+    assert "fractions" not in modules and "decimal" not in modules
     # only eval computes in an algebra
     assert ("pathalg.algebra" in modules) == (argv[0] == "eval")
 
@@ -874,6 +876,7 @@ def test_pullback_command_loads_the_verifier():
     modules = _modules_loaded("pullback", "rp2q")
     assert "pathalg.pullback" in modules
     assert "dataclasses" not in modules
+    assert "fractions" not in modules and "decimal" not in modules
 
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

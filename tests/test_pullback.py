@@ -33,17 +33,19 @@ from pathalg import (
     instance_to_data,
     save_json,
 )
-from pathalg.algebra import Monomial, _induced_map, _push
+from pathalg.algebra import Monomial, _induced_map, _push, _quotient
 from pathalg.cli import main
 from pathalg.registry import GRAPHS, INCLUSIONS, INSTANCES, MORPHISMS
 
 from helpers import (
     assert_kernel_check_matches_reference,
     complete_prefix_code,
+    drawn_square,
     first_exitless_cycle,
     prefix_code_square,
     random_graph,
     reference_commutativity_entries,
+    reference_kernel_entries,
     zero_chain_map,
 )
 from test_properties import reference_dumps
@@ -70,6 +72,24 @@ def _vertex_mismatch_square() -> PullbackInstance:
     f = PathHom(point, amb2, {"u": "q"}, {})
     f_res = PathHom(point, sub2, {"u": "p"}, {})
     return PullbackInstance(GraphInclusion.identity(point), pi2, f, f_res, 3)
+
+
+def _edge_mismatch_square() -> PullbackInstance:
+    """``_vertex_mismatch_square`` with an edge: f sends a: u -> u1 to
+    b: q -> q1 outside the second image, while f_res sends it to c: p -> p1
+    inside."""
+    amb1 = Graph(["u", "u1"], [("a", "u", "u1")])
+    amb2 = Graph(["p", "p1", "q", "q1"], [("c", "p", "p1"), ("b", "q", "q1")])
+    sub2 = Graph(["p", "p1"], [("c", "p", "p1")])
+    pi2 = GraphInclusion(sub2, amb2, {"p": "p", "p1": "p1"}, {"c": "c"})
+    f = PathHom(amb1, amb2, {"u": "q", "u1": "q1"}, {"a": ("b",)})
+    f_res = PathHom(amb1, sub2, {"u": "p", "u1": "p1"}, {"a": ("c",)})
+    return PullbackInstance(GraphInclusion.identity(amb1), pi2, f, f_res, 1)
+
+
+def _path(g: Graph, data: dict) -> Path:
+    """The path of g that a report's path data names."""
+    return Path.at(g, data["vertex"]) if "vertex" in data else Path.of(g, data["edges"])
 
 
 def _h2_square(amb1: Graph, bound: int = 0) -> PullbackInstance:
@@ -839,6 +859,22 @@ class TestKernelFailures:
             "  => kernel inclusion VIOLATED"
         )
 
+    def test_forged_report_lets_failed_edge_pairs_through(self):
+        # forged as above: every pair survives the first quotient, among
+        # them the tail-normal (P_u1, S_a*) of positive length and the pair
+        # (S_a, S_a), which reduces to P_u; the rows are this square's own
+        inst = _edge_mismatch_square()
+        assert check_hypotheses(inst).first_failure == "H6"
+        report = check_kernel_inclusion(inst, hypotheses=check_hypotheses(rp2q(4)))
+        assert report.entries == reference_kernel_entries(inst)
+        assert [e.preimage_pair for e in report.entries][2:] == [
+            {"left": {"vertex": "u1"}, "right": {"edges": ["a"]}},
+            {"left": {"edges": ["a"]}, "right": {"vertex": "u1"}},
+            {"left": {"edges": ["a"]}, "right": {"edges": ["a"]}},
+        ]
+        assert [(e.killed_by_first_quotient, e.maps_back_exactly) for e in report.entries] == [
+            (False, True)] * 5
+
     @pytest.mark.parametrize("case", list(_REFUSED_SQUARES))
     def test_each_refusal_is_the_maps_own_error(self, case):
         # a passing report from another square clears the report gate; the
@@ -869,13 +905,10 @@ class TestKernelCheckAgainstReference:
         report = assert_kernel_check_matches_reference(inst)
         assert report.all_ok and len(report.entries) == pairs
 
-        def path(data):
-            return Path.at(amb, data["vertex"]) if "vertex" in data else Path.of(amb, data["edges"])
-
         ctx = AlgebraContext.leavitt(amb)
         pool, held, changed = set(), set(), 0
         for e in report.entries:
-            left, right = path(e.preimage_pair["left"]), path(e.preimage_pair["right"])
+            left, right = (_path(amb, e.preimage_pair[end]) for end in ("left", "right"))
             terms = ctx.pair_element(left, right).terms
             changed += terms != {Monomial(left, right): 1}
             pool.update((left, right))
@@ -891,20 +924,45 @@ class TestKernelCheckAgainstReference:
         ids=[*(f"rp2q-{b}" for b in range(6)), "special-exit-at-w", "special-exit-at-v"],
     )
     def test_only_pairs_that_reduce_are_pushed_through_f(self, monkeypatch, inst, pushed, pairs):
-        # a tail-normal pair whose preimages f sends onto their paths maps
-        # back by its key; the pairs that reduce in L(amb1) are the ones
-        # counted in test_tail_reduction_inside_the_check
-        f_map = _induced_map(inst.realize_f(), "leavitt")
-        through_f = []
+        # a tail-normal pair is decided on its key, through neither the
+        # first quotient nor f; the pairs that reduce in L(amb1) are the
+        # ones counted in test_tail_reduction_inside_the_check, and each is
+        # pushed through both
+        f_map, pi1 = _induced_map(inst.realize_f(), "leavitt"), _quotient(inst.pi1)
+        targets = []
 
         def push(target, *rest):
-            through_f.append(target is f_map.target)
+            targets.append(target)
             return _push(target, *rest)
 
         monkeypatch.setattr(pathalg.pullback, "_push", push)
         report = assert_kernel_check_matches_reference(inst)
         assert report.all_ok
-        assert (sum(through_f), len(report.entries)) == (pushed, pairs)
+        through_pi1 = sum(t is pi1.target for t in targets)
+        through_f = sum(t is f_map.target for t in targets)
+        assert (through_pi1, through_f, len(targets)) == (pushed, pushed, 2 * pushed)
+        assert len(report.entries) == pairs
+
+    def test_drawn_squares(self):
+        # squares drawn over random graphs (tests/helpers.py); the draws
+        # must reach pairs that tail-reduce in L(amb1) and pairs that do
+        # not, so that both branches of the check meet the reference (578
+        # squares that do not fail, with 359 pairs, 52 of them reducing)
+        rng = random.Random(1)
+        squares = pairs = reduced = 0
+        for _ in range(10_000):
+            inst = drawn_square(rng, 3)
+            if inst is None or check_hypotheses(inst).overall == "FAIL":
+                continue
+            report = assert_kernel_check_matches_reference(inst)
+            assert report.all_ok
+            ctx = AlgebraContext.leavitt(inst.amb1)
+            for e in report.entries:
+                left, right = (_path(inst.amb1, e.preimage_pair[end]) for end in ("left", "right"))
+                reduced += ctx.pair_element(left, right).terms != {Monomial(left, right): 1}
+            squares += 1
+            pairs += len(report.entries)
+        assert squares > 500 and pairs > reduced > 10
 
     @pytest.mark.parametrize(
         "inst",
@@ -983,3 +1041,24 @@ class TestChecksRunOncePerMap:
         report = check_kernel_inclusion(inst)
         assert report.all_ok and len(report.entries) == 25
         assert runs == {id(inst.f): 1, id(inst.f_res): 1, id(inst.pi1): 1, id(inst.pi2): 1}
+
+    def test_hypotheses_and_kernel_check_build_one_pool(self, monkeypatch):
+        # H8 builds the pool's rows and keeps them on the instance, where
+        # the kernel check reads them
+        inst, searches = rp2q(4), []
+        first_preimages = pathalg.pullback._first_preimages
+
+        def counted(f, targets):
+            searches.append(len(targets))
+            return first_preimages(f, targets)
+
+        monkeypatch.setattr(pathalg.pullback, "_first_preimages", counted)
+        report = check_hypotheses(inst)
+        assert check_kernel_inclusion(inst, report).all_ok
+        assert searches == [5]
+
+    def test_with_bound_gets_rows_of_its_own(self):
+        inst = rp2q(6)
+        assert check_hypotheses(inst).overall == "PASS_UP_TO_BOUND"
+        for b in range(6):
+            assert len(check_kernel_inclusion(inst.with_bound(b)).entries) == (b + 1) ** 2
