@@ -265,24 +265,18 @@ class AlgebraContext:
         return AlgebraElement._owned(self, {(p.edges, (), p.target): _ONE})
 
     def pair_element(self, left: Path, right: Path) -> "AlgebraElement":
-        """S_left S_right*, renormalized."""
+        """S_left S_right*, renormalized.  No term cancels: each step of the
+        tail reduction adds terms one edge shorter than the step before, and
+        its core is shorter still."""
         if self.is_path_mode:
             raise StarInPathMode("pair monomials only exist in the quotient modes")
         if left.graph != self.graph or right.graph != self.graph:
             raise ContextMismatch("paths live in a different graph")
         if left.target != right.target:
             raise ValueError("pair monomial needs matching targets")
-        return AlgebraElement._owned(self, _pair(self, left, right))
-
-
-def _pair(ctx: AlgebraContext, left: Path, right: Path) -> dict:
-    """The terms of S_left S_right* in normal form, for paths of ctx's graph
-    that end at one vertex, with no checks (``pair_element`` makes them).
-    No term cancels: each step of the tail reduction adds terms one edge
-    shorter than the step before, and its core is shorter still."""
-    acc: dict = {}
-    _accumulate_pair(ctx, (left.edges, right.edges, left.target), _ONE, acc)
-    return acc
+        acc: dict = {}
+        _accumulate_pair(self, (left.edges, right.edges, left.target), _ONE, acc)
+        return AlgebraElement._owned(self, acc)
 
 
 def _accumulate_pair(ctx: AlgebraContext, key: tuple, coeff: tuple, acc: dict) -> None:

@@ -240,7 +240,7 @@ class _Parser:
             return value
         acc: dict = {}
         if run is not _ZERO_RUN:
-            # one pair's terms never cancel (see ``algebra._pair``)
+            # one pair's terms never cancel (see ``AlgebraContext.pair_element``)
             _accumulate_pair(self.ctx, run, _ONE, acc)
         element = AlgebraElement._owned(self.ctx, acc)
         return element if value is None else multiply(value, element)

@@ -27,7 +27,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple, Optional
 
 from .admissible import GraphInclusion, breaking_vertices, is_admissible
-from .algebra import AlgebraContext, AlgebraElement, _induced_map, _pair, _push, _quotient
+from .algebra import AlgebraContext, AlgebraElement, _induced_map, _push, _quotient
 from .errors import (
     AlgebraError,
     AmbiguousInfiniteEmitter,
@@ -552,6 +552,10 @@ def check_commutativity(inst: PullbackInstance) -> CommutativityReport:
 
 
 class KernelEntry(NamedTuple):
+    """A pair of amb2 paths and the pair of their first preimages.  In a
+    report that ``check_kernel_inclusion`` builds, ``maps_back_exactly`` is
+    always true (see there); the field stays in the JSON."""
+
     target_pair: dict
     preimage_pair: dict
     killed_by_first_quotient: bool
@@ -611,27 +615,29 @@ def check_kernel_inclusion(
     A pair is two of ``_pool``'s rows with one target, so entries share one
     data dict per path; the rows are kept on the instance, so H8 and this
     check build them once, and a report from another square brings none.
-    A pair whose preimages do not both end in one special edge
-    is tail-normal in L(amb1): its element is its own key (at's edges, bt's
-    edges, their target), and both flags are read off that key with no
-    term dict.
-    - killed: a quotient kills a monomial exactly when it misses the
-      monomial's target (``_quotient``, by (A2)), and one pair's terms
-      never cancel (``_pair``), so a key whose target pi1 keeps survives.
-    - maps back: f sends the key to (alpha's edges, beta's edges, their
-      target), since it sends each first preimage onto its path, and a
-      key has one normal form, which is the expected side.
-    A pair that tail-reduces never holds its key (its terms are a shorter
-    core and sum terms ending in a non-special edge): its term dict is
-    pushed through the first quotient, which kills it when that leaves it
-    empty, and through f, where it is compared with the normalized
-    (alpha, beta) pair."""
+    Every pair (alpha, beta) of amb2 paths, with first preimages (at, bt),
+    gets one rule: killed exactly when pi1 misses at's target, and always
+    mapping back.  The rule is exact once ``_square`` has built the four
+    maps, whatever the report says, because the first quotient map
+    (``quotient_map(pi1, .)``) and f's induced map (``induce_leavitt(f, .)``)
+    are algebra homomorphisms:
+    - ``induce_leavitt`` refuses an f that is not vertex-injective, so at
+      and bt end at one vertex u, as alpha and beta do, and S_at S_bt* is
+      an element of L(amb1).
+    - killed: when pi1 keeps u, the quotient sends S_at S_bt* to the pair
+      of the renamed paths, which is not 0 since both end at one vertex;
+      an admissible inclusion keeps every vertex and edge of a path that
+      ends at a kept vertex, so both paths are renamed.  When pi1 misses u,
+      the quotient kills P_u and with it the pair.
+    - maps back: f's induced map sends S_at S_bt* to S_f(at) S_f(bt)* =
+      S_alpha S_beta*, since f sends each first preimage onto its path
+      (``_pool``), whether or not the pair tail-reduces in L(amb1)."""
     report = hypotheses if hypotheses is not None else check_hypotheses(inst)
     if report.overall == FAIL:
         raise HypothesisNotMet(
             f"hypotheses are not verified (first failure: {report.first_failure})"
         )
-    ctx1, pi1, f_map, _, _ = _square(inst)
+    _, pi1, _, _, _ = _square(inst)
     _, rows = _pool(inst)
     # a pair is two rows with one target, in pool order on both sides
     by_target: dict[str, list[tuple]] = {}
@@ -643,32 +649,10 @@ def check_kernel_inclusion(
         raise PreimageNotFound("no domain path maps onto a kernel path; the hypothesis "
                                "report's certificate does not cover it", path=missing[0])
 
-    ctx2, special, src = f_map.target, ctx1.special_edge, inst.amb1.src
     entries = []
     for alpha, at, alpha_data, at_data in rows:
-        # induce_leavitt refuses any f that is not vertex-injective, so f
-        # is, and the two preimages end where alpha and beta do; both pairs
-        # of a reducing entry are built with no checks
         killed = at.target not in pi1.vertex_map
-        # a pair tail-reduces exactly when both preimages end in one edge
-        # that is its source's special edge, the first test of
-        # _accumulate_pair's loop: tail is at's last edge when it is
-        # special, else None
-        tail = at.edges[-1] if at.edges else None
-        if tail is not None and special.get(src(tail)) != tail:
-            tail = None
-        for beta, bt, beta_data, bt_data in by_target[alpha.target]:
-            if tail is not None and bt.edges and bt.edges[-1] == tail:
-                terms = _pair(ctx1, at, bt)
-                flags = (not _push(*pi1, terms),
-                         _push(*f_map, terms) == _pair(ctx2, alpha, beta))
-            else:
-                flags = (killed, True)
-            entries.append(
-                KernelEntry(
-                    {"left": alpha_data, "right": beta_data},
-                    {"left": at_data, "right": bt_data},
-                    *flags,
-                )
-            )
+        for _, _, beta_data, bt_data in by_target[alpha.target]:
+            entries.append(KernelEntry({"left": alpha_data, "right": beta_data},
+                                       {"left": at_data, "right": bt_data}, killed, True))
     return KernelReport(tuple(entries), inst.length_bound)

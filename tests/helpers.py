@@ -1028,3 +1028,10 @@ def prefix_code_square(
     pi1 = GraphInclusion(sub1, amb1, {"v": "v"}, {s: s for s in loops1})
     pi2 = GraphInclusion(sub2, amb2, {"v": "v"}, {e: e for e in loops2})
     return PullbackInstance(pi1, pi2, f, f_res, bound)
+
+
+def degree_square(m: int, exits: int, bound: int) -> PullbackInstance:
+    """The prefix-code square of the one-letter code {0^m}: f_res wraps the
+    loop of amb1's subgraph m times around the loop of amb2's, an attaching
+    map of degree m; m = 2 with one exit is ``rp2q`` up to names."""
+    return prefix_code_square(1, [(0,) * m], exits, bound)
