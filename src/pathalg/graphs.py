@@ -365,7 +365,10 @@ def extended_graph(g: Graph) -> Graph:
 def paths_up_to(g: Graph, n: int) -> tuple[Path, ...]:
     """All paths of length <= n, ordered by length then lexicographically in
     edge declaration order.  Every bounded search in the package routes
-    through this enumerator."""
+    through this enumerator.  A bound that is not an int (a bool included)
+    is refused with ``TypeError``."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError("path length bound must be an int")
     if n < 0:
         raise ValueError("path length bound must be >= 0")
     _require_unflagged(g, "paths_up_to")

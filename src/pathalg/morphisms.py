@@ -293,22 +293,25 @@ def _expansion_failure(cod: Graph, root: str, paths: list, prefix: list) -> Opti
     The tree view: partition by first edge; the first-edge set must be all of
     the root's outgoing edges; each part is either the single path that stops
     there (a leaf) or recursively an expansion set one level down.  A missing
-    outgoing edge, or a leaf that other paths extend past, is a failure.
+    outgoing edge, or a leaf that other paths extend past, is a failure; at
+    each level every missing edge is reported before any leaf, so the first
+    edges are checked as a set before the paths are partitioned.
     """
+    out = cod._out[root]
+    firsts = {p[0] for p in paths}
+    for x in out:
+        if x not in firsts:
+            return {"kind": "missing_branch", "path": prefix + [x]}
     groups: dict[str, list[tuple]] = {}
     for p in paths:
         groups.setdefault(p[0], []).append(p[1:])
-    out = cod.out_edges(root)
-    for x in out:
-        if x not in groups:
-            return {"kind": "missing_branch", "path": prefix + [x]}
     for x in out:
         residuals = groups[x]
         if () in residuals:
             if len(residuals) == 1:
                 continue
             return {"kind": "leaf_extension_conflict", "path": prefix + [x]}
-        failure = _expansion_failure(cod, cod.tgt(x), residuals, prefix + [x])
+        failure = _expansion_failure(cod, cod._tgt[x], residuals, prefix + [x])
         if failure is not None:
             return failure
     return None
@@ -355,37 +358,30 @@ def _classify(f: PathHom) -> CategoryVerdict:
                 witnesses["vertex_bijective_finite"] = {"kind": "not_surjective", "vertex": w}
                 break
 
-    # each edge's image tuple, in dom.edges order; an inner loop that finds
-    # an image extending image i breaks with its index j
-    es, src = dom.edges, dom._src
-    seq = [p.edges for p in f.emap.values()]
-    for i, a in enumerate(seq):
-        if a:
-            n = len(a)
-            for j, b in enumerate(seq):
-                if b[:n] == a and i != j:
-                    break
-            else:
-                continue
+    # an image can extend e's only if both start at one vertex; under an
+    # injective vertex map those are the images of e's own star, which lists
+    # its edges in declaration order, so the first pair found is the one a
+    # scan of all edges finds
+    es, emap, out, src, tgt = dom.edges, f.emap, dom._out, dom._src, dom._tgt
+    injective = "vertex_injective" not in witnesses
+    for e in es:
+        a = emap[e].edges
+        n = len(a)
+        # a length-0 image is a prefix of every image that starts at its vertex
+        for d in out[src[e]] if injective else es:
+            if d != e and emap[d].edges[:n] == a and vmap[src[d]] == vmap[src[e]]:
+                witnesses["monotone"] = [e, d]
+                break
         else:
-            # a length-0 image is a prefix of every image that starts at its vertex
-            v = vmap[src[es[i]]]
-            for j, e in enumerate(es):
-                if i != j and vmap[src[e]] == v:
-                    break
-            else:
-                continue
-        witnesses["monotone"] = [es[i], es[j]]
+            continue
         break
 
-    images = dict(zip(es, seq))
-    out, tgt = dom._out, dom._tgt
     for v in dom.vertices:
         star = out[v]
         if not star:
             continue  # a sink is not regular
         # every image starts at f(v), so images are equal iff their edges are
-        star_images = list(map(images.__getitem__, star))
+        star_images = [emap[e].edges for e in star]
         if len(star) == 1 and not star_images[0] and tgt[star[0]] == v:
             continue  # 0-regular escape: the lone loop may collapse onto its vertex
         if len(star) > 1 and len(set(star_images)) < len(star_images):
@@ -424,6 +420,8 @@ def enumerate_path_homs(
 
     With ``vertex_injective_only`` the vertex maps are restricted to
     injections, which prunes the search space for IPG-and-above surveys.
+    The bound goes to ``paths_up_to``, which refuses one that is not an
+    int when the first map is asked for.
     """
     pools: dict[tuple[str, str], list[Path]] = {}
     for p in paths_up_to(cod, max_image_len):

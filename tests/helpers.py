@@ -719,6 +719,41 @@ def second_vertex_irregular_map() -> PathHom:
     return PathHom(dom, cod, {"p": "s", "q": "t", "r": "u"}, {"a": ("x",), "b": ("y",)})
 
 
+# Two edges from different sources a and b into c; a and b both go to u, so
+# their images start at one vertex without sharing a star.
+_COSTAR = Graph(["a", "b", "c"], [("x", "a", "c"), ("y", "b", "c")])
+
+
+def cross_star_prefix_map() -> PathHom:
+    """x's image g is a prefix of y's image g h, though x and y leave
+    different vertices: the vertex map is not injective."""
+    cod = Graph(["u", "w"], [("g", "u", "w"), ("h", "w", "w"), ("l", "u", "u")])
+    return PathHom(_COSTAR, cod, {"a": "u", "b": "u", "c": "w"}, {"x": ("g",), "y": ("g", "h")})
+
+
+def cross_star_collapse_map() -> PathHom:
+    """Everything onto the loop l at u, x collapsed: x's length-0 image is a
+    prefix of y's image l, which leaves another domain vertex."""
+    cod = Graph(["u"], [("l", "u", "u")])
+    return PathHom(_COSTAR, cod, {"a": "u", "b": "u", "c": "u"}, {"x": (), "y": ("l",)})
+
+
+def missing_branch_before_leaf_map() -> PathHom:
+    """The star of a goes to p and p k: the leaf p has an extension, and the
+    branch q is missing; the missing branch is reported."""
+    dom = Graph(["a", "b"], [("x", "a", "b"), ("y", "a", "b")])
+    cod = Graph(["r", "s", "t"], [("p", "r", "s"), ("q", "r", "t"), ("k", "s", "s")])
+    return PathHom(dom, cod, {"a": "r", "b": "s"}, {"x": ("p",), "y": ("p", "k")})
+
+
+def deep_missing_branch_map() -> PathHom:
+    """The lone edge x goes to p k: the first level is complete, and the
+    branch m is missing one level down."""
+    dom = Graph(["a", "b"], [("x", "a", "b")])
+    cod = Graph(["r", "s", "t"], [("p", "r", "s"), ("k", "s", "s"), ("m", "s", "t")])
+    return PathHom(dom, cod, {"a": "r", "b": "s"}, {"x": ("p", "k")})
+
+
 def _drop_first(p: Path) -> Path:
     """``p`` without its first edge."""
     if len(p.edges) == 1:

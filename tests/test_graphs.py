@@ -223,6 +223,12 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             paths_up_to(loop, -1)
 
+    @pytest.mark.parametrize("bound", [True, None, "2", 1.5])
+    def test_bound_that_is_not_an_int_rejected(self, bound):
+        # True would otherwise be read as bound 1, and None or "2" fail in `<`
+        with pytest.raises(TypeError, match="^path length bound must be an int$"):
+            paths_up_to(loop, bound)
+
     def test_flagged_graph_refused(self):
         g = Graph(["v"], [], infinite_emitters=["v"])
         with pytest.raises(UnsupportedInfiniteEmitter):

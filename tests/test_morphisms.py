@@ -17,7 +17,15 @@ from pathalg import (
 from pathalg.morphisms import is_regular
 from pathalg.registry import GRAPHS, MORPHISMS
 
-from helpers import deep_leaf_extension_map, leaf_extension_map, second_vertex_irregular_map
+from helpers import (
+    cross_star_collapse_map,
+    cross_star_prefix_map,
+    deep_leaf_extension_map,
+    deep_missing_branch_map,
+    leaf_extension_map,
+    missing_branch_before_leaf_map,
+    second_vertex_irregular_map,
+)
 
 loop = GRAPHS["loop"]
 rp2 = GRAPHS["rp2"]
@@ -238,6 +246,33 @@ class TestClassification:
         g = PathHom(two_loops, toeplitz, {"a": "v", "b": "w"}, {"x": ("e",), "y": ()})
         assert classify(g).monotone
 
+    def test_monotone_witness_across_two_stars(self):
+        # a and b both go to u: images of edges that leave different domain
+        # vertices still start at one vertex, from a positive-length image
+        # and from a length-0 one
+        collapse = cross_star_collapse_map()
+        for f in (cross_star_prefix_map(), collapse):
+            assert classify(f).witnesses["monotone"] == ["x", "y"]
+        assert classify(collapse).witnesses["regular"] == {
+            "vertex": "a",
+            "kind": "collapsed_edge",
+            "edge": "x",
+        }
+
+    def test_missing_branch_comes_before_a_leaf_conflict(self):
+        # the leaf p has the extension p k, but the branch q is missing, and
+        # every missing branch of a level is reported before its leaves
+        assert classify(missing_branch_before_leaf_map()).witnesses["regular"] == {
+            "vertex": "a",
+            "kind": "missing_branch",
+            "path": ["q"],
+        }
+        assert classify(deep_missing_branch_map()).witnesses["regular"] == {
+            "vertex": "a",
+            "kind": "missing_branch",
+            "path": ["p", "m"],
+        }
+
     def test_is_regular_refuses_a_flagged_domain(self):
         g = Graph(["v", "w"], [("e", "v", "v")], infinite_emitters=["w"])
         f = PathHom(g, loop, {"v": "v", "w": "v"}, {"e": ("e",)})
@@ -323,6 +358,12 @@ class TestClassification:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("bound", [True, None, "2", 1.5])
+    def test_bound_that_is_not_an_int_rejected(self, bound):
+        # the bound reaches paths_up_to when the first map is asked for
+        with pytest.raises(TypeError, match="^path length bound must be an int$"):
+            list(enumerate_path_homs(loop, loop, bound))
+
     def test_counts_loop_to_loop(self):
         homs = list(enumerate_path_homs(loop, loop, 2))
         # loop image of length 0, 1 or 2

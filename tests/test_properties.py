@@ -53,11 +53,15 @@ from helpers import (
     Letter,
     assert_kernel_check_matches_reference,
     complete_prefix_code,
+    cross_star_collapse_map,
+    cross_star_prefix_map,
     crossed_loops_map,
     deep_leaf_extension_map,
+    deep_missing_branch_map,
     first_preimage_table,
     kernel_pairs,
     leaf_extension_map,
+    missing_branch_before_leaf_map,
     expressions,
     family_max_length,
     normal_form,
@@ -679,16 +683,40 @@ def test_family_max_length_matches_the_path_enumeration(data):
 @example(f=deep_leaf_extension_map())
 @example(f=second_vertex_irregular_map())
 @example(f=MORPHISMS["rose2_to_loop"])
+@example(f=cross_star_prefix_map())
+@example(f=cross_star_collapse_map())
+@example(f=missing_branch_before_leaf_map())
+@example(f=deep_missing_branch_map())
 def test_classify_matches_reference_verdict(f):
     """The verdict read off edge tuples is the one the definitions give on
-    Path objects, witnesses included.  The random maps have non-injective
-    vertex maps, zero-image edges and zero-image loops at 0-regular
-    vertices.  The explicit examples add both depths of a leaf-extension
-    conflict, a regularity failure at the second regular vertex after the
-    first passes, and a vertex-bijective map whose first failing flag is
-    monotonicity (on a vertex-injective map, comparable images share a star,
-    so regularity fails as well)."""
-    assert classify(f).to_json_data() == reference_verdict(f)
+    Path objects, witnesses included, byte for byte as ``--json`` prints it
+    (so the key order inside each witness counts).  The random maps have
+    non-injective vertex maps, zero-image edges and zero-image loops at
+    0-regular vertices.  The explicit examples add both depths of a
+    leaf-extension conflict, a regularity failure at the second regular
+    vertex after the first passes, a vertex-bijective map whose first
+    failing flag is monotonicity (on a vertex-injective map, comparable
+    images share a star, so regularity fails as well), prefixes across two
+    stars under a non-injective vertex map, from a positive-length and from
+    a length-0 image, and a missing branch at depth 1 next to a leaf
+    conflict and at depth 2."""
+    assert canonical_dumps(classify(f).to_json_data()) == canonical_dumps(reference_verdict(f))
+
+
+def test_classify_matches_reference_verdict_on_every_small_map():
+    """Every map of ``enumerate_path_homs(a, b, 2)`` for 100 seeded pairs of
+    random graphs (at most 3 vertices and 3 edges into at most 3 vertices
+    and 4 edges), vertex maps of every kind included: the verdict's JSON is
+    the reference's, byte for byte."""
+    rng = random.Random(5)
+    count = 0
+    for _ in range(100):
+        a, b = random_graph(rng, 3, 3), random_graph(rng, 3, 4)
+        for f in enumerate_path_homs(a, b, 2):
+            verdict = canonical_dumps(classify(f).to_json_data())
+            assert verdict == canonical_dumps(reference_verdict(f))
+            count += 1
+    assert count == 19011
 
 
 # class -> its algebra's context and the induced map on it
