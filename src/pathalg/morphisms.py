@@ -420,17 +420,23 @@ def enumerate_path_homs(
 
     With ``vertex_injective_only`` the vertex maps are restricted to
     injections, which prunes the search space for IPG-and-above surveys.
-    The bound goes to ``paths_up_to``, which refuses one that is not an
-    int when the first map is asked for.
+    The image pools are built through ``paths_up_to`` before the maps are
+    yielded, so the call itself refuses a bound that is not an int, a
+    negative bound and a flagged codomain.
     """
     pools: dict[tuple[str, str], list[Path]] = {}
     for p in paths_up_to(cod, max_image_len):
         pools.setdefault((p.source, p.target), []).append(p)
+    return _path_homs(dom, cod, pools, vertex_injective_only)
 
+
+def _path_homs(dom: Graph, cod: Graph, pools: dict, injective: bool) -> Iterator[PathHom]:
+    """The maps of ``enumerate_path_homs``: each edge's image is drawn from
+    ``pools``, the cod paths keyed by their endpoints."""
     vs, es = dom.vertices, dom.edges
     # each edge's endpoints as positions in a vertex choice
     ends = [(dom._vindex[dom._src[e]], dom._vindex[dom._tgt[e]]) for e in es]
-    if vertex_injective_only:
+    if injective:
         choices = itertools.permutations(cod.vertices, len(vs))
     else:
         choices = itertools.product(cod.vertices, repeat=len(vs))

@@ -10,7 +10,7 @@ The input is a square of graph maps
 
 with pi1, pi2 inclusions and f, f_res path homomorphisms, plus a length
 bound.  ``check_hypotheses`` evaluates eight hypotheses (H1..H8) in order,
-as the rows of one table over facts gathered once per report;
+as the rows of one table, each a function of the instance;
 ``check_commutativity`` and ``check_kernel_inclusion`` then verify the
 generator-level conclusions.
 
@@ -271,32 +271,19 @@ def _rmipg(h: PathHom | InvalidPathHom, unrealized: str) -> tuple:
     return ("fail", failed, "") if failed else ("pass", None, "")
 
 
-class _Facts(NamedTuple):
-    """What more than one hypothesis reads, computed once per report: f and
-    f_res (None when one does not build), their RMIPG rows from ``_rmipg``,
-    and B1 and B2, the breaking vertices of the two ambient graphs, both None
-    (with ``breaking_note``) when a flag leaves them undecided."""
-
-    inst: PullbackInstance
-    f: Optional[PathHom]
-    f_res: Optional[PathHom]
-    f_row: tuple
-    f_res_row: tuple
-    B1: Optional[set]
-    B2: Optional[set]
-    breaking_note: str
+def _hom(h: PathHom | InvalidPathHom) -> Optional[PathHom]:
+    """The map h, or None when it did not build."""
+    return None if isinstance(h, InvalidPathHom) else h
 
 
-def _facts(inst: PullbackInstance) -> _Facts:
-    f, f_res = (None if isinstance(h, InvalidPathHom) else h for h in (inst.f, inst.f_res))
-    f_row = _rmipg(inst.f, "the morphism data does not define a path homomorphism")
-    res_row = _rmipg(inst.f_res, "the restriction data does not define a path homomorphism")
+def _breaking(inst: PullbackInstance) -> tuple:
+    """(B1, B2, note): the breaking vertices of the two ambient graphs, or
+    None, None and the refusal when a flag leaves them undecided."""
     try:
-        B1 = set(breaking_vertices(inst.amb1, inst.pi1.complement()))
-        B2 = set(breaking_vertices(inst.amb2, inst.pi2.complement()))
+        return (set(breaking_vertices(inst.amb1, inst.pi1.complement())),
+                set(breaking_vertices(inst.amb2, inst.pi2.complement())), "")
     except AmbiguousInfiniteEmitter as exc:
-        return _Facts(inst, f, f_res, f_row, res_row, None, None, str(exc))
-    return _Facts(inst, f, f_res, f_row, res_row, B1, B2, "")
+        return None, None, str(exc)
 
 
 def _first_offender(offenders, B2: Optional[set] = None) -> tuple:
@@ -308,28 +295,28 @@ def _first_offender(offenders, B2: Optional[set] = None) -> tuple:
     return "pass", None, "no breaking vertices; holds vacuously" if B2 == set() else ""
 
 
-def _h1(facts: _Facts) -> tuple:
-    reports = {"pi1": is_admissible(facts.inst.pi1), "pi2": is_admissible(facts.inst.pi2)}
+def _h1(inst: PullbackInstance) -> tuple:
+    reports = {"pi1": is_admissible(inst.pi1), "pi2": is_admissible(inst.pi2)}
     witness = {name: rep.to_json_data() for name, rep in reports.items() if not rep.ok}
     return ("fail", witness, "") if witness else ("pass", None, "")
 
 
-def _h2(facts: _Facts) -> tuple:
+def _h2(inst: PullbackInstance) -> tuple:
     # a flagged vertex always has an exit
-    loop = _exitless_cycle(facts.inst.amb1)
+    loop = _exitless_cycle(inst.amb1)
     return ("pass" if loop is None else "fail"), loop, ""
 
 
-def _h4(facts: _Facts) -> tuple:
-    f, B1, B2 = facts.f, facts.B1, facts.B2
+def _h4(inst: PullbackInstance) -> tuple:
+    f, (B1, B2, note) = _hom(inst.f), _breaking(inst)
     if f is None or B2 is None:
-        return "not_evaluated", None, facts.breaking_note or "f is unavailable"
-    offenders = (v for v in facts.inst.amb1.vertices if f.vmap[v] in B2 and v not in B1)
+        return "not_evaluated", None, note or "f is unavailable"
+    offenders = (v for v in inst.amb1.vertices if f.vmap[v] in B2 and v not in B1)
     return _first_offender(offenders, B2)
 
 
-def _h5(facts: _Facts) -> tuple:
-    inst, f = facts.inst, facts.f
+def _h5(inst: PullbackInstance) -> tuple:
+    f = _hom(inst.f)
     if f is None:
         return "not_evaluated", None, "f is unavailable"
     return _first_offender(
@@ -339,8 +326,9 @@ def _h5(facts: _Facts) -> tuple:
     )
 
 
-def _h6(facts: _Facts) -> tuple:
-    inst, f, f_res, row = facts.inst, facts.f, facts.f_res, facts.f_res_row
+def _h6(inst: PullbackInstance) -> tuple:
+    f, f_res = _hom(inst.f), _hom(inst.f_res)
+    row = _rmipg(inst.f_res, "the restriction data does not define a path homomorphism")
     if f is not None and f_res is not None and row[0] != "not_evaluated":
         mismatch = _restriction_mismatch(inst, f, f_res)
         if mismatch is not None:
@@ -367,10 +355,10 @@ def _restriction_mismatch(inst: PullbackInstance, f: PathHom, f_res: PathHom) ->
     return None
 
 
-def _h7(facts: _Facts) -> tuple:
-    inst, f, f_res, B2 = facts.inst, facts.f, facts.f_res, facts.B2
+def _h7(inst: PullbackInstance) -> tuple:
+    f, f_res, (_, B2, note) = _hom(inst.f), _hom(inst.f_res), _breaking(inst)
     if f is None or f_res is None or B2 is None:
-        return "not_evaluated", None, facts.breaking_note or "f or f_res is unavailable"
+        return "not_evaluated", None, note or "f or f_res is unavailable"
     return _first_offender(
         (
             {"edge": x, "image_length": len(f_res.emap[x])}
@@ -381,10 +369,10 @@ def _h7(facts: _Facts) -> tuple:
     )
 
 
-def _pool(inst: PullbackInstance) -> tuple[set, list[tuple]]:
-    """The second inclusion's complement, and one row per amb2 path of
-    length <= the bound that ends in it, in ``paths_up_to`` order: the path,
-    its first preimage under f (None for a miss) and the JSON data of both.
+def _pool(inst: PullbackInstance) -> list[tuple]:
+    """One row per amb2 path of length <= the bound that ends outside the
+    second image, in ``paths_up_to`` order: the path, its first preimage
+    under f (None for a miss) and the JSON data of both.
     f must build; both callers have checked that it does.
 
     f sends each preimage onto its path: ``_first_preimages`` finds a
@@ -392,33 +380,30 @@ def _pool(inst: PullbackInstance) -> tuple[set, list[tuple]]:
     The rows hang on the instance, not on a report, so a report from
     another square never brings its rows along; every report of this
     instance shares their data dicts, which are read-only."""
-    pool = inst._rows
-    if pool is None:
+    if inst._rows is None:
         outside = set(inst.pi2.complement())
         paths = [p for p in paths_up_to(inst.amb2, inst.length_bound) if p.target in outside]
-        rows = [(p, q, _path_data(p), None if q is None else _path_data(q))
-                for p, q in zip(paths, _first_preimages(inst.f, paths))]
-        pool = inst._rows = (outside, rows)
-    return pool
+        inst._rows = [(p, q, _path_data(p), None if q is None else _path_data(q))
+                      for p, q in zip(paths, _first_preimages(inst.f, paths))]
+    return inst._rows
 
 
-def _h8(facts: _Facts) -> tuple:
-    inst, f, bound = facts.inst, facts.f, facts.inst.length_bound
-    if f is None:
+def _h8(inst: PullbackInstance) -> tuple:
+    bound = inst.length_bound
+    if _hom(inst.f) is None:
         return "not_evaluated", None, "f is unavailable"
     if inst.amb2.infinite_emitters or inst.amb1.infinite_emitters:
         return ("not_evaluated", None,
                 "flagged vertices make the path family symbolic; cannot enumerate")
 
     # breaking vertices are flagged, so none exist once the flags are refused
-    outside, rows = _pool(inst)
     certificate = []
-    for _, q, p_data, q_data in rows:
+    for _, q, p_data, q_data in _pool(inst):
         if q is None:
             return "fail", {"path": p_data}, "no domain path maps onto the witness path"
         certificate.append({"target": p_data, "preimage": q_data})
 
-    max_len = _finite_family_max_length(inst.amb2, outside)
+    max_len = _finite_family_max_length(inst.amb2, set(inst.pi2.complement()))
     if max_len is not None and max_len <= bound:
         detail = (
             "the family of qualifying paths is finite and was fully covered "
@@ -439,11 +424,12 @@ def _h8(facts: _Facts) -> tuple:
     return "pass_up_to_bound", {"certificate": certificate}, detail
 
 
-# (name, title, check); each check maps the facts to (verdict, witness, detail)
+# (name, title, check); each check maps the instance to (verdict, witness, detail)
 _HYPOTHESES = (
     ("H1", "both inclusions are admissible", _h1),
     ("H2", "every vertex-simple loop of amb1 has an exit", _h2),
-    ("H3", "f lies in RMIPG", lambda facts: facts.f_row),
+    ("H3", "f lies in RMIPG",
+     lambda inst: _rmipg(inst.f, "the morphism data does not define a path homomorphism")),
     ("H4", "preimages of breaking vertices are breaking", _h4),
     ("H5", "f pulls the second inclusion's vertex image into the first's", _h5),
     ("H6", "f restricts to f_res, which lies in RMIPG", _h6),
@@ -461,9 +447,8 @@ def check_hypotheses(inst: PullbackInstance) -> HypothesisReport:
     PASS_UP_TO_BOUND when the only caveat is the bounded H8 search, and FAIL
     otherwise.
     """
-    facts = _facts(inst)
     return HypothesisReport(
-        tuple(Hypothesis(name, title, *check(facts)) for name, title, check in _HYPOTHESES),
+        tuple(Hypothesis(name, title, *check(inst)) for name, title, check in _HYPOTHESES),
         inst.length_bound,
     )
 
@@ -612,6 +597,8 @@ def check_kernel_inclusion(
     element of the first quotient's kernel under the induced map of f.
 
     The hypotheses must not fail, and ``_square`` must define the maps.
+    A refusal names the first failing row, else the first one that is not
+    evaluated.
     A pair is two of ``_pool``'s rows with one target, so entries share one
     data dict per path; the rows are kept on the instance, so H8 and this
     check build them once, and a report from another square brings none.
@@ -634,11 +621,12 @@ def check_kernel_inclusion(
       (``_pool``), whether or not the pair tail-reduces in L(amb1)."""
     report = hypotheses if hypotheses is not None else check_hypotheses(inst)
     if report.overall == FAIL:
-        raise HypothesisNotMet(
-            f"hypotheses are not verified (first failure: {report.first_failure})"
-        )
+        # with no failing row, a FAIL has a row that is not evaluated
+        reason = f"first failure: {report.first_failure}" if report.first_failure else next(
+            f"{h.name} is not evaluated" for h in report.hypotheses if h.verdict == "not_evaluated")
+        raise HypothesisNotMet(f"hypotheses are not verified ({reason})")
     _, pi1, _, _, _ = _square(inst)
-    _, rows = _pool(inst)
+    rows = _pool(inst)
     # a pair is two rows with one target, in pool order on both sides
     by_target: dict[str, list[tuple]] = {}
     for row in rows:

@@ -360,9 +360,20 @@ class TestClassification:
 class TestEnumeration:
     @pytest.mark.parametrize("bound", [True, None, "2", 1.5])
     def test_bound_that_is_not_an_int_rejected(self, bound):
-        # the bound reaches paths_up_to when the first map is asked for
+        # the pools are built at the call, before any map is asked for
+        with pytest.raises(TypeError, match="^path length bound must be an int$"):
+            enumerate_path_homs(loop, loop, bound)
         with pytest.raises(TypeError, match="^path length bound must be an int$"):
             list(enumerate_path_homs(loop, loop, bound))
+
+    def test_negative_bound_rejected_at_the_call(self):
+        with pytest.raises(ValueError, match="^path length bound must be >= 0$"):
+            enumerate_path_homs(loop, loop, -1)
+
+    def test_flagged_codomain_rejected_at_the_call(self):
+        flagged = Graph(["v"], [("e", "v", "v")], infinite_emitters=["v"])
+        with pytest.raises(UnsupportedInfiniteEmitter, match="^paths_up_to: "):
+            enumerate_path_homs(loop, flagged, 1)
 
     def test_counts_loop_to_loop(self):
         homs = list(enumerate_path_homs(loop, loop, 2))

@@ -1,5 +1,6 @@
 """Verifier: hypothesis reports, frozen verdicts for the bundled instance,
 single-fault mutations, and the generator-level conclusion checks."""
+import hashlib
 import json
 import random
 import re
@@ -453,6 +454,19 @@ _UNLISTED = (
 _SYMBOLIC = "flagged vertices make the path family symbolic; cannot enumerate"
 _EITHER_SIDE = "vertex 'b': unlisted edges may land on either side of the set"
 
+
+def _unfailed_square() -> PullbackInstance:
+    """Flagged loops at u and a, each breaking towards its other vertex, and
+    f the evident map: classify refuses f, so H3 and H8 are not evaluated
+    while no row fails."""
+    amb1 = Graph(["u", "h1"], [("z", "u", "u")], infinite_emitters=[("u", ["h1"])])
+    amb2 = Graph(["a", "h2"], [("y", "a", "a")], infinite_emitters=[("a", ["h2"])])
+    pi1, pi2 = _induced(amb1, ["u"]), _induced(amb2, ["a"])
+    f = PathHom(amb1, amb2, {"u": "a", "h1": "h2"}, {"z": ("y",)})
+    f_res = PathHom(pi1.sub, pi2.sub, {"u": "a"}, {"z": ("y",)})
+    return PullbackInstance(pi1, pi2, f, f_res, 2)
+
+
 # (verdict, witness, detail) of the hypotheses each square reaches
 _FLAGGED_SQUARES = {
     "h4_fail": (
@@ -487,7 +501,50 @@ _FLAGGED_SQUARES = {
         {"H4": ("not_evaluated", None, _EITHER_SIDE), "H5": ("pass", None, ""),
          "H7": ("not_evaluated", None, _EITHER_SIDE), "H8": ("not_evaluated", None, _SYMBOLIC)},
     ),
+    "no_failing_row": (
+        _unfailed_square,
+        {"H3": ("not_evaluated", None, _UNLISTED.format("u")), "H4": ("pass", None, ""),
+         "H6": ("pass", None, ""), "H7": ("pass", None, ""),
+         "H8": ("not_evaluated", None, _SYMBOLIC)},
+    ),
 }
+
+
+# SHA-256 of each square's whole report, as canonical JSON and as text
+_FLAGGED_DIGESTS = {
+    "h4_fail": (
+        "282e41b4a468f9f80e5be87725df5d9d66d3131fc96ca92e5ef47eb28db96b13",
+        "258783b8e260cc05aac3497f1fb8defb04add49f58221183de720c1684a461a2",
+    ),
+    "h7_fail": (
+        "a9ac390f864202e4b555ab1bcaaf9755755b6319fe109066670a0cac64ed71e4",
+        "bd296f183ba04a241affd56e2dd5d79c853aec3d6a7334e3eca9cf71434f8bdd",
+    ),
+    "pass_with_breaking": (
+        "c220f67fedacd6b6a609f31dfc46bd47ca1cd656beda45502abb3eda077b281c",
+        "05c0ef011e0c3c8fd832ebb30637e702beda15f36079dc47b41d1191b04c7cd0",
+    ),
+    "flagged_domains": (
+        "9a7e8ea1cddd5b1b1bb8965837f87f9f85023bbc9b08f2550460a0a9e5112097",
+        "4d2163d4b6c551299410c7fe1aa89f1143de209e1fc47569d5cda2866404f409",
+    ),
+    "flagged_restriction_mismatch": (
+        "9a7e8ea1cddd5b1b1bb8965837f87f9f85023bbc9b08f2550460a0a9e5112097",
+        "4d2163d4b6c551299410c7fe1aa89f1143de209e1fc47569d5cda2866404f409",
+    ),
+    "ambiguous_emitter": (
+        "7c4988f601d896e8d4cdda889ba27c4e7ff835e63528469889f45f35aae8f3b6",
+        "c913766008b8b67658267b41015f5953ce8518e27f28102ba9f6d357ea235039",
+    ),
+    "no_failing_row": (
+        "a7e256b2c75f2a61eb531f428b72311cd49dab0c07f604d7be400389181e236a",
+        "b95f271d4a41b29c8e9a60385af5da46c3a7899eba0b7e2f1d16b2b22bfdc9d2",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", list(_FLAGGED_SQUARES))
@@ -498,6 +555,8 @@ def test_flagged_square_verdicts(case):
     for name, want in expected.items():
         h = report.hypothesis(name)
         assert (h.verdict, h.witness, h.detail) == want, name
+    digests = (_sha256(canonical_dumps(report.to_json_data())), _sha256(report.render_text()))
+    assert digests == _FLAGGED_DIGESTS[case]
 
 
 _NO_PREIMAGE = "no domain path maps onto the witness path"
@@ -857,7 +916,15 @@ class TestKernelFailures:
         inst = PullbackInstance(loop_in_rp2, pi2, phi, f_res, 4)
         with pytest.raises(HypothesisNotMet) as info:
             check_kernel_inclusion(inst)
-        assert "H5" in str(info.value)
+        assert str(info.value) == "hypotheses are not verified (first failure: H5)"
+
+    def test_refusal_names_a_row_that_is_not_evaluated(self):
+        # no row fails, so the refusal names the first one not evaluated
+        inst = _unfailed_square()
+        assert check_hypotheses(inst).first_failure is None
+        with pytest.raises(HypothesisNotMet) as info:
+            check_kernel_inclusion(inst)
+        assert str(info.value) == "hypotheses are not verified (H3 is not evaluated)"
 
     def test_flagged_graphs_are_refused(self):
         flagged = Graph(["v"], [("e", "v", "v")], infinite_emitters=["v"])
